@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +52,6 @@ class RunConfig:
     sim: SimConfig
     inversion_n: int = 150
     inversion_radius: float = 0.9
-    inversion_points: int | None = None
     verify_window: tuple = (50, 1000)
     verify_light_window: tuple = (30, 100)
     verify_n_states: int = 50
@@ -139,7 +137,7 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
     )
 
     inv = raw.get("inversion", {})
-    _require_keys(inv, {"n", "radius", "points"}, "inversion")
+    _require_keys(inv, {"n", "radius"}, "inversion")
     ver = raw.get("verify", {})
     _require_keys(
         ver,
@@ -152,7 +150,6 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
         sim=sim,
         inversion_n=int(inv.get("n", 150)),
         inversion_radius=float(inv.get("radius", 0.9)),
-        inversion_points=(None if inv.get("points") is None else int(inv["points"])),
         verify_window=tuple(ver.get("window", (50, 1000))),
         verify_light_window=tuple(ver.get("light_window", (30, 100))),
         verify_n_states=int(ver.get("n_states", 50)),
@@ -214,21 +211,13 @@ def _record_run(cfg: RunConfig, command: str, artifacts: list):
         fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _workers() -> int:
-    env = os.environ.get("RTQ_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_analyze(cfg: RunConfig) -> list:
     pmfs = transforms.conditional_pmfs(
-        cfg.params, cfg.inversion_n, radius=cfg.inversion_radius,
-        points=cfg.inversion_points,
+        cfg.params, cfg.inversion_n, radius=cfg.inversion_radius
     )
     paths = []
     for name, pmf in sorted(pmfs.items()):
@@ -350,14 +339,10 @@ def cmd_verify(cfg: RunConfig) -> list:
         "R22": verify.empirical_pmf(draws["R2"][1], m),
     }
     catalog = asymptotics.tail_catalog(params)
-    targets = ["R0", "R11", "R12", "R21", "R22"]
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        reports = list(
-            pool.map(
-                lambda t: _verify_target(cfg, t, pmfs, sim_res, sampler_pmfs, catalog),
-                targets,
-            )
-        )
+    reports = [
+        _verify_target(cfg, t, pmfs, sim_res, sampler_pmfs, catalog)
+        for t in ("R0", "R11", "R12", "R21", "R22")
+    ]
 
     frac = sim_res.state_fractions()
     err = sim_res.state_fraction_stderr()
@@ -438,3 +423,7 @@ def main(argv=None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

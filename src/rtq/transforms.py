@@ -12,10 +12,10 @@ All evaluators broadcast over numpy arrays; scalars in, scalars out.
 
 from __future__ import annotations
 
-import cmath
+import math
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .model import ModelParams
 
 __all__ = [
     "FixedPointSettings",
-    "GenFn",
     "Pmf",
     "KFactors",
     "solve_alpha",
@@ -48,6 +47,8 @@ __all__ = [
 ]
 
 _NEAR_SINGULAR = 1e-7  # switch difference quotients to derivative limits
+_ALIAS_TOL = 1e-12  # bound on radius^m, the aliasing error of the R0 series
+_K_QUAD_TOL = 1e-10  # agreement of successive Gauss-Legendre orders for int K
 
 
 @dataclass(frozen=True)
@@ -57,29 +58,6 @@ class FixedPointSettings:
 
 
 KFactors = namedtuple("KFactors", ["ka", "kb", "kc", "k"])
-
-
-class GenFn:
-    """A labelled generating-function evaluator with a point cache."""
-
-    def __init__(self, fn, arity=1, label=""):
-        self.fn = fn
-        self.arity = arity
-        self.label = label
-        self.cache = {}
-
-    def __call__(self, *args):
-        key = args if len(args) > 1 else args[0]
-        try:
-            return self.cache[key]
-        except (KeyError, TypeError):
-            pass
-        val = self.fn(*args)
-        try:
-            self.cache[key] = val
-        except TypeError:
-            pass
-        return val
 
 
 @dataclass
@@ -229,9 +207,10 @@ def _gl_rule(order):
     return _GL_CACHE[order]
 
 
-def _k_integral(params, z, quad_tol=1e-10, max_order=256):
+def _k_integral(params, z, max_order=256):
     """integral of K(u) du along the straight segment from z to 1,
-    refined by doubling the Gauss-Legendre order until stable."""
+    refined by doubling the Gauss-Legendre order until two successive
+    orders agree to `_K_QUAD_TOL`."""
     arr = np.atleast_1d(np.asarray(z, dtype=complex))
     seg = 1.0 - arr
     prev = None
@@ -242,19 +221,19 @@ def _k_integral(params, z, quad_tol=1e-10, max_order=256):
         flat = u.reshape(-1)
         k = np.asarray(factor_K(params, flat).k, dtype=complex).reshape(u.shape)
         val = seg * (k @ w)
-        if prev is not None and np.max(np.abs(val - prev)) <= quad_tol:
+        if prev is not None and np.max(np.abs(val - prev)) <= _K_QUAD_TOL:
             return val
         prev = val
         order *= 2
     raise QuadratureFailure(
-        f"K-integral did not stabilise below {quad_tol:g} at order {max_order}"
+        f"K-integral did not stabilise below {_K_QUAD_TOL:g} at order {max_order}"
     )
 
 
-def eval_R0(params: ModelParams, z2, quad_tol=1e-10):
+def eval_R0(params: ModelParams, z2):
     """Orbit transform given an idle server: exp(-psi * int_z^1 K)."""
     arr, scalar = _unpack(z2)
-    out = np.exp(-params.psi * _k_integral(params, arr, quad_tol=quad_tol))
+    out = np.exp(-params.psi * _k_integral(params, arr))
     return _repack(out, scalar)
 
 
@@ -442,26 +421,23 @@ def _check_roundoff(n, radius):
         )
 
 
-def _r0_on_contour(params, z, kvals, radius, quad_tol=1e-10):
+def _r0_on_contour(params, z, kvals):
     """R0 at every point of the inversion contour at once.
 
     K has a nonnegative power series with K(1) = 1, so the segment integral
     splits as int_z^1 K = int_0^1 K - sum_n k_n z^(n+1)/(n+1).  The k_n come
-    from an FFT of the already-computed contour values of K, and the dropped
-    tail carries a factor radius^m, so the split is exact at working
-    precision whenever radius^m is negligible.  Falls back to segmentwise
-    quadrature otherwise.  The series path is cross-checked against the
-    quadrature at one contour point.
+    from an FFT of the already-computed contour values of K; the aliased
+    tail carries a factor radius^m, which the contour size chosen by
+    `conditional_pmfs` keeps below `_ALIAS_TOL`.  The series is
+    cross-checked against direct quadrature at one contour point.
     """
     m = z.size
-    if radius**m > 1e-12:
-        return np.exp(-params.psi * _k_integral(params, z, quad_tol=quad_tol))
-    total = _k_integral(params, np.array([0.0 + 0j]), quad_tol=quad_tol)[0]
+    total = _k_integral(params, np.array([0.0 + 0j]))[0]
     # fft of the contour values gives k_n * radius^n directly
     kn = np.fft.fft(kvals) / m
     partial = m * np.fft.ifft(kn / np.arange(1, m + 1))
     integral = total - z * partial
-    check = _k_integral(params, z[:1], quad_tol=quad_tol)[0]
+    check = _k_integral(params, z[:1])[0]
     if abs(integral[0] - check) > 1e-8:
         raise QuadratureFailure(
             f"series and quadrature forms of the R0 integral disagree by "
@@ -487,21 +463,19 @@ def _coeffs_from_ring(values, n, radius, label=""):
     return Pmf(probs=probs, deficit=max(0.0, 1.0 - total), label=label)
 
 
-def extract_pmf(f, n: int, radius: float = 0.9, points: int | None = None, label: str = "") -> Pmf:
+def extract_pmf(f, n: int, radius: float = 0.9, label: str = "") -> Pmf:
     """Invert a one-argument PGF by sampling it on a circle of given radius.
 
-    Uses at least 2n contour points (default 4n); the result carries the
-    unrecovered tail mass as `deficit`.  A radius above 1 is allowed for
-    PGFs analytic beyond the unit disk (light-tailed laws), where it is the
-    only way to resolve geometrically small coefficients.
+    Uses 4n contour points; the result carries the unrecovered tail mass as
+    `deficit`.  A radius above 1 is allowed for PGFs analytic beyond the
+    unit disk (light-tailed laws), where it is the only way to resolve
+    geometrically small coefficients.
     """
     if n < 1:
         raise InversionError("need n >= 1 coefficients")
     if radius <= 0.0:
         raise InversionError("inversion radius must be positive")
-    m = 4 * n if points is None else int(points)
-    if m < 2 * n:
-        raise InversionError("need at least 2n contour points")
+    m = 4 * n
     _check_roundoff(n, radius)
     at_one = complex(np.asarray(f(1.0 + 0j), dtype=complex).reshape(-1)[0])
     if abs(at_one - 1.0) > 1e-8:
@@ -511,24 +485,25 @@ def extract_pmf(f, n: int, radius: float = 0.9, points: int | None = None, label
     return _coeffs_from_ring(values, n, radius, label=label)
 
 
-def conditional_pmfs(params: ModelParams, n: int, radius: float = 0.9, points: int | None = None,
-                     quad_tol: float = 1e-10) -> dict:
+def conditional_pmfs(params: ModelParams, n: int, radius: float = 0.9) -> dict:
     """Marginal pmfs of the five conditional counts by contour inversion.
 
     R0:  orbit | idle;  R11/R12: queue/orbit | Type-1 in service;
     R21/R22: queue/orbit | Type-2 in service.  One shared contour is used so
-    the expensive fixed points and the R0 integral are computed once.
+    the expensive fixed points and the R0 integral are computed once.  The
+    contour has max(4n, m + 1) points, m the least with radius^m at most
+    `_ALIAS_TOL`, so the R0 series is exact at working precision.
     """
-    m = 4 * n if points is None else int(points)
-    if m < 2 * n:
-        raise InversionError("need at least 2n contour points")
+    if not 0.0 < radius < 1.0:
+        raise InversionError(f"inversion radius must lie in (0, 1), got {radius}")
+    m = max(4 * n, math.ceil(math.log(_ALIAS_TOL) / math.log(radius)) + 1)
     _check_roundoff(n, radius)
     z = _ring(radius, m)
     one = np.ones_like(z)
 
     h = np.atleast_1d(np.asarray(solve_h(params, z), dtype=complex))
     kf = factor_K(params, z, h=h)
-    r0 = _r0_on_contour(params, z, kf.k, radius, quad_tol=quad_tol)
+    r0 = _r0_on_contour(params, z, kf.k)
 
     vals = {"R0": r0}
     # z2 = 1 slices: the orbit factors collapse to 1 and h(1) = 1

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +50,17 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert cli.main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_python_m_runs_main(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rtq.cli", "analyze",
+             "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "config error" in proc.stderr
+
     def test_unknown_top_level_key(self, write_config, tmp_path):
         path = write_config(_base_config(extra=1))
         assert cli.main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
@@ -58,6 +72,7 @@ class TestConfigValidation:
                        "dist2": {"kind": "exponential", "rate": 4.0}}),
             ("sim", {"max_events": 1000, "horizon": 5}),
             ("inversion", {"n": 50, "contour": 0.9}),
+            ("inversion", {"n": 50, "points": 400}),
             ("verify", {"tolerance": 0.1}),
         ):
             path = write_config(_base_config(**{block: bad}), f"{block}.json")

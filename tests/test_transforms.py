@@ -205,3 +205,16 @@ class TestConditionalPmfs:
     def test_roundoff_guard_applies(self, ref_params):
         with pytest.raises(InversionError, match="round-off"):
             T.conditional_pmfs(ref_params, 500, radius=0.9)
+
+    def test_r0_series_matches_direct_quadrature(self, ref_params):
+        # at 4n = 40 points radius**m would be 1e-4; the sized-up contour
+        # makes the series agree with quadrature at every point
+        series = T.conditional_pmfs(ref_params, 10, radius=0.8)["R0"]
+        direct = T.extract_pmf(lambda z: T.eval_R0(ref_params, z), 10, radius=0.8)
+        np.testing.assert_allclose(series.probs, direct.probs, rtol=0, atol=1e-8)
+        assert series.deficit == pytest.approx(direct.deficit, abs=1e-8)
+
+    @pytest.mark.parametrize("radius", [1.0, 1.2])
+    def test_rejects_radius_outside_unit_interval(self, ref_params, radius):
+        with pytest.raises(InversionError, match="radius"):
+            T.conditional_pmfs(ref_params, 10, radius=radius)
