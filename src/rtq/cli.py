@@ -38,7 +38,7 @@ from .errors import (
     WindowTooNoisy,
 )
 from .model import Erlang, Exponential, ModelParams, ParetoShifted, validate
-from .simulator import SimConfig, simulate
+from .simulator import TARGET_STATES, SimConfig, simulate
 
 __all__ = ["RunConfig", "load_config", "entry", "main"]
 
@@ -262,13 +262,7 @@ def cmd_simulate(cfg: RunConfig) -> list:
     }
     paths = [os.path.join(cfg.out, "sim_stats.json")]
     _atomic_write(paths[0], _json_text(stats))
-    for state, coord, tag in (
-        ("idle", "orbit", "R0"),
-        ("busy1", "queue", "R11"),
-        ("busy1", "orbit", "R12"),
-        ("busy2", "queue", "R21"),
-        ("busy2", "orbit", "R22"),
-    ):
+    for tag, (state, coord) in TARGET_STATES.items():
         pmf = res.conditional_pmf(state, coord)
         path = os.path.join(cfg.out, f"hist_{tag}.csv")
         rows = [(j, f"{v:.17g}") for j, v in enumerate(pmf)]
@@ -293,13 +287,7 @@ def _verify_target(cfg, target, pmfs, sim_res, sampler_pmfs, catalog):
     sources = {"inversion": pmfs[target]}
     if target in sampler_pmfs:
         sources["sampler"] = sampler_pmfs[target]
-    state, coord = {
-        "R0": ("idle", "orbit"),
-        "R11": ("busy1", "queue"),
-        "R12": ("busy1", "orbit"),
-        "R21": ("busy2", "queue"),
-        "R22": ("busy2", "orbit"),
-    }[target]
+    state, coord = TARGET_STATES[target]
     try:
         sources["simulator"] = sim_res.conditional_pmf(state, coord)
     except InsufficientData:
@@ -341,7 +329,7 @@ def cmd_verify(cfg: RunConfig) -> list:
     catalog = asymptotics.tail_catalog(params)
     reports = [
         _verify_target(cfg, t, pmfs, sim_res, sampler_pmfs, catalog)
-        for t in ("R0", "R11", "R12", "R21", "R22")
+        for t in TARGET_STATES
     ]
 
     frac = sim_res.state_fractions()

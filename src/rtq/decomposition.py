@@ -1,14 +1,16 @@
 """Exact stochastic representations of the conditional-distribution factors.
 
-Every factor of the stationary transforms has a constructive probabilistic
-form: the high-priority busy period is a branching tree of services, the
-batch size X_g is one customer or the low-priority arrivals over a busy
-period, Ka/Kb/Kc are mixtures, batched Poisson sums and geometric compounds
-of those pieces, and the idle-orbit count is a compound Poisson whose batch
-law is a size-biased rejection of K.  Sampling these and comparing against
-the analytic transforms is the strongest correctness check in the package,
-so the samplers here are exact in distribution up to two documented,
-quantified table truncations.
+Every factor of the stationary generating functions has a constructive
+probabilistic form: the high-priority busy period is a branching tree of
+services, the batch size X_g is one customer or the low-priority arrivals
+over a busy period, Ka/Kb/Kc are mixtures, batched Poisson sums and
+geometric compounds of those pieces, the idle-orbit count is a thinned
+compound Poisson sum of K draws, and the difference-quotient factors H mark
+a uniform point inside a length-biased service.  Sampling these and
+comparing against the analytic generating functions is the strongest
+correctness check in the package, so the samplers here are exact in
+distribution: no tables, no truncation, and no call into the analytic
+evaluators.
 
 All samplers are vectorised; a million draws of any target is seconds, not
 minutes.
@@ -18,9 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import transforms
-from .errors import RecursionDepthExceeded, TableTruncation
-from .model import ModelParams
+from .errors import RecursionDepthExceeded
+from .model import ModelParams, ServiceDist
 
 __all__ = ["make_rng", "DecompositionSampler", "PAIR_TARGETS", "SCALAR_TARGETS"]
 
@@ -35,35 +36,39 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     )
 
 
+def _group_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sums of consecutive runs of `values`; run i has length counts[i]."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return np.bincount(owner, weights=values, minlength=counts.size)
+
+
 class DecompositionSampler:
     """Draws from the factor laws of a fixed parameter set.
 
-    Heavy one-off tables (the Ka pmf, the size-biased arrival-count tables
-    used by the H factors) are built lazily and cached on the instance, so
-    reuse the sampler across calls.
+    The sampler holds no state beyond its random stream, so building one is
+    free; draws depend only on (params, seed, stream) and the call order.
     """
 
     def __init__(self, params: ModelParams, seed: int = 0, stream: int = 0):
         self.params = params
         self.rng = make_rng(seed, stream)
-        self._ka_cum = None
-        self._h_cum = {}
-        self._k_total = None
 
     # ------------------------------------------------------------------
     # primitives
 
-    def busy_durations(self, n: int, max_nodes: int | None = None) -> np.ndarray:
+    def busy_durations(
+        self, n: int, max_nodes: int | None = None, root: ServiceDist | None = None
+    ) -> np.ndarray:
         """Lengths of n independent high-priority busy periods.
 
         Each period is the total service time of a branching tree: the root
-        customer's service, plus one subtree per priority arrival during any
-        service in the tree.
+        customer's service (drawn from `root`, by default the type-1 law),
+        plus one subtree per priority arrival during any service in the tree.
         """
         p = self.params
         rng = self.rng
         budget = max_nodes if max_nodes is not None else max(1_000_000, 30 * n)
-        svc = p.dist1.sample(rng, n)
+        svc = (p.dist1 if root is None else root).sample(rng, n)
         total = svc.copy()
         owner = np.arange(n)
         used = n
@@ -97,31 +102,23 @@ class DecompositionSampler:
         total = int(counts.sum())
         if total == 0:
             return np.zeros(counts.size, dtype=np.int64)
-        xg = self.sample_xg(total)
-        owner = np.repeat(np.arange(counts.size), counts)
-        return np.bincount(owner, weights=xg, minlength=counts.size).astype(np.int64)
+        return _group_sums(counts, self.sample_xg(total)).astype(np.int64)
 
     # ------------------------------------------------------------------
     # the orbit factors
 
-    def _ka_table(self):
-        # Ka's pgf is available in closed form, so its pmf comes from one
-        # contour inversion; the unrecovered tail (~1e-6 here) is folded
-        # back proportionally rather than rejected at draw time.
-        if self._ka_cum is None:
-            pmf = transforms.extract_pmf(
-                lambda z: transforms.factor_K(self.params, z).ka,
-                n=8192,
-                radius=0.999,
-                label="ka-table",
-            )
-            probs = pmf.probs / pmf.probs.sum()
-            self._ka_cum = np.cumsum(probs)
-        return self._ka_cum
-
     def sample_ka(self, n: int) -> np.ndarray:
-        cum = self._ka_table()
-        return np.searchsorted(cum, self.rng.random(n)).astype(np.int64)
+        """Zero with probability 1 - rho1, else the low-priority arrivals
+        over an equilibrium busy period: a Geometric(1 - rho1) >= 1 number
+        of busy periods, each started by an equilibrium type-1 service."""
+        p = self.params
+        out = np.zeros(n, dtype=np.int64)
+        on = np.flatnonzero(self.rng.random(n) < p.rho1)
+        if on.size:
+            stages = self.rng.geometric(1.0 - p.rho1, on.size)
+            busy = self.busy_durations(int(stages.sum()), root=p.dist1_eq)
+            out[on] = self.rng.poisson(p.lambda2 * _group_sums(stages, busy))
+        return out
 
     def sample_kb(self, n: int) -> np.ndarray:
         """Batched Poisson: effective arrivals over an equilibrium-biased
@@ -142,34 +139,19 @@ class DecompositionSampler:
         total = int(stages.sum())
         if total == 0:
             return np.zeros(n, dtype=np.int64)
-        xc = self._xc(total)
-        owner = np.repeat(np.arange(n), stages)
-        return np.bincount(owner, weights=xc, minlength=n).astype(np.int64)
+        return _group_sums(stages, self._xc(total)).astype(np.int64)
 
     def sample_k(self, n: int) -> np.ndarray:
         return self.sample_ka(n) + self.sample_kb(n) + self.sample_kc(n)
 
     def sample_r0(self, n: int) -> np.ndarray:
-        """Orbit size given an idle server: compound Poisson whose batch is
-        an accepted K draw plus one (acceptance probability 1/(K+1))."""
-        if self._k_total is None:
-            self._k_total = float(
-                transforms._k_integral(self.params, np.array([0.0 + 0j]))[0].real
-            )
-        c = self._k_total
-        counts = self.rng.poisson(self.params.psi * c, n)
-        need = int(counts.sum())
-        accepted = []
-        got = 0
-        while got < need:
-            block = max(1024, int((need - got) / c * 1.2))
-            cand = self.sample_k(block)
-            keep = cand[self.rng.random(block) * (cand + 1.0) < 1.0]
-            accepted.append(keep)
-            got += keep.size
-        sizes = np.concatenate(accepted)[:need] + 1
-        owner = np.repeat(np.arange(n), counts)
-        return np.bincount(owner, weights=sizes, minlength=n).astype(np.int64)
+        """Orbit size given an idle server, exp(-psi int_z^1 K): Poisson(psi)
+        candidate K draws, each kept with probability 1/(K+1) and then
+        contributing K+1 (a thinned Poisson process)."""
+        counts = self.rng.poisson(self.params.psi, n)
+        cand = self.sample_k(int(counts.sum()))
+        keep = self.rng.random(cand.size) * (cand + 1.0) < 1.0
+        return _group_sums(counts, np.where(keep, cand + 1, 0)).astype(np.int64)
 
     # ------------------------------------------------------------------
     # bivariate (queue, orbit) factors
@@ -179,48 +161,19 @@ class DecompositionSampler:
         first = self.rng.binomial(counts, c)
         return first.astype(np.int64), (counts - first).astype(np.int64)
 
-    def _h_table(self, which: int):
-        # size-biased law of the number of effective arrivals during one
-        # type-`which` service: weight k * b_k, truncated once the kept
-        # mass reaches 1 - 1e-8
-        if which not in self._h_cum:
-            p = self.params
-            dist = p.dist1 if which == 1 else p.dist2
-            norm = p.lam * dist.mean
-            kmax = 4096
-            while True:
-                b = dist.poisson_mixture_pmf(p.lam, kmax)
-                w = np.arange(kmax + 1) * b / norm
-                cum = np.cumsum(w)
-                if cum[-1] >= 1.0 - 1e-8:
-                    break
-                if kmax >= 1 << 22:
-                    raise TableTruncation(
-                        f"size-biased table for type {which} still missing "
-                        f"{1 - cum[-1]:.2e} mass at {kmax} entries"
-                    )
-                kmax *= 4
-            self._h_cum[which] = cum
-        return self._h_cum[which]
-
     def sample_h_pair(self, which: int, n: int):
         """One step of the difference-quotient factor H for type `which`.
 
-        Draw a size-biased arrival count k, a uniform position i in 1..k;
-        the i-1 earlier arrivals go to queue/orbit by type, the k-i later
-        ones contribute whole X_g batches to the orbit.
+        Mark a uniform point V inside a length-biased type-`which` service
+        T*: the arrivals before V go to queue/orbit by type, the arrivals
+        after V contribute whole X_g batches to the orbit.
         """
-        cum = self._h_table(which)
-        u = self.rng.random(n)
-        k = np.searchsorted(cum, u)
-        if np.any(k >= cum.size):
-            raise TableTruncation(
-                f"draw beyond the size-biased table for type {which}"
-            )
-        k = k.astype(np.int64)  # k >= 1 almost surely (weight 0 at k = 0)
-        i = self.rng.integers(1, k + 1)
-        n1 = self.rng.binomial(i - 1, self.params.q).astype(np.int64)
-        n2 = (i - 1 - n1) + self._sum_xg(k - i)
+        p = self.params
+        dist = p.dist1 if which == 1 else p.dist2
+        t = dist.sample_length_biased(self.rng, n)
+        v = t * self.rng.random(n)
+        n1 = self.rng.poisson(p.lambda1 * v)
+        n2 = self.rng.poisson(p.lambda2 * v) + self._sum_xg(self.rng.poisson(p.lam * (t - v)))
         return n1, n2
 
     def sample_s_pair(self, which: int, n: int):
@@ -238,9 +191,8 @@ class DecompositionSampler:
         o_out = np.zeros(n, dtype=np.int64)
         if total:
             h1, h2 = self.sample_h_pair(1, total)
-            owner = np.repeat(np.arange(n), stages)
-            q_out += np.bincount(owner, weights=h1, minlength=n).astype(np.int64)
-            o_out += np.bincount(owner, weights=h2, minlength=n).astype(np.int64)
+            q_out += _group_sums(stages, h1).astype(np.int64)
+            o_out += _group_sums(stages, h2).astype(np.int64)
         return q_out, o_out
 
     def sample_m2_pair(self, n: int):

@@ -33,10 +33,6 @@ class InversionError(RtqError):
     """Coefficient extraction produced an inconsistent probability vector."""
 
 
-class TableTruncation(RtqError):
-    """A sampling table does not cover the requested probability mass."""
-
-
 class RecursionDepthExceeded(RtqError):
     """A branching-process draw exceeded the node-count guard."""
 

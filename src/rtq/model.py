@@ -93,6 +93,10 @@ class ServiceDist:
     def sample(self, rng: np.random.Generator, size):
         raise NotImplementedError
 
+    def sample_length_biased(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draws from the length-biased law, density t f(t) / mean."""
+        raise NotImplementedError
+
     def sample_one(self, pyrng) -> float:
         """Scalar draw using a random.Random; kept allocation-free for the
         simulator's event loop."""
@@ -146,6 +150,9 @@ class Exponential(ServiceDist):
 
     def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size)
+
+    def sample_length_biased(self, rng, size):
+        return rng.gamma(2.0, 1.0 / self.rate, size)
 
     def sample_one(self, pyrng):
         return pyrng.expovariate(self.rate)
@@ -206,6 +213,9 @@ class Erlang(ServiceDist):
 
     def sample(self, rng, size):
         return rng.gamma(self.shape, 1.0 / self.rate, size)
+
+    def sample_length_biased(self, rng, size):
+        return rng.gamma(self.shape + 1, 1.0 / self.rate, size)
 
     def sample_one(self, pyrng):
         return pyrng.gammavariate(self.shape, 1.0 / self.rate)
@@ -343,6 +353,22 @@ class ParetoShifted(ServiceDist):
     def sample_one(self, pyrng):
         return self.scale * (pyrng.random() ** (-1.0 / self.index) - 1.0)
 
+    def sample_length_biased(self, rng, size):
+        # t f(t) / mean = index * t / (t + scale) * (density of the
+        # equilibrium law), so accept equilibrium draws with probability
+        # t / (t + scale); the acceptance rate is exactly 1 / index
+        if self.index <= 1:
+            raise BadParam("pareto index must exceed 1 for a length-biased law")
+        proposal = self.equilibrium()
+        out = np.empty(size)
+        got = 0
+        while got < size:
+            t = proposal.sample(rng, int((size - got) * self.index * 1.1) + 16)
+            t = t[rng.random(t.size) * (t + self.scale) < t][: size - got]
+            out[got : got + t.size] = t
+            got += t.size
+        return out
+
     def poisson_mixture_pmf(self, lam, kmax):
         t, w = self._rule()
         logwf = np.log(w) + np.log(self._density(t))
@@ -416,15 +442,27 @@ class Mixture(ServiceDist):
         w = self.weights * means / self.mean
         return Mixture(w, [c.equilibrium() for c in self.components])
 
-    def sample(self, rng, size):
-        n = 1 if size is None else int(size)
-        which = rng.choice(len(self.components), size=n, p=self.weights)
-        out = np.empty(n)
+    def _sample_components(self, rng, size, weights, draw):
+        # pick a component per draw by `weights`, then draw(component, count)
+        which = rng.choice(len(self.components), size=size, p=weights)
+        out = np.empty(size)
         for i, c in enumerate(self.components):
             m = which == i
             if m.any():
-                out[m] = c.sample(rng, int(m.sum()))
+                out[m] = draw(c, int(m.sum()))
+        return out
+
+    def sample(self, rng, size):
+        n = 1 if size is None else int(size)
+        out = self._sample_components(rng, n, self.weights, lambda c, k: c.sample(rng, k))
         return out if size is not None else float(out[0])
+
+    def sample_length_biased(self, rng, size):
+        means = np.array([c.mean for c in self.components])
+        return self._sample_components(
+            rng, size, self.weights * means / self.mean,
+            lambda c, k: c.sample_length_biased(rng, k),
+        )
 
     def sample_one(self, pyrng):
         u = pyrng.random()

@@ -24,10 +24,18 @@ import numpy as np
 from .errors import InsufficientData, OverflowGuard
 from .model import ModelParams, validate
 
-__all__ = ["SimConfig", "SimResult", "simulate", "IDLE", "BUSY1", "BUSY2"]
+__all__ = ["SimConfig", "SimResult", "simulate", "IDLE", "BUSY1", "BUSY2", "TARGET_STATES"]
 
 IDLE, BUSY1, BUSY2 = 0, 1, 2
 _STATE_NAMES = {"idle": IDLE, "busy1": BUSY1, "busy2": BUSY2}
+# each conditional law as the (server state, coordinate) it is observed in
+TARGET_STATES = {
+    "R0": ("idle", "orbit"),
+    "R11": ("busy1", "queue"),
+    "R12": ("busy1", "orbit"),
+    "R21": ("busy2", "queue"),
+    "R22": ("busy2", "orbit"),
+}
 
 
 @dataclass(frozen=True)

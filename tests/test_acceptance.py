@@ -16,6 +16,7 @@ from rtq import transforms as T
 from rtq import verify
 from rtq.decomposition import DecompositionSampler
 from rtq.model import ModelParams, ParetoShifted, Exponential
+from rtq.simulator import TARGET_STATES
 
 
 def _report(capfd, num: int, ok: bool, detail: str):
@@ -74,13 +75,8 @@ def test_criterion_02_transform_identities(capfd, ref_params):
 
 
 def test_criterion_03_three_way_bulk_agreement(capfd, bulk_pmfs, million_draws, big_sim):
-    sim_coord = {
-        "R0": (0, "orbit"), "R11": (1, "queue"), "R12": (1, "orbit"),
-        "R21": (2, "queue"), "R22": (2, "orbit"),
-    }
     worst, lines = 0.0, []
-    for name in ("R0", "R11", "R12", "R21", "R22"):
-        state, coord = sim_coord[name]
+    for name, (state, coord) in TARGET_STATES.items():
         sources = {
             "inversion": bulk_pmfs[name],
             "sampler": million_draws[name],

@@ -179,6 +179,19 @@ class TestSample:
         header, rows = _read_csv(out / "samples_s2.csv")
         assert header == ["queue", "orbit"] and len(rows) == 100
 
+    def test_deterministic_per_seed(self, write_config, tmp_path):
+        path = write_config(_base_config())
+
+        def drawn(name, *extra):
+            out = tmp_path / name
+            assert cli.main(["sample", "--config", path, "--out", str(out),
+                             "--target", "r1", "-n", "5000", *extra]) == 0
+            return (out / "samples_r1.csv").read_bytes()
+
+        first = drawn("a")
+        assert drawn("b") == first
+        assert drawn("c", "--seed", "4") != first
+
     def test_requires_target(self, write_config, tmp_path):
         assert cli.main(["sample", "--config", write_config(_base_config()),
                          "--out", str(tmp_path / "o")]) == 2

@@ -12,11 +12,41 @@ from rtq.decomposition import (
     make_rng,
 )
 from rtq.errors import RecursionDepthExceeded
+from rtq.model import Erlang, ModelParams, ParetoShifted
 
 
 def _factor_pmf(params, name, n=60, radius=0.9):
     fn = lambda u: getattr(T.factor_K(params, np.asarray(u, dtype=complex)), name)
     return T.extract_pmf(fn, n, radius=radius, label=name)
+
+
+def _h_marginal_pmf(params, which, coord):
+    fn = T.eval_H_beta1 if which == 1 else T.eval_H_beta2
+
+    def marginal(z):
+        z = np.asarray(z, dtype=complex)
+        one = np.ones_like(z)
+        return fn(params, z, one) if coord == 0 else fn(params, one, z)
+
+    return T.extract_pmf(marginal, 40, radius=0.9)
+
+
+@pytest.fixture(scope="module")
+def erlang_params():
+    """ref_params with an Erlang(3) type-2 law of the same mean 0.3."""
+    return ModelParams(
+        lam=1.0, q=0.5, mu=1.0,
+        dist1=ParetoShifted.from_mean(2.5, 0.6),
+        dist2=Erlang(3, 10.0),
+    )
+
+
+@pytest.fixture(scope="module", params=["alt_params", "erlang_params"])
+def other_model(request):
+    """A type-2 law other than the exponential one of ref_params, with its
+    own sampler."""
+    params = request.getfixturevalue(request.param)
+    return params, DecompositionSampler(params, seed=78)
 
 
 class TestBusyPeriods:
@@ -69,15 +99,8 @@ class TestPairFactors:
 
     @pytest.mark.parametrize("which,coord", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_difference_quotient_marginals(self, ref_params, sampler, which, coord):
-        fn = T.eval_H_beta1 if which == 1 else T.eval_H_beta2
         pair = sampler.sample_h_pair(which, 200_000)
-
-        def marginal(z):
-            z = np.asarray(z, dtype=complex)
-            one = np.ones_like(z)
-            return fn(ref_params, z, one) if coord == 0 else fn(ref_params, one, z)
-
-        pmf = T.extract_pmf(marginal, 40, radius=0.9)
+        pmf = _h_marginal_pmf(ref_params, which, coord)
         assert verify.tv_distance(pair[coord], pmf, 30) < 0.015
 
     def test_geometric_stage_marginals(self, ref_params, sampler):
@@ -96,6 +119,24 @@ class TestPairFactors:
     def test_stationary_pairs_match_inversion(self, million_draws, bulk_pmfs):
         for name in ("R11", "R12", "R21", "R22"):
             assert verify.tv_distance(million_draws[name], bulk_pmfs[name], 50) < 0.01
+
+
+class TestOtherServiceLaws:
+    """The same factor checks on a Pareto type-2 law (length-biased draws by
+    rejection) and an Erlang type-2 law (Gamma(k+1) length-biased draws)."""
+
+    @pytest.mark.parametrize("name", ["ka", "kb", "kc"])
+    def test_factor_distributions(self, other_model, name):
+        params, sampler = other_model
+        draws = sampler.sample(name, 200_000)
+        assert verify.tv_distance(draws, _factor_pmf(params, name), 40) < 0.01
+
+    @pytest.mark.parametrize("which,coord", [(1, 0), (1, 1), (2, 0), (2, 1)])
+    def test_difference_quotient_marginals(self, other_model, which, coord):
+        params, sampler = other_model
+        pair = sampler.sample_h_pair(which, 200_000)
+        pmf = _h_marginal_pmf(params, which, coord)
+        assert verify.tv_distance(pair[coord], pmf, 30) < 0.015
 
 
 class TestDispatchAndSeeding:

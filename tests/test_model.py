@@ -188,6 +188,35 @@ class TestMixture:
             assert complex(e.lst(s)) == pytest.approx(expect, abs=1e-11)
 
 
+class TestLengthBiased:
+    LAWS = [
+        Exponential(2.0),
+        Erlang(3, 5.0),
+        ParetoShifted(4.0, 0.9),
+        Mixture([0.4, 0.6], [Exponential(2.0), Erlang(2, 5.0)]),
+    ]
+
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda d: d.kind)
+    def test_mean_and_survival(self, dist):
+        x = dist.sample_length_biased(np.random.default_rng(21), 200_000)
+        assert x.shape == (200_000,) and np.all(x > 0)
+        assert x.mean() == pytest.approx(dist.moment2 / dist.mean, rel=0.02)
+        # P{T* > t} = (t P{T > t} + int_t^inf P{T > u} du) / E[T]
+        m = dist.mean
+        for t in (0.5 * m, m, 3.0 * m):
+            expect = (t * dist.survival(t) + m * dist.equilibrium().survival(t)) / m
+            assert np.mean(x > t) == pytest.approx(float(expect), abs=0.005)
+
+    def test_pareto_with_infinite_biased_mean(self):
+        x = ParetoShifted(1.5, 0.5).sample_length_biased(np.random.default_rng(4), 50_000)
+        assert x.shape == (50_000,)
+        assert np.all(np.isfinite(x)) and np.all(x > 0)
+
+    def test_pareto_needs_a_finite_mean(self):
+        with pytest.raises(BadParam):
+            ParetoShifted(1.0, 1.0).sample_length_biased(np.random.default_rng(0), 10)
+
+
 class TestModelParams:
     def test_derived_quantities(self, ref_params):
         p = ref_params
