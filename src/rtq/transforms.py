@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominator, InversionError, NoConvergence, QuadratureFailure
-from .model import ModelParams
+from .model import ModelParams, _as_complex, _maybe_scalar
 
 __all__ = [
     "FixedPointSettings",
@@ -57,7 +57,8 @@ class FixedPointSettings:
     max_iter: int = 10_000
 
 
-KFactors = namedtuple("KFactors", ["ka", "kb", "kc", "k"])
+# beta2_g = beta2(lam (1 - g(u))) is Kc's denominator term; M2 reuses it
+KFactors = namedtuple("KFactors", ["ka", "kb", "kc", "k", "beta2_g"])
 
 
 @dataclass
@@ -83,18 +84,6 @@ class Pmf:
         return out + self.deficit
 
 
-def _unpack(x):
-    arr = np.asarray(x, dtype=complex)
-    return np.atleast_1d(arr), arr.ndim == 0
-
-
-def _repack(out, scalar):
-    if not scalar:
-        return out
-    v = complex(out.reshape(-1)[0])
-    return v.real if abs(v.imag) < 1e-12 * max(1.0, abs(v.real)) else v
-
-
 def _busy_root(params, y_of, settings):
     """Solve x = beta1(y_of(x)) by a few Picard sweeps (which select the
     probabilistically minimal root from 0) followed by Newton polishing."""
@@ -105,9 +94,9 @@ def _busy_root(params, y_of, settings):
         y = y_of(0.0 if x is None else x)
         x = np.asarray(d.lst(y), dtype=complex)
     for _ in range(settings.max_iter):
-        y = y_of(x)
-        f = np.asarray(d.lst(y), dtype=complex) - x
-        fprime = -lam1 * np.asarray(d.lst_deriv(y), dtype=complex) - 1.0
+        b, db = d.lst_and_deriv(y_of(x))
+        f = np.asarray(b, dtype=complex) - x
+        fprime = -lam1 * np.asarray(db, dtype=complex) - 1.0
         step = f / fprime
         x = x - step
         if np.max(np.abs(step)) <= settings.tol:
@@ -117,25 +106,25 @@ def _busy_root(params, y_of, settings):
 
 def solve_alpha(params: ModelParams, s, settings: FixedPointSettings = FixedPointSettings()):
     """Minimal root of the busy-period equation a = beta1(s + lam1 - lam1 a)."""
-    arr, scalar = _unpack(s)
+    arr, scalar = _as_complex(s)
     lam1 = params.lambda1
     a = _busy_root(params, lambda x: arr + lam1 * (1.0 - x), settings)
-    return _repack(a, scalar)
+    return _maybe_scalar(a, scalar)
 
 
 def solve_h(params: ModelParams, z2, settings: FixedPointSettings = FixedPointSettings()):
     """Minimal root of h = beta1(lam - lam1 h - lam2 z2)."""
-    arr, scalar = _unpack(z2)
+    arr, scalar = _as_complex(z2)
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
     h = _busy_root(params, lambda x: lam - lam1 * x - lam2 * arr, settings)
-    return _repack(h, scalar)
+    return _maybe_scalar(h, scalar)
 
 
 def eval_g(params: ModelParams, z2, h=None):
     """g(z2) = q h(z2) + p z2, the batch-size transform."""
-    arr, scalar = _unpack(z2)
+    arr, scalar = _as_complex(z2)
     hh = np.atleast_1d(np.asarray(solve_h(params, arr) if h is None else h, dtype=complex))
-    return _repack(params.q * hh + params.p * arr, scalar)
+    return _maybe_scalar(params.q * hh + params.p * arr, scalar)
 
 
 def _alpha1(params):
@@ -145,22 +134,22 @@ def _alpha1(params):
 def alpha_equilibrium_lst(params: ModelParams, s, alpha=None):
     """LST of the equilibrium law of the Type-1 busy period:
     (1 - alpha(s)) / (alpha_1 s), with the removable point at s = 0."""
-    arr, scalar = _unpack(s)
+    arr, scalar = _as_complex(s)
     a = np.atleast_1d(np.asarray(solve_alpha(params, arr) if alpha is None else alpha, dtype=complex))
     out = np.ones_like(arr)
     far = np.abs(arr) >= 1e-8
     out[far] = (1.0 - a[far]) / (_alpha1(params) * arr[far])
-    return _repack(out, scalar)
+    return _maybe_scalar(out, scalar)
 
 
 def factor_K(params: ModelParams, u, h=None) -> KFactors:
-    """The three orbit factors and their product at u.
+    """The three orbit factors, their product and beta2(lam (1 - g(u))) at u.
 
     Ka uses the singularity-free equilibrium form; Kb composes the merged
     equilibrium LST; Kc uses the difference quotient away from u = 1 and the
     compound-geometric form at the removable point.
     """
-    arr, scalar = _unpack(u)
+    arr, scalar = _as_complex(u)
     lam, lam2 = params.lam, params.lambda2
     rho1, rho, p, vt = params.rho1, params.rho, params.p, params.vartheta
     hh = np.atleast_1d(np.asarray(solve_h(params, arr) if h is None else h, dtype=complex))
@@ -193,8 +182,8 @@ def factor_K(params: ModelParams, u, h=None) -> KFactors:
 
     k = ka * kb * kc
     if scalar:
-        return KFactors(*(_repack(x, True) for x in (ka, kb, kc, k)))
-    return KFactors(ka, kb, kc, k)
+        return KFactors(*(_maybe_scalar(x, True) for x in (ka, kb, kc, k, beta2_g)))
+    return KFactors(ka, kb, kc, k, beta2_g)
 
 
 _GL_CACHE = {}
@@ -232,21 +221,23 @@ def _k_integral(params, z, max_order=256):
 
 def eval_R0(params: ModelParams, z2):
     """Orbit transform given an idle server: exp(-psi * int_z^1 K)."""
-    arr, scalar = _unpack(z2)
+    arr, scalar = _as_complex(z2)
     out = np.exp(-params.psi * _k_integral(params, arr))
-    return _repack(out, scalar)
+    return _maybe_scalar(out, scalar)
 
 
 def eval_S_beta(params: ModelParams, i: int, z1, z2):
     """Equilibrium service LST of type i composed with lam - lam1 z1 - lam2 z2."""
     d = params.dist1_eq if i == 1 else params.dist2_eq
-    a1, s1 = _unpack(z1)
-    a2, s2 = _unpack(z2)
+    a1, s1 = _as_complex(z1)
+    a2, s2 = _as_complex(z2)
     s = params.lam - params.lambda1 * a1 - params.lambda2 * a2
-    return _repack(np.atleast_1d(np.asarray(d.lst(s), dtype=complex)), s1 and s2)
+    return _maybe_scalar(np.atleast_1d(np.asarray(d.lst(s), dtype=complex)), s1 and s2)
 
 
-def _H_beta(params, which, z1, z2, h):
+def _H_beta(params, which, z1, z2, h, bh=None):
+    # bh, beta_i(lam - lam1 h - lam2 z2), is computed here unless the caller
+    # already has it
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
     d = params.dist1 if which == 1 else params.dist2
     pref = 1.0 / params.rho1 if which == 1 else params.p / (params.q * params.rho2)
@@ -254,7 +245,7 @@ def _H_beta(params, which, z1, z2, h):
     bz = np.asarray(d.lst(s), dtype=complex)
     if which == 1:
         bh = h  # h is itself beta1 at the shifted argument
-    else:
+    elif bh is None:
         bh = np.asarray(d.lst(lam - lam1 * h - lam2 * z2), dtype=complex)
     den = z1 - h
     out = np.empty(np.broadcast(bz, den).shape, dtype=complex)
@@ -268,55 +259,56 @@ def _H_beta(params, which, z1, z2, h):
 
 
 def eval_H_beta1(params: ModelParams, z1, z2, h=None):
-    a1, s1 = _unpack(z1)
-    a2, s2 = _unpack(z2)
+    a1, s1 = _as_complex(z1)
+    a2, s2 = _as_complex(z2)
     hh = np.atleast_1d(np.asarray(solve_h(params, a2) if h is None else h, dtype=complex))
-    return _repack(_H_beta(params, 1, a1, a2, hh), s1 and s2)
+    return _maybe_scalar(_H_beta(params, 1, a1, a2, hh), s1 and s2)
 
 
 def eval_H_beta2(params: ModelParams, z1, z2, h=None):
-    a1, s1 = _unpack(z1)
-    a2, s2 = _unpack(z2)
+    a1, s1 = _as_complex(z1)
+    a2, s2 = _as_complex(z2)
     hh = np.atleast_1d(np.asarray(solve_h(params, a2) if h is None else h, dtype=complex))
-    return _repack(_H_beta(params, 2, a1, a2, hh), s1 and s2)
+    return _maybe_scalar(_H_beta(params, 2, a1, a2, hh), s1 and s2)
 
 
 def eval_M1(params: ModelParams, z1, z2, h=None):
     """Geometric factor (1 - rho1) / (1 - rho1 * H_beta1)."""
-    a1, s1 = _unpack(z1)
-    a2, s2 = _unpack(z2)
+    a1, s1 = _as_complex(z1)
+    a2, s2 = _as_complex(z2)
     hh = np.atleast_1d(np.asarray(solve_h(params, a2) if h is None else h, dtype=complex))
     H = _H_beta(params, 1, a1, a2, hh)
-    return _repack((1.0 - params.rho1) / (1.0 - params.rho1 * H), s1 and s2)
+    return _maybe_scalar((1.0 - params.rho1) / (1.0 - params.rho1 * H), s1 and s2)
 
 
 def eval_M1_raw(params: ModelParams, z1, z2):
     """Published difference-quotient form of M1 (cross-check only; no
     singular-point handling)."""
-    a1, s1 = _unpack(z1)
-    a2, s2 = _unpack(z2)
+    a1, s1 = _as_complex(z1)
+    a2, s2 = _as_complex(z2)
     h = np.atleast_1d(np.asarray(solve_h(params, a2), dtype=complex))
     s = params.lam - params.lambda1 * a1 - params.lambda2 * a2
     b1 = np.asarray(params.dist1.lst(s), dtype=complex)
-    return _repack((1.0 - params.rho1) * (h - a1) / (b1 - a1), s1 and s2)
+    return _maybe_scalar((1.0 - params.rho1) * (h - a1) / (b1 - a1), s1 and s2)
 
 
 def eval_M2(params: ModelParams, z1, z2, h=None, kf: KFactors = None):
-    a1, s1 = _unpack(z1)
-    a2, s2 = _unpack(z2)
+    a1, s1 = _as_complex(z1)
+    a2, s2 = _as_complex(z2)
     hh = np.atleast_1d(np.asarray(solve_h(params, a2) if h is None else h, dtype=complex))
     if kf is None:
         kf = factor_K(params, a2, h=hh)
-    H2 = _H_beta(params, 2, a1, a2, hh)
+    # beta2 at lam - lam1 h - lam2 z2 is beta2(lam (1 - g)), known from factor_K
+    H2 = _H_beta(params, 2, a1, a2, hh, bh=np.asarray(kf.beta2_g, dtype=complex))
     vt = params.vartheta
     out = vt * H2 * np.asarray(kf.ka, dtype=complex) * np.asarray(kf.kc, dtype=complex) + (1.0 - vt)
-    return _repack(out, s1 and s2)
+    return _maybe_scalar(out, s1 and s2)
 
 
 def eval_R1(params: ModelParams, z1, z2, h=None, kf=None, r0=None):
     """Factored conditional transform given a Type-1 service in progress."""
-    a1, s1 = _unpack(z1)
-    a2, s2 = _unpack(z2)
+    a1, s1 = _as_complex(z1)
+    a2, s2 = _as_complex(z2)
     hh = np.atleast_1d(np.asarray(solve_h(params, a2) if h is None else h, dtype=complex))
     if kf is None:
         kf = factor_K(params, a2, h=hh)
@@ -327,13 +319,13 @@ def eval_R1(params: ModelParams, z1, z2, h=None, kf=None, r0=None):
     sb1 = eval_S_beta(params, 1, a1, a2)
     out = np.asarray(m2, dtype=complex) * np.asarray(m1, dtype=complex)
     out = out * np.asarray(sb1, dtype=complex) * np.asarray(r0, dtype=complex)
-    return _repack(np.atleast_1d(out), s1 and s2)
+    return _maybe_scalar(np.atleast_1d(out), s1 and s2)
 
 
 def eval_R2(params: ModelParams, z1, z2, h=None, kf=None, r0=None):
     """Factored conditional transform given a Type-2 service in progress."""
-    a1, s1 = _unpack(z1)
-    a2, s2 = _unpack(z2)
+    a1, s1 = _as_complex(z1)
+    a2, s2 = _as_complex(z2)
     hh = np.atleast_1d(np.asarray(solve_h(params, a2) if h is None else h, dtype=complex))
     if kf is None:
         kf = factor_K(params, a2, h=hh)
@@ -342,7 +334,7 @@ def eval_R2(params: ModelParams, z1, z2, h=None, kf=None, r0=None):
     sb2 = np.asarray(eval_S_beta(params, 2, a1, a2), dtype=complex)
     out = sb2 * np.asarray(kf.ka, dtype=complex) * np.asarray(kf.kc, dtype=complex)
     out = out * np.asarray(r0, dtype=complex)
-    return _repack(np.atleast_1d(out), s1 and s2)
+    return _maybe_scalar(np.atleast_1d(out), s1 and s2)
 
 
 def _w_fn(params, z1, z2, h, g):
@@ -357,8 +349,8 @@ def _w_fn(params, z1, z2, h, g):
 
 def eval_R1_raw(params: ModelParams, z1, z2):
     """Original published form of R1 (interior points only)."""
-    a1, s1 = _unpack(z1)
-    a2, s2 = _unpack(z2)
+    a1, s1 = _as_complex(z1)
+    a2, s2 = _as_complex(z2)
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
     h = np.atleast_1d(np.asarray(solve_h(params, a2), dtype=complex))
     g = params.q * h + params.p * a2
@@ -376,13 +368,13 @@ def eval_R1_raw(params: ModelParams, z1, z2):
         / s12
         * r0
     )
-    return _repack(np.atleast_1d(out), s1 and s2)
+    return _maybe_scalar(np.atleast_1d(out), s1 and s2)
 
 
 def eval_R2_raw(params: ModelParams, z1, z2):
     """Original published form of R2 (interior points only)."""
-    a1, s1 = _unpack(z1)
-    a2, s2 = _unpack(z2)
+    a1, s1 = _as_complex(z1)
+    a2, s2 = _as_complex(z2)
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
     h = np.atleast_1d(np.asarray(solve_h(params, a2), dtype=complex))
     g = params.q * h + params.p * a2
@@ -399,7 +391,7 @@ def eval_R2_raw(params: ModelParams, z1, z2):
         / s12
         * r0
     )
-    return _repack(np.atleast_1d(out), s1 and s2)
+    return _maybe_scalar(np.atleast_1d(out), s1 and s2)
 
 
 def _ring(radius, points):
@@ -506,10 +498,11 @@ def conditional_pmfs(params: ModelParams, n: int, radius: float = 0.9) -> dict:
     r0 = _r0_on_contour(params, z, kf.k)
 
     vals = {"R0": r0}
-    # z2 = 1 slices: the orbit factors collapse to 1 and h(1) = 1
+    # z2 = 1 slices: the orbit factors collapse to 1, h(1) = 1 and
+    # beta2(lam - lam1 h(1) - lam2) = beta2(0) = 1
     h_one = np.ones_like(z)
     m1_q = eval_M1(params, z, one, h=h_one)
-    m2_q = params.vartheta * _H_beta(params, 2, z, one, h_one) + (1.0 - params.vartheta)
+    m2_q = params.vartheta * _H_beta(params, 2, z, one, h_one, bh=1.0) + (1.0 - params.vartheta)
     s1_q = np.asarray(eval_S_beta(params, 1, z, one), dtype=complex)
     vals["R11"] = np.asarray(m1_q, dtype=complex) * m2_q * s1_q
     vals["R21"] = np.asarray(eval_S_beta(params, 2, z, one), dtype=complex)

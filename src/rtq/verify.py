@@ -222,6 +222,26 @@ def compare(params: ModelParams, target: str, sources: dict, n_states: int = 50,
 # limit-lemma property checks on synthetic instances
 
 
+_SUM_BLOCK = 1 << 20  # random sums whose summands are drawn at once
+
+
+def _random_sums(counts, draw):
+    """S_i = sum of counts[i] summands, for every i.
+
+    draw(k) returns the next k summands of one stream.  They are drawn for
+    `_SUM_BLOCK` sums at a time, in stream order, so a stream that draws
+    elementwise gives the same sums as one draw of all of them, without
+    holding them all at once.  Every count must be at least 1.
+    """
+    assert counts.min() >= 1, "random sums need counts >= 1"
+    out = np.empty(counts.size)
+    for lo in range(0, counts.size, _SUM_BLOCK):
+        c = counts[lo : lo + _SUM_BLOCK]
+        ends = np.cumsum(c)
+        out[lo : lo + c.size] = np.add.reduceat(draw(int(ends[-1])), ends - c)
+    return out
+
+
 def _lemma_compound_geometric(seed, n):
     # geometric number N >= 1 of iid heavy summands Y:
     # P{S > t} ~ E[N] (1 - F(t)) + E[N(N-1)] E[Y] f(t), the second-order
@@ -231,10 +251,7 @@ def _lemma_compound_geometric(seed, n):
     rng = make_rng(seed, 101)
     n = 25 * n  # the t-window sits far out; the ratio needs tail counts
     counts = rng.geometric(1.0 - sigma, n)  # support 1, 2, ...
-    total = int(counts.sum())
-    y = dist.sample(rng, total)
-    owner = np.repeat(np.arange(n), counts)
-    s = np.bincount(owner, weights=y, minlength=n)
+    s = _random_sums(counts, lambda k: dist.sample(rng, k))
     # the neglected terms shrink faster than the second-order one, so the
     # window can start where the tail counts are still plentiful
     t_grid = np.array([40.0, 60.0, 90.0, 140.0])
@@ -303,10 +320,7 @@ def _lemma_random_sum(seed, n):
     n = 10 * n
     rng = make_rng(seed, 102)
     counts = np.floor(rng.random(n) ** (-1.0 / h)).astype(np.int64)
-    total = int(counts.sum())
-    y = np.floor(rng.random(total) ** (-1.0 / h)).astype(np.int64)
-    owner = np.repeat(np.arange(n), counts)
-    s = np.bincount(owner, weights=y, minlength=n)
+    s = _random_sums(counts, lambda k: np.floor(rng.random(k) ** (-1.0 / h)))
     mu = float(special.zeta(h, 1))
     const = mu**h + mu
     t_grid = np.array([25.0, 35.0, 50.0, 75.0])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from rtq import cli
+from rtq.decomposition import DecompositionSampler
 from rtq.errors import BadParam
 
 
@@ -191,6 +192,21 @@ class TestSample:
         first = drawn("a")
         assert drawn("b") == first
         assert drawn("c", "--seed", "4") != first
+
+    @pytest.mark.parametrize("target", ["r0", "r1"])
+    def test_csv_is_the_csv_writer_text(self, write_config, tmp_path, target):
+        path = write_config(_base_config())
+        out = tmp_path / "out"
+        assert cli.main(["sample", "--config", path, "--out", str(out),
+                         "--target", target, "-n", "3000"]) == 0
+        cfg = cli.load_config(path, out_override=str(out))
+        drawn = DecompositionSampler(cfg.params, seed=cfg.seed).sample(target, 3000)
+        if isinstance(drawn, tuple):
+            rows = zip(drawn[0].tolist(), drawn[1].tolist())
+            expect = cli._csv_text(("queue", "orbit"), rows)
+        else:
+            expect = cli._csv_text(("value",), [(v,) for v in drawn.tolist()])
+        assert (out / f"samples_{target}.csv").read_text() == expect
 
     def test_requires_target(self, write_config, tmp_path):
         assert cli.main(["sample", "--config", write_config(_base_config()),

@@ -161,6 +161,36 @@ class TestParetoShifted:
         y = d.sample_one(random.Random(5))
         assert y >= 0.0
 
+    @pytest.mark.parametrize("index", [1.5, 2.5, 4.0])
+    @pytest.mark.parametrize("s", [0.3, 2.0, 17.0, 1.0 + 1.0j, 0.2 - 2.0j, 1e-9 + 0.3j])
+    def test_lst_against_closed_form(self, index, s):
+        # DLMF 13.4.4: int_0^inf e^{-s t} (1 + t/c)^{-a-1} dt = c U(1, 1-a, c s),
+        # and DLMF 13.3.22: d/dz U(1, b, z) = -U(2, b + 1, z)
+        d, c = ParetoShifted(index, 0.9), mp.mpf(0.9)
+        x = c * mp.mpmathify(s)
+        assert abs(complex(d.lst(s)) - complex(index * mp.hyperu(1, 1 - index, x))) < 1e-12
+        expect = complex(-index * c * mp.hyperu(2, 2 - index, x))
+        assert abs(complex(d.lst_deriv(s)) - expect) < 1e-12
+
+    @pytest.mark.parametrize("size", [1, 255, 256, 257, 1000])
+    def test_array_calls_match_scalar_calls(self, size):
+        # sizes across the kernel's block edges; blocks change only the
+        # order of the weighted sums, so the values agree to round-off
+        d = ParetoShifted(2.5, 0.9)
+        k = np.arange(size)
+        s = 0.5 * (1.0 - 0.995 * np.exp(2j * np.pi * k / size)) + 0.01 * k
+        val, deriv = d.lst(s), d.lst_deriv(s)
+        assert val.shape == deriv.shape == (size,)
+        np.testing.assert_allclose(val, [complex(d.lst(x)) for x in s], rtol=0, atol=2e-15)
+        np.testing.assert_allclose(
+            deriv, [complex(d.lst_deriv(x)) for x in s], rtol=0, atol=2e-15
+        )
+
+    @pytest.mark.parametrize("index, nodes", [(1.5, 338), (2.5, 201), (3.0, 201), (4.0, 201)])
+    def test_rule_level(self, index, nodes):
+        t, w = ParetoShifted(index, 0.9)._rule()
+        assert t.size == w.size == nodes
+
     def test_bad_params(self):
         with pytest.raises(BadParam):
             ParetoShifted(-1.0, 1.0)
@@ -186,6 +216,24 @@ class TestMixture:
         for s in (0.5, 2.0):
             expect = (1 - complex(m.lst(s))) / (m.mean * s)
             assert complex(e.lst(s)) == pytest.approx(expect, abs=1e-11)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        ParetoShifted(2.5, 0.9),
+        Exponential(2.0),
+        Erlang(3, 5.0),
+        Mixture([0.4, 0.6], [ParetoShifted(2.5, 0.9), Erlang(2, 5.0)]),
+    ],
+    ids=lambda d: d.kind,
+)
+@pytest.mark.parametrize("s", [0.7, 0.3 - 1.2j, np.array([0.0, 1e-9 + 0.3j, 2.0 + 0.5j])])
+def test_lst_and_deriv_equals_separate_calls(dist, s):
+    val, deriv = dist.lst_and_deriv(s)
+    np.testing.assert_array_equal(val, dist.lst(s))
+    np.testing.assert_array_equal(deriv, dist.lst_deriv(s))
+    assert type(val) is type(dist.lst(s)) and type(deriv) is type(dist.lst_deriv(s))
 
 
 class TestLengthBiased:

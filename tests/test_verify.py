@@ -143,3 +143,13 @@ class TestStructuralLemmas:
         for c in checks:
             assert set(c) >= {"name", "statistic", "predicted", "tolerance", "ok"}
             assert c["tolerance"] > 0
+
+    def test_random_sums_match_one_draw(self):
+        # blocks of summands drawn in stream order give the sums of a
+        # single draw; more counts than one block, so a block edge is crossed
+        counts = np.random.default_rng(5).geometric(0.5, verify._SUM_BLOCK + 1000)
+        y = np.random.default_rng(6).random(int(counts.sum()))
+        expect = np.bincount(np.repeat(np.arange(counts.size), counts), weights=y)
+        rng = np.random.default_rng(6)
+        got = verify._random_sums(counts, rng.random)
+        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
