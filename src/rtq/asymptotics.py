@@ -173,9 +173,9 @@ def tail_catalog(params: ModelParams) -> dict:
     return cat
 
 
-def catalog_to_json(catalog: dict, indent: int = 2) -> str:
+def catalog_to_json(catalog: dict) -> str:
     return json.dumps(
         {name: entry.to_dict() for name, entry in catalog.items()},
-        indent=indent,
+        indent=2,
         sort_keys=True,
     )

@@ -14,10 +14,7 @@ Exit codes: 0 success, 2 configuration problem, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
-import itertools
 import json
 import os
 import sys
@@ -181,12 +178,14 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+def _csv_text(header, *columns) -> str:
+    """CSV text of a header and equal-length columns.
+
+    Every cell is an int, a formatted float or a bare word, so no field needs
+    quoting and joined strings are the bytes csv.writer would write.
+    """
+    row = ",".join(["{}"] * len(header))
+    return "\n".join([",".join(header), *map(row.format, *columns)]) + "\n"
 
 
 def _json_text(obj) -> str:
@@ -222,21 +221,18 @@ def cmd_analyze(cfg: RunConfig) -> list:
     )
     paths = []
     for name, pmf in sorted(pmfs.items()):
-        rows = [(j, f"{v:.17g}") for j, v in enumerate(pmf.probs)]
-        rows.append(("deficit", f"{pmf.deficit:.17g}"))
+        j = [*range(len(pmf)), "deficit"]
+        p = [f"{v:.17g}" for v in (*pmf.probs, pmf.deficit)]
         path = os.path.join(cfg.out, f"pmf_{name}.csv")
-        _atomic_write(path, _csv_text(("j", "probability"), rows))
+        _atomic_write(path, _csv_text(("j", "probability"), j, p))
         paths.append(path)
 
     u = np.linspace(0.0, 0.99, 100)
     kf = transforms.factor_K(cfg.params, u)
-    rows = [
-        (f"{ui:.4f}", f"{a.real:.17g}", f"{b.real:.17g}", f"{c.real:.17g}",
-         f"{k.real:.17g}")
-        for ui, a, b, c, k in zip(u, kf.ka, kf.kb, kf.kc, kf.k)
-    ]
+    factors = [[f"{v.real:.17g}" for v in col] for col in (kf.ka, kf.kb, kf.kc, kf.k)]
     path = os.path.join(cfg.out, "factors.csv")
-    _atomic_write(path, _csv_text(("u", "ka", "kb", "kc", "k"), rows))
+    _atomic_write(path, _csv_text(("u", "ka", "kb", "kc", "k"),
+                                  [f"{v:.4f}" for v in u], *factors))
     paths.append(path)
 
     try:
@@ -266,8 +262,8 @@ def cmd_simulate(cfg: RunConfig) -> list:
     for tag, (state, coord) in TARGET_STATES.items():
         pmf = res.conditional_pmf(state, coord)
         path = os.path.join(cfg.out, f"hist_{tag}.csv")
-        rows = [(j, f"{v:.17g}") for j, v in enumerate(pmf)]
-        _atomic_write(path, _csv_text(("j", "fraction"), rows))
+        _atomic_write(path, _csv_text(("j", "fraction"), range(pmf.size),
+                                      [f"{v:.17g}" for v in pmf]))
         paths.append(path)
     return paths
 
@@ -276,13 +272,11 @@ def cmd_sample(cfg: RunConfig, target: str, n: int) -> list:
     sampler = DecompositionSampler(cfg.params, seed=cfg.seed)
     drawn = sampler.sample(target, n)
     path = os.path.join(cfg.out, f"samples_{target.lower()}.csv")
-    # integer columns need no quoting, so joined strings are the bytes
-    # csv.writer would write, made faster
     if isinstance(drawn, tuple):
-        header, lines = "queue,orbit", map("{},{}".format, drawn[0].tolist(), drawn[1].tolist())
+        text = _csv_text(("queue", "orbit"), drawn[0].tolist(), drawn[1].tolist())
     else:
-        header, lines = "value", map(str, drawn.tolist())
-    _atomic_write(path, "\n".join(itertools.chain([header], lines)) + "\n")
+        text = _csv_text(("value",), drawn.tolist())
+    _atomic_write(path, text)
     return [path]
 
 

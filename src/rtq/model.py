@@ -9,7 +9,9 @@ double-exponential quadrature on a ray rotated so that exp(-s t) decays
 without oscillating, which makes complex arguments (needed for
 generating-function inversion) cost the same as real ones.  The rotated
 integrand is written in real modulus and phase and summed over blocks of
-arguments, and one pass gives the LST and its derivative together.
+arguments, and one pass gives the LST and its derivative together.  The
+shifted Pareto law also gives the pmf of the Poisson count over one service
+time, on the same quadrature nodes, for the limit-lemma checks of `verify`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import AssumptionViolation, BadParam, QuadratureFailure, Unstable
 
@@ -113,14 +115,6 @@ class ServiceDist:
         simulator's event loop."""
         raise NotImplementedError
 
-    def poisson_mixture_pmf(self, lam: float, kmax: int) -> np.ndarray:
-        """b_k = E[(lam T)^k exp(-lam T) / k!] for k = 0..kmax.
-
-        These are the probabilities P{N_lam(T) = k} of the number of Poisson
-        arrivals during one service time.
-        """
-        raise NotImplementedError
-
 
 class Exponential(ServiceDist):
     kind = "exponential"
@@ -167,12 +161,6 @@ class Exponential(ServiceDist):
 
     def sample_one(self, pyrng):
         return pyrng.expovariate(self.rate)
-
-    def poisson_mixture_pmf(self, lam, kmax):
-        # geometric: b_k = (rate/(lam+rate)) (lam/(lam+rate))^k
-        ratio = lam / (lam + self.rate)
-        k = np.arange(kmax + 1)
-        return (self.rate / (lam + self.rate)) * ratio**k
 
 
 class Erlang(ServiceDist):
@@ -230,11 +218,6 @@ class Erlang(ServiceDist):
 
     def sample_one(self, pyrng):
         return pyrng.gammavariate(self.shape, 1.0 / self.rate)
-
-    def poisson_mixture_pmf(self, lam, kmax):
-        # negative binomial: shape successes with prob rate/(lam+rate)
-        k = np.arange(kmax + 1)
-        return stats.nbinom.pmf(k, self.shape, self.rate / (lam + self.rate))
 
 
 # quadrature levels tried in order: (step, half-width) of the exp-sinh rule
@@ -416,7 +399,9 @@ class ParetoShifted(ServiceDist):
             got += t.size
         return out
 
-    def poisson_mixture_pmf(self, lam, kmax):
+    def poisson_mixture_pmf(self, lam: float, kmax: int) -> np.ndarray:
+        """b_k = E[(lam T)^k exp(-lam T) / k!] for k = 0..kmax: the law of
+        the number of Poisson(lam) arrivals during one service time."""
         t, w = self._rule()
         logwf = np.log(w) + np.log(self._density(t))
         loglt = np.log(lam * t)
@@ -519,12 +504,6 @@ class Mixture(ServiceDist):
             if u <= acc:
                 return c.sample_one(pyrng)
         return self.components[-1].sample_one(pyrng)
-
-    def poisson_mixture_pmf(self, lam, kmax):
-        out = np.zeros(kmax + 1)
-        for w, c in zip(self.weights, self.components):
-            out += w * c.poisson_mixture_pmf(lam, kmax)
-        return out
 
 
 @dataclass(frozen=True)

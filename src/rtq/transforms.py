@@ -7,7 +7,11 @@ the idle-orbit transform R0, the service-excess factors S, the
 difference-quotient factors H, the geometric factors M1/M2, and the full
 conditional transforms R1/R2 in both their raw and factored forms.
 
-All evaluators broadcast over numpy arrays; scalars in, scalars out.
+All evaluators broadcast over numpy arrays; scalars in, scalars out.  The
+public `eval_*` functions take points only and solve for h themselves; the
+arithmetic they share lives in private array kernels, which
+`conditional_pmfs` calls with the h, orbit factors and R0 it has already
+computed on its contour.
 """
 
 from __future__ import annotations
@@ -23,13 +27,11 @@ from .errors import DegenerateDenominator, InversionError, NoConvergence, Quadra
 from .model import ModelParams, _as_complex, _maybe_scalar
 
 __all__ = [
-    "FixedPointSettings",
     "Pmf",
     "KFactors",
     "solve_alpha",
     "solve_h",
     "eval_g",
-    "alpha_equilibrium_lst",
     "factor_K",
     "eval_R0",
     "eval_S_beta",
@@ -49,12 +51,9 @@ __all__ = [
 _NEAR_SINGULAR = 1e-7  # switch difference quotients to derivative limits
 _ALIAS_TOL = 1e-12  # bound on radius^m, the aliasing error of the R0 series
 _K_QUAD_TOL = 1e-10  # agreement of successive Gauss-Legendre orders for int K
-
-
-@dataclass(frozen=True)
-class FixedPointSettings:
-    tol: float = 1e-12
-    max_iter: int = 10_000
+_K_MAX_ORDER = 256  # highest Gauss-Legendre order tried for int K
+_ROOT_TOL = 1e-12  # Newton step size at which a busy-period root is accepted
+_ROOT_MAX_ITER = 10_000
 
 
 # beta2_g = beta2(lam (1 - g(u))) is Kc's denominator term; M2 reuses it
@@ -84,7 +83,7 @@ class Pmf:
         return out + self.deficit
 
 
-def _busy_root(params, y_of, settings):
+def _busy_root(params, y_of):
     """Solve x = beta1(y_of(x)) by a few Picard sweeps (which select the
     probabilistically minimal root from 0) followed by Newton polishing."""
     d = params.dist1
@@ -93,30 +92,30 @@ def _busy_root(params, y_of, settings):
     for _ in range(4):
         y = y_of(0.0 if x is None else x)
         x = np.asarray(d.lst(y), dtype=complex)
-    for _ in range(settings.max_iter):
+    for _ in range(_ROOT_MAX_ITER):
         b, db = d.lst_and_deriv(y_of(x))
         f = np.asarray(b, dtype=complex) - x
         fprime = -lam1 * np.asarray(db, dtype=complex) - 1.0
         step = f / fprime
         x = x - step
-        if np.max(np.abs(step)) <= settings.tol:
+        if np.max(np.abs(step)) <= _ROOT_TOL:
             return x
     raise NoConvergence(f"busy-period fixed point stalled (last step {np.max(np.abs(step)):.2e})")
 
 
-def solve_alpha(params: ModelParams, s, settings: FixedPointSettings = FixedPointSettings()):
+def solve_alpha(params: ModelParams, s):
     """Minimal root of the busy-period equation a = beta1(s + lam1 - lam1 a)."""
     arr, scalar = _as_complex(s)
     lam1 = params.lambda1
-    a = _busy_root(params, lambda x: arr + lam1 * (1.0 - x), settings)
+    a = _busy_root(params, lambda x: arr + lam1 * (1.0 - x))
     return _maybe_scalar(a, scalar)
 
 
-def solve_h(params: ModelParams, z2, settings: FixedPointSettings = FixedPointSettings()):
+def solve_h(params: ModelParams, z2):
     """Minimal root of h = beta1(lam - lam1 h - lam2 z2)."""
     arr, scalar = _as_complex(z2)
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
-    h = _busy_root(params, lambda x: lam - lam1 * x - lam2 * arr, settings)
+    h = _busy_root(params, lambda x: lam - lam1 * x - lam2 * arr)
     return _maybe_scalar(h, scalar)
 
 
@@ -125,21 +124,6 @@ def eval_g(params: ModelParams, z2, h=None):
     arr, scalar = _as_complex(z2)
     hh = np.atleast_1d(np.asarray(solve_h(params, arr) if h is None else h, dtype=complex))
     return _maybe_scalar(params.q * hh + params.p * arr, scalar)
-
-
-def _alpha1(params):
-    return params.dist1.mean / (1.0 - params.rho1)
-
-
-def alpha_equilibrium_lst(params: ModelParams, s, alpha=None):
-    """LST of the equilibrium law of the Type-1 busy period:
-    (1 - alpha(s)) / (alpha_1 s), with the removable point at s = 0."""
-    arr, scalar = _as_complex(s)
-    a = np.atleast_1d(np.asarray(solve_alpha(params, arr) if alpha is None else alpha, dtype=complex))
-    out = np.ones_like(arr)
-    far = np.abs(arr) >= 1e-8
-    out[far] = (1.0 - a[far]) / (_alpha1(params) * arr[far])
-    return _maybe_scalar(out, scalar)
 
 
 def factor_K(params: ModelParams, u, h=None) -> KFactors:
@@ -156,10 +140,12 @@ def factor_K(params: ModelParams, u, h=None) -> KFactors:
     g = params.q * hh + p * arr
     one_minus_u = 1.0 - arr
 
-    # Ka: alpha(lam2 - lam2 u) equals h(u), so its equilibrium LST is free
+    # Ka: alpha(lam2 - lam2 u) equals h(u), so the equilibrium LST of the
+    # busy period, (1 - alpha(s)) / (E[busy period] s), is free
+    alpha1 = params.dist1.mean / (1.0 - rho1)
     alpha_e = np.ones_like(arr)
     far = np.abs(one_minus_u) >= 1e-8
-    alpha_e[far] = (1.0 - hh[far]) / (_alpha1(params) * lam2 * one_minus_u[far])
+    alpha_e[far] = (1.0 - hh[far]) / (alpha1 * lam2 * one_minus_u[far])
     ka = rho1 * alpha_e + (1.0 - rho1)
 
     s_g = lam * (1.0 - g)
@@ -196,7 +182,7 @@ def _gl_rule(order):
     return _GL_CACHE[order]
 
 
-def _k_integral(params, z, max_order=256):
+def _k_integral(params, z):
     """integral of K(u) du along the straight segment from z to 1,
     refined by doubling the Gauss-Legendre order until two successive
     orders agree to `_K_QUAD_TOL`."""
@@ -204,7 +190,7 @@ def _k_integral(params, z, max_order=256):
     seg = 1.0 - arr
     prev = None
     order = 16
-    while order <= max_order:
+    while order <= _K_MAX_ORDER:
         x, w = _gl_rule(order)
         u = arr[..., None] + seg[..., None] * x  # (..., order)
         flat = u.reshape(-1)
@@ -215,7 +201,7 @@ def _k_integral(params, z, max_order=256):
         prev = val
         order *= 2
     raise QuadratureFailure(
-        f"K-integral did not stabilise below {_K_QUAD_TOL:g} at order {max_order}"
+        f"K-integral did not stabilise below {_K_QUAD_TOL:g} at order {_K_MAX_ORDER}"
     )
 
 
@@ -235,106 +221,105 @@ def eval_S_beta(params: ModelParams, i: int, z1, z2):
     return _maybe_scalar(np.atleast_1d(np.asarray(d.lst(s), dtype=complex)), s1 and s2)
 
 
-def _H_beta(params, which, z1, z2, h, bh=None):
-    # bh, beta_i(lam - lam1 h - lam2 z2), is computed here unless the caller
-    # already has it
+def _points(params, z1, z2):
+    """(z1, z2, h(z2)) as arrays and whether z1 and z2 were both scalars:
+    what every two-argument evaluator starts from."""
+    a1, s1 = _as_complex(z1)
+    a2, s2 = _as_complex(z2)
+    return a1, a2, solve_h(params, a2), s1 and s2
+
+
+# The kernels below take arrays, h = h(z2) and, where needed, the orbit
+# factors and R0 at z2, so that `conditional_pmfs` can feed them the values
+# it already has on its contour.
+
+
+def _H_beta(params, which, z1, z2, h, b_shift=None):
+    # b_shift, beta_i at the shifted argument lam - lam1 h - lam2 z2, is
+    # computed here unless the caller already has it
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
     d = params.dist1 if which == 1 else params.dist2
     pref = 1.0 / params.rho1 if which == 1 else params.p / (params.q * params.rho2)
     s = lam - lam1 * z1 - lam2 * z2
     bz = np.asarray(d.lst(s), dtype=complex)
     if which == 1:
-        bh = h  # h is itself beta1 at the shifted argument
-    elif bh is None:
-        bh = np.asarray(d.lst(lam - lam1 * h - lam2 * z2), dtype=complex)
+        b_shift = h  # h is itself beta1 at the shifted argument
+    elif b_shift is None:
+        b_shift = np.asarray(d.lst(lam - lam1 * h - lam2 * z2), dtype=complex)
     den = z1 - h
     out = np.empty(np.broadcast(bz, den).shape, dtype=complex)
-    bz, bh, den, s = np.broadcast_arrays(bz, bh, den, s)
+    bz, b_shift, den, s = np.broadcast_arrays(bz, b_shift, den, s)
     near = np.abs(den) < _NEAR_SINGULAR
     fa = ~near
-    out[fa] = pref * (bz[fa] - bh[fa]) / den[fa]
+    out[fa] = pref * (bz[fa] - b_shift[fa]) / den[fa]
     if near.any():
         out[near] = pref * lam1 * (-np.asarray(d.lst_deriv(s[near]), dtype=complex))
     return out
 
 
-def eval_H_beta1(params: ModelParams, z1, z2, h=None):
-    a1, s1 = _as_complex(z1)
-    a2, s2 = _as_complex(z2)
-    hh = np.atleast_1d(np.asarray(solve_h(params, a2) if h is None else h, dtype=complex))
-    return _maybe_scalar(_H_beta(params, 1, a1, a2, hh), s1 and s2)
+def _m1(params, z1, z2, h):
+    return (1.0 - params.rho1) / (1.0 - params.rho1 * _H_beta(params, 1, z1, z2, h))
 
 
-def eval_H_beta2(params: ModelParams, z1, z2, h=None):
-    a1, s1 = _as_complex(z1)
-    a2, s2 = _as_complex(z2)
-    hh = np.atleast_1d(np.asarray(solve_h(params, a2) if h is None else h, dtype=complex))
-    return _maybe_scalar(_H_beta(params, 2, a1, a2, hh), s1 and s2)
+def _m2(params, z1, z2, h, kf):
+    # beta2 at lam - lam1 h - lam2 z2 is beta2(lam (1 - g)), known from factor_K
+    H2 = _H_beta(params, 2, z1, z2, h, b_shift=kf.beta2_g)
+    vt = params.vartheta
+    return vt * H2 * kf.ka * kf.kc + (1.0 - vt)
 
 
-def eval_M1(params: ModelParams, z1, z2, h=None):
+def _r1(params, z1, z2, h, kf, r0):
+    out = _m2(params, z1, z2, h, kf) * _m1(params, z1, z2, h)
+    return out * eval_S_beta(params, 1, z1, z2) * r0
+
+
+def _r2(params, z1, z2, kf, r0):
+    return eval_S_beta(params, 2, z1, z2) * kf.ka * kf.kc * r0
+
+
+def eval_H_beta1(params: ModelParams, z1, z2):
+    a1, a2, h, scalar = _points(params, z1, z2)
+    return _maybe_scalar(_H_beta(params, 1, a1, a2, h), scalar)
+
+
+def eval_H_beta2(params: ModelParams, z1, z2):
+    a1, a2, h, scalar = _points(params, z1, z2)
+    return _maybe_scalar(_H_beta(params, 2, a1, a2, h), scalar)
+
+
+def eval_M1(params: ModelParams, z1, z2):
     """Geometric factor (1 - rho1) / (1 - rho1 * H_beta1)."""
-    a1, s1 = _as_complex(z1)
-    a2, s2 = _as_complex(z2)
-    hh = np.atleast_1d(np.asarray(solve_h(params, a2) if h is None else h, dtype=complex))
-    H = _H_beta(params, 1, a1, a2, hh)
-    return _maybe_scalar((1.0 - params.rho1) / (1.0 - params.rho1 * H), s1 and s2)
+    a1, a2, h, scalar = _points(params, z1, z2)
+    return _maybe_scalar(_m1(params, a1, a2, h), scalar)
 
 
 def eval_M1_raw(params: ModelParams, z1, z2):
     """Published difference-quotient form of M1 (cross-check only; no
     singular-point handling)."""
-    a1, s1 = _as_complex(z1)
-    a2, s2 = _as_complex(z2)
-    h = np.atleast_1d(np.asarray(solve_h(params, a2), dtype=complex))
+    a1, a2, h, scalar = _points(params, z1, z2)
     s = params.lam - params.lambda1 * a1 - params.lambda2 * a2
     b1 = np.asarray(params.dist1.lst(s), dtype=complex)
-    return _maybe_scalar((1.0 - params.rho1) * (h - a1) / (b1 - a1), s1 and s2)
+    return _maybe_scalar((1.0 - params.rho1) * (h - a1) / (b1 - a1), scalar)
 
 
-def eval_M2(params: ModelParams, z1, z2, h=None, kf: KFactors = None):
-    a1, s1 = _as_complex(z1)
-    a2, s2 = _as_complex(z2)
-    hh = np.atleast_1d(np.asarray(solve_h(params, a2) if h is None else h, dtype=complex))
-    if kf is None:
-        kf = factor_K(params, a2, h=hh)
-    # beta2 at lam - lam1 h - lam2 z2 is beta2(lam (1 - g)), known from factor_K
-    H2 = _H_beta(params, 2, a1, a2, hh, bh=np.asarray(kf.beta2_g, dtype=complex))
-    vt = params.vartheta
-    out = vt * H2 * np.asarray(kf.ka, dtype=complex) * np.asarray(kf.kc, dtype=complex) + (1.0 - vt)
-    return _maybe_scalar(out, s1 and s2)
+def eval_M2(params: ModelParams, z1, z2):
+    """Factor vartheta H_beta2 Ka Kc + 1 - vartheta."""
+    a1, a2, h, scalar = _points(params, z1, z2)
+    return _maybe_scalar(_m2(params, a1, a2, h, factor_K(params, a2, h)), scalar)
 
 
-def eval_R1(params: ModelParams, z1, z2, h=None, kf=None, r0=None):
+def eval_R1(params: ModelParams, z1, z2):
     """Factored conditional transform given a Type-1 service in progress."""
-    a1, s1 = _as_complex(z1)
-    a2, s2 = _as_complex(z2)
-    hh = np.atleast_1d(np.asarray(solve_h(params, a2) if h is None else h, dtype=complex))
-    if kf is None:
-        kf = factor_K(params, a2, h=hh)
-    if r0 is None:
-        r0 = eval_R0(params, a2)
-    m2 = eval_M2(params, a1, a2, h=hh, kf=kf)
-    m1 = eval_M1(params, a1, a2, h=hh)
-    sb1 = eval_S_beta(params, 1, a1, a2)
-    out = np.asarray(m2, dtype=complex) * np.asarray(m1, dtype=complex)
-    out = out * np.asarray(sb1, dtype=complex) * np.asarray(r0, dtype=complex)
-    return _maybe_scalar(np.atleast_1d(out), s1 and s2)
+    a1, a2, h, scalar = _points(params, z1, z2)
+    kf = factor_K(params, a2, h)
+    return _maybe_scalar(_r1(params, a1, a2, h, kf, eval_R0(params, a2)), scalar)
 
 
-def eval_R2(params: ModelParams, z1, z2, h=None, kf=None, r0=None):
+def eval_R2(params: ModelParams, z1, z2):
     """Factored conditional transform given a Type-2 service in progress."""
-    a1, s1 = _as_complex(z1)
-    a2, s2 = _as_complex(z2)
-    hh = np.atleast_1d(np.asarray(solve_h(params, a2) if h is None else h, dtype=complex))
-    if kf is None:
-        kf = factor_K(params, a2, h=hh)
-    if r0 is None:
-        r0 = eval_R0(params, a2)
-    sb2 = np.asarray(eval_S_beta(params, 2, a1, a2), dtype=complex)
-    out = sb2 * np.asarray(kf.ka, dtype=complex) * np.asarray(kf.kc, dtype=complex)
-    out = out * np.asarray(r0, dtype=complex)
-    return _maybe_scalar(np.atleast_1d(out), s1 and s2)
+    a1, a2, h, scalar = _points(params, z1, z2)
+    kf = factor_K(params, a2, h)
+    return _maybe_scalar(_r2(params, a1, a2, kf, eval_R0(params, a2)), scalar)
 
 
 def _w_fn(params, z1, z2, h, g):
@@ -349,10 +334,8 @@ def _w_fn(params, z1, z2, h, g):
 
 def eval_R1_raw(params: ModelParams, z1, z2):
     """Original published form of R1 (interior points only)."""
-    a1, s1 = _as_complex(z1)
-    a2, s2 = _as_complex(z2)
+    a1, a2, h, scalar = _points(params, z1, z2)
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
-    h = np.atleast_1d(np.asarray(solve_h(params, a2), dtype=complex))
     g = params.q * h + params.p * a2
     s12 = lam - lam1 * a1 - lam2 * a2
     b1 = np.asarray(params.dist1.lst(s12), dtype=complex)
@@ -368,15 +351,13 @@ def eval_R1_raw(params: ModelParams, z1, z2):
         / s12
         * r0
     )
-    return _maybe_scalar(np.atleast_1d(out), s1 and s2)
+    return _maybe_scalar(np.atleast_1d(out), scalar)
 
 
 def eval_R2_raw(params: ModelParams, z1, z2):
     """Original published form of R2 (interior points only)."""
-    a1, s1 = _as_complex(z1)
-    a2, s2 = _as_complex(z2)
+    a1, a2, h, scalar = _points(params, z1, z2)
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
-    h = np.atleast_1d(np.asarray(solve_h(params, a2), dtype=complex))
     g = params.q * h + params.p * a2
     s12 = lam - lam1 * a1 - lam2 * a2
     b2_12 = np.asarray(params.dist2.lst(s12), dtype=complex)
@@ -391,7 +372,7 @@ def eval_R2_raw(params: ModelParams, z1, z2):
         / s12
         * r0
     )
-    return _maybe_scalar(np.atleast_1d(out), s1 and s2)
+    return _maybe_scalar(np.atleast_1d(out), scalar)
 
 
 def _ring(radius, points):
@@ -493,24 +474,25 @@ def conditional_pmfs(params: ModelParams, n: int, radius: float = 0.9) -> dict:
     z = _ring(radius, m)
     one = np.ones_like(z)
 
-    h = np.atleast_1d(np.asarray(solve_h(params, z), dtype=complex))
-    kf = factor_K(params, z, h=h)
+    h = solve_h(params, z)
+    kf = factor_K(params, z, h)
     r0 = _r0_on_contour(params, z, kf.k)
-
-    vals = {"R0": r0}
-    # z2 = 1 slices: the orbit factors collapse to 1, h(1) = 1 and
-    # beta2(lam - lam1 h(1) - lam2) = beta2(0) = 1
-    h_one = np.ones_like(z)
-    m1_q = eval_M1(params, z, one, h=h_one)
-    m2_q = params.vartheta * _H_beta(params, 2, z, one, h_one, bh=1.0) + (1.0 - params.vartheta)
-    s1_q = np.asarray(eval_S_beta(params, 1, z, one), dtype=complex)
-    vals["R11"] = np.asarray(m1_q, dtype=complex) * m2_q * s1_q
-    vals["R21"] = np.asarray(eval_S_beta(params, 2, z, one), dtype=complex)
-    # z1 = 1 slices share h, the factors and R0 on the same contour
-    vals["R12"] = np.asarray(
-        eval_R1(params, one, z, h=h, kf=kf, r0=r0), dtype=complex
-    )
-    vals["R22"] = np.asarray(eval_R2(params, one, z, h=h, kf=kf, r0=r0), dtype=complex)
+    # z2 = 1 slices: h(1) = 1 and the orbit factors and R0 are 1, so
+    # H_beta_i(z, 1) is the equilibrium LST S_beta_i(z, 1), with no
+    # difference quotient; M1 = (1 - rho1) / (1 - rho1 s1) and
+    # M2 = vartheta s2 + 1 - vartheta
+    s1 = eval_S_beta(params, 1, z, one)
+    s2 = eval_S_beta(params, 2, z, one)
+    m1 = (1.0 - params.rho1) / (1.0 - params.rho1 * s1)
+    vt = params.vartheta
+    vals = {
+        "R0": r0,
+        "R11": m1 * (vt * s2 + (1.0 - vt)) * s1,
+        "R21": s2,
+        # z1 = 1 slices share h, the factors and R0 on the same contour
+        "R12": _r1(params, one, z, h, kf, r0),
+        "R22": _r2(params, one, z, kf, r0),
+    }
 
     labels = {
         "R0": "orbit | idle",

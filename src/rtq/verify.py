@@ -78,18 +78,21 @@ class AgreementReport:
         return out
 
 
-def survival_of(source) -> np.ndarray:
-    """P{X > j}, j = 0..N, from a Pmf, a pmf vector or integer samples."""
+def _as_pmf(source) -> Pmf:
+    """A Pmf as is; a pmf vector with its missing mass as the deficit; or
+    the relative frequencies of integer samples."""
     if isinstance(source, Pmf):
-        return source.survival()
+        return source
     arr = np.asarray(source)
     if arr.dtype.kind in "iu":
-        return survival_of(empirical_pmf(arr, int(arr.max())))
-    tail = np.cumsum(arr[::-1])[::-1]
-    out = np.empty_like(tail, dtype=float)
-    out[:-1] = tail[1:]
-    out[-1] = 0.0
-    return out + max(0.0, 1.0 - float(arr.sum()))
+        arr = empirical_pmf(arr, int(arr.max()))
+    probs = arr.astype(float)
+    return Pmf(probs=probs, deficit=max(0.0, 1.0 - float(probs.sum())))
+
+
+def survival_of(source) -> np.ndarray:
+    """P{X > j}, j = 0..N, from a Pmf, a pmf vector or integer samples."""
+    return _as_pmf(source).survival()
 
 
 def empirical_pmf(samples: np.ndarray, n: int) -> np.ndarray:
@@ -98,18 +101,9 @@ def empirical_pmf(samples: np.ndarray, n: int) -> np.ndarray:
     return counts[: n + 1] / samples.size
 
 
-def _pmf_vector(source) -> np.ndarray:
-    if isinstance(source, Pmf):
-        return source.probs
-    arr = np.asarray(source)
-    if arr.dtype.kind in "iu":
-        return empirical_pmf(arr, int(arr.max()))
-    return arr.astype(float)
-
-
 def tv_distance(a, b, n: int) -> float:
     """Total variation over the states 0..n-1."""
-    pa, pb = _pmf_vector(a), _pmf_vector(b)
+    pa, pb = _as_pmf(a).probs, _as_pmf(b).probs
     pa = np.pad(pa, (0, max(0, n - pa.size)))[:n]
     pb = np.pad(pb, (0, max(0, n - pb.size)))[:n]
     return 0.5 * float(np.abs(pa - pb).sum())

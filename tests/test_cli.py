@@ -1,6 +1,7 @@
 """Command-line interface: config validation, artifacts, exit codes."""
 
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from rtq import cli
+from rtq import cli, transforms
 from rtq.decomposition import DecompositionSampler
 from rtq.errors import BadParam
+from rtq.simulator import TARGET_STATES, simulate
 
 
 def _base_config(**overrides):
@@ -47,20 +49,42 @@ def _read_csv(path):
     return rows[0], rows[1:]
 
 
+def _csv_writer_text(header, rows):
+    """The reference text of an artifact: what csv.writer writes."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _src_env():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert cli.main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
 
     def test_python_m_runs_main(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "rtq.cli", "analyze",
              "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            env=_src_env(), capture_output=True, text=True,
         )
         assert proc.returncode == 2, proc.stderr
         assert "config error" in proc.stderr
+
+    def test_import_does_not_load_scipy_stats(self):
+        # a fresh interpreter: this one may already hold scipy.stats
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import rtq.cli, sys; assert 'scipy.stats' not in sys.modules"],
+            env=_src_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_unknown_top_level_key(self, write_config, tmp_path):
         path = write_config(_base_config(extra=1))
@@ -114,6 +138,31 @@ class TestAnalyze:
         assert header[0] == "u" and len(rows) == 100
         catalog = json.loads((out / "catalog.json").read_text())
         assert "r0" in catalog and "r21" in catalog
+
+    def test_analyze_and_simulate_csv_is_the_csv_writer_text(self, write_config, tmp_path):
+        path = write_config(_base_config())
+        out = tmp_path / "out"
+        assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 0
+        cfg = cli.load_config(path, out_override=str(out))
+
+        pmf = transforms.conditional_pmfs(cfg.params, 60, radius=0.8)["R0"]
+        rows = [(j, f"{v:.17g}") for j, v in enumerate(pmf.probs)]
+        rows.append(("deficit", f"{pmf.deficit:.17g}"))
+        expect = _csv_writer_text(("j", "probability"), rows)
+        assert (out / "pmf_R0.csv").read_text() == expect
+
+        u = np.linspace(0.0, 0.99, 100)
+        kf = transforms.factor_K(cfg.params, u)
+        rows = [(f"{ui:.4f}", *(f"{x.real:.17g}" for x in vals))
+                for ui, *vals in zip(u, kf.ka, kf.kb, kf.kc, kf.k)]
+        expect = _csv_writer_text(("u", "ka", "kb", "kc", "k"), rows)
+        assert (out / "factors.csv").read_text() == expect
+
+        hist = simulate(cfg.params, cfg.sim).conditional_pmf(*TARGET_STATES["R12"])
+        rows = [(j, f"{v:.17g}") for j, v in enumerate(hist)]
+        expect = _csv_writer_text(("j", "fraction"), rows)
+        assert (out / "hist_R12.csv").read_text() == expect
 
     def test_light_tail_deficit_is_negligible(self, write_config, tmp_path):
         # with two exponential laws, 500 recovered states hold all the mass
@@ -203,9 +252,9 @@ class TestSample:
         drawn = DecompositionSampler(cfg.params, seed=cfg.seed).sample(target, 3000)
         if isinstance(drawn, tuple):
             rows = zip(drawn[0].tolist(), drawn[1].tolist())
-            expect = cli._csv_text(("queue", "orbit"), rows)
+            expect = _csv_writer_text(("queue", "orbit"), rows)
         else:
-            expect = cli._csv_text(("value",), [(v,) for v in drawn.tolist()])
+            expect = _csv_writer_text(("value",), [(v,) for v in drawn.tolist()])
         assert (out / f"samples_{target}.csv").read_text() == expect
 
     def test_requires_target(self, write_config, tmp_path):

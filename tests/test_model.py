@@ -55,13 +55,6 @@ class TestExponential:
         t = Exponential(2.0).tail
         assert not t.is_power and t.r == pytest.approx(2.0)
 
-    def test_geometric_batch_pmf(self):
-        lam, rate, kmax = 1.0, 2.0, 40
-        b = Exponential(rate).poisson_mixture_pmf(lam, kmax)
-        succ = rate / (lam + rate)
-        expect = succ * (lam / (lam + rate)) ** np.arange(kmax + 1)
-        np.testing.assert_allclose(b, expect, rtol=1e-12)
-
     def test_bad_rate(self):
         with pytest.raises(BadParam):
             Exponential(0.0)
@@ -81,12 +74,6 @@ class TestErlang:
         for s in (0.3, 1.7, 5.0, 0.8 + 1.1j):
             expect = (1 - complex(d.lst(s))) / (d.mean * s)
             assert complex(e.lst(s)) == pytest.approx(expect, abs=1e-12)
-
-    def test_batch_pmf_mean(self):
-        lam, d = 1.3, Erlang(2, 3.0)
-        b = d.poisson_mixture_pmf(lam, 400)
-        assert b.sum() == pytest.approx(1.0, abs=1e-12)
-        assert (b * np.arange(401)).sum() == pytest.approx(lam * d.mean, abs=1e-10)
 
 
 class TestParetoShifted:

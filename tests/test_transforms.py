@@ -58,13 +58,6 @@ class TestFixedPoints:
             complex(p.q * h + p.p * z), abs=1e-14
         )
 
-    def test_equilibrium_lst_removable_point(self, ref_params):
-        assert complex(
-            T.alpha_equilibrium_lst(ref_params, 0.0 + 0j)
-        ) == pytest.approx(1.0, abs=1e-12)
-        near = complex(T.alpha_equilibrium_lst(ref_params, 1e-6 + 0j))
-        assert near == pytest.approx(1.0, abs=1e-5)
-
 
 class TestOrbitFactors:
     def test_factors_are_pgfs_at_one(self, ref_params):
@@ -112,6 +105,15 @@ class TestStationaryTransforms:
             assert complex(T.eval_M1(p, z1 + 0j, z2 + 0j)) == pytest.approx(
                 complex(T.eval_M1_raw(p, z1 + 0j, z2 + 0j)), abs=1e-11
             )
+
+    def test_h_beta1_on_z2_one_is_the_equilibrium_lst(self, ref_params):
+        # h(1) = 1, so the difference quotient H_beta1(z, 1) is
+        # beta1e(lam1 (1 - z)) = S_beta1(z, 1); check it on a deep contour
+        p = ref_params
+        z = 0.995 * np.exp(2j * np.pi * np.arange(512) / 512)
+        one = np.ones_like(z)
+        np.testing.assert_allclose(T.eval_H_beta1(p, z, one),
+                                   T.eval_S_beta(p, 1, z, one), rtol=0, atol=1e-11)
 
     def test_h_beta_limit_branch(self, ref_params):
         # approaching the removable singularity z1 -> h(z2) must agree with
@@ -201,6 +203,15 @@ class TestConditionalPmfs:
                                     np.ones_like(np.asarray(z, dtype=complex))),
             60, radius=0.8)
         np.testing.assert_allclose(bulk_pmfs["R21"].probs, solo.probs, atol=1e-10)
+
+    def test_r11_matches_single_inversion(self, ref_params, bulk_pmfs):
+        # the bulk path writes R11 on z2 = 1 through equilibrium LSTs; the
+        # public evaluator goes through h, the orbit factors and R0
+        solo = T.extract_pmf(
+            lambda z: T.eval_R1(ref_params, np.asarray(z, dtype=complex),
+                                np.ones_like(np.asarray(z, dtype=complex))),
+            60, radius=0.8)
+        np.testing.assert_allclose(bulk_pmfs["R11"].probs, solo.probs, atol=1e-10)
 
     def test_roundoff_guard_applies(self, ref_params):
         with pytest.raises(InversionError, match="round-off"):
