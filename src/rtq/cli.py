@@ -189,7 +189,7 @@ def _csv_text(header, *columns) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _config_hash(cfg: RunConfig) -> str:
@@ -341,7 +341,7 @@ def cmd_verify(cfg: RunConfig) -> list:
     body = {
         "occupancy": occupancy,
         "targets": {r.target: r.to_dict() for r in reports},
-        "lemmas": verify.check_appendix_lemmas(params, seed=cfg.seed),
+        "lemmas": verify.check_appendix_lemmas(),
         "tolerances": {"kappa": cfg.kappa_tol, "c": cfg.c_tol,
                        "note": "windowed trend checks, not limits"},
     }

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominator, InversionError, NoConvergence, QuadratureFailure
+from .errors import InversionError, NoConvergence, QuadratureFailure
 from .model import ModelParams, _as_complex, _maybe_scalar
 
 __all__ = [
@@ -56,7 +56,8 @@ _ROOT_TOL = 1e-12  # Newton step size at which a busy-period root is accepted
 _ROOT_MAX_ITER = 10_000
 
 
-# beta2_g = beta2(lam (1 - g(u))) is Kc's denominator term; M2 reuses it
+# beta2_g = beta2(lam (1 - g(u))) is the shifted value in M2's H_beta2
+# quotient, from the same rule as the quotient's other beta2 value
 KFactors = namedtuple("KFactors", ["ka", "kb", "kc", "k", "beta2_g"])
 
 
@@ -98,6 +99,9 @@ def _busy_root(params, y_of):
         fprime = -lam1 * np.asarray(db, dtype=complex) - 1.0
         step = f / fprime
         x = x - step
+        # the root is a transform of a law, so |x| <= 1; past the circle the
+        # LST's argument is clamped to Re >= 0 and the next step overshoots
+        x /= np.maximum(np.abs(x), 1.0)
         if np.max(np.abs(step)) <= _ROOT_TOL:
             return x
     raise NoConvergence(f"busy-period fixed point stalled (last step {np.max(np.abs(step)):.2e})")
@@ -129,43 +133,21 @@ def eval_g(params: ModelParams, z2, h=None):
 def factor_K(params: ModelParams, u, h=None) -> KFactors:
     """The three orbit factors, their product and beta2(lam (1 - g(u))) at u.
 
-    Ka uses the singularity-free equilibrium form; Kb composes the merged
-    equilibrium LST; Kc uses the difference quotient away from u = 1 and the
-    compound-geometric form at the removable point.
+    At s = lam (1 - g(u)) = lam - lam1 h - lam2 u the busy-period root is
+    h = beta1(s), so each factor is a compound-geometric form in the
+    equilibrium LSTs beta1e and beta2e, with no removable point at u = 1 and
+    denominators at least 1 - rho1 and 1 - vartheta in modulus.
     """
     arr, scalar = _as_complex(u)
-    lam, lam2 = params.lam, params.lambda2
-    rho1, rho, p, vt = params.rho1, params.rho, params.p, params.vartheta
+    rho1, rho2, vt = params.rho1, params.rho2, params.vartheta
     hh = np.atleast_1d(np.asarray(solve_h(params, arr) if h is None else h, dtype=complex))
-    g = params.q * hh + p * arr
-    one_minus_u = 1.0 - arr
-
-    # Ka: alpha(lam2 - lam2 u) equals h(u), so the equilibrium LST of the
-    # busy period, (1 - alpha(s)) / (E[busy period] s), is free
-    alpha1 = params.dist1.mean / (1.0 - rho1)
-    alpha_e = np.ones_like(arr)
-    far = np.abs(one_minus_u) >= 1e-8
-    alpha_e[far] = (1.0 - hh[far]) / (alpha1 * lam2 * one_minus_u[far])
-    ka = rho1 * alpha_e + (1.0 - rho1)
-
-    s_g = lam * (1.0 - g)
-    kb = np.atleast_1d(np.asarray(params.mixed_service_eq.lst(s_g), dtype=complex))
-
-    beta2_g = np.atleast_1d(np.asarray(params.dist2.lst(s_g), dtype=complex))
-    denom = beta2_g - arr
-    near_one = np.abs(one_minus_u) < _NEAR_SINGULAR
-    bad = (~near_one) & (np.abs(denom) < 1e-14) & (np.abs(one_minus_u) > 1e-6)
-    if bad.any():
-        raise DegenerateDenominator(
-            f"beta2(lam - lam g(u)) - u vanished at u={arr[bad][0]:.6g}"
-        )
-    kc = np.empty_like(arr)
-    fq = ~near_one
-    kc[fq] = (1.0 - rho) / (1.0 - rho1) * one_minus_u[fq] / denom[fq]
-    if near_one.any():
-        b2e = np.atleast_1d(np.asarray(params.dist2_eq.lst(s_g[near_one]), dtype=complex))
-        kc[near_one] = (1.0 - vt) / (1.0 - vt * ka[near_one] * b2e)
-
+    s = params.lam * (1.0 - (params.q * hh + params.p * arr))
+    b1e = np.atleast_1d(np.asarray(params.dist1_eq.lst(s), dtype=complex))
+    b2e = np.atleast_1d(np.asarray(params.dist2_eq.lst(s), dtype=complex))
+    ka = (1.0 - rho1) / (1.0 - rho1 * b1e)
+    kb = (rho1 * b1e + rho2 * b2e) / params.rho
+    kc = (1.0 - vt) / (1.0 - vt * ka * b2e)
+    beta2_g = np.atleast_1d(np.asarray(params.dist2.lst(s), dtype=complex))
     k = ka * kb * kc
     if scalar:
         return KFactors(*(_maybe_scalar(x, True) for x in (ka, kb, kc, k, beta2_g)))

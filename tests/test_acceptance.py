@@ -171,8 +171,8 @@ def test_criterion_08_orbit_increment_sandwich(capfd, ref_params, ref_catalog):
     )
 
 
-def test_criterion_09_structural_lemmas(capfd, ref_params):
-    checks = verify.check_appendix_lemmas(ref_params, seed=0)
+def test_criterion_09_structural_lemmas(capfd):
+    checks = verify.check_appendix_lemmas()
     bad = [c for c in checks if not c["ok"]]
     ok = len(checks) == 4 and not bad
     detail = ", ".join(

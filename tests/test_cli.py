@@ -267,6 +267,11 @@ class TestSample:
                          "-n", "10"]) == 2
 
 
+def _reject_constant(token):
+    # NaN and Infinity are not JSON (RFC 8259); strict parsers reject them
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 class TestVerify:
     def test_small_end_to_end(self, write_config, tmp_path):
         out = tmp_path / "out"
@@ -278,7 +283,8 @@ class TestVerify:
         )
         assert cli.main(["verify", "--config", write_config(cfg),
                          "--out", str(out)]) == 0
-        report = json.loads((out / "verify_report.json").read_text())
+        report = json.loads((out / "verify_report.json").read_text(),
+                            parse_constant=_reject_constant)
         assert report["occupancy"]["within_ci"] in (True, False)
         assert sorted(report["targets"]) == ["R0", "R11", "R12", "R21", "R22"]
         for target, body in report["targets"].items():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtq import transforms as T
 from rtq.errors import InversionError
@@ -72,12 +74,34 @@ class TestOrbitFactors:
         )
 
     def test_branch_continuity_near_one(self, ref_params):
-        # the difference-quotient and geometric-limit branches must agree
-        # across the switch point
+        # Kc is continuous into u = 1
         vals = [complex(T.factor_K(ref_params, 1.0 - eps + 0j).kc)
                 for eps in (1e-5, 1e-6, 1e-8, 0.0)]
         for a, b in zip(vals, vals[1:]):
             assert a == pytest.approx(b, abs=1e-4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a1=st.floats(2.0, 4.0, exclude_min=True),
+           a2_gap=st.one_of(st.none(), st.floats(0.01, 3.0)),
+           m1=st.floats(0.1, 2.0), m2=st.floats(0.1, 2.0),
+           q=st.floats(0.05, 0.95),
+           rho=st.floats(0.05, 0.98, exclude_max=True))
+    def test_factors_bounded_on_closed_disk(self, a1, a2_gap, m1, m2, q, rho):
+        # the orbit factors are PGFs: at most 1 in modulus on the closed unit
+        # disk and exactly 1 at u = 1, including just inside u = 1
+        dist2 = (Exponential(1.0 / m2) if a2_gap is None
+                 else ParetoShifted.from_mean(a1 + a2_gap, m2))
+        p = ModelParams(lam=rho / (q * m1 + (1.0 - q) * m2), q=q, mu=1.0,
+                        dist1=ParetoShifted.from_mean(a1, m1), dist2=dist2)
+        ring = np.exp(2j * np.pi * np.arange(64) / 64)
+        u = np.concatenate([ring, 0.5 * ring, 1.0 - 10.0 ** -np.arange(1.0, 11.0),
+                            1.0 + 1e-6j * ring[:8], [1.0]])
+        u = u / np.maximum(np.abs(u), 1.0)
+        kf = T.factor_K(p, u)
+        for name in ("ka", "kb", "kc"):
+            v = getattr(kf, name)
+            assert np.max(np.abs(v)) <= 1.0 + 1e-12, name
+            assert abs(v[-1] - 1.0) <= 1e-10, name
 
     def test_r0_is_a_pgf_at_one(self, ref_params):
         assert complex(T.eval_R0(ref_params, 1.0 + 0j)) == pytest.approx(

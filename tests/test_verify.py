@@ -1,10 +1,13 @@
 """Tail fitting, distribution distances and the cross-source comparison."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from rtq import verify
 from rtq.errors import WindowTooNoisy
+from rtq.model import Exponential, ParetoShifted
 from rtq.transforms import Pmf
 
 
@@ -137,19 +140,38 @@ class TestCompare:
 
 
 class TestStructuralLemmas:
-    def test_report_shape(self, ref_params):
-        checks = verify.check_appendix_lemmas(ref_params, seed=0, n=100_000)
+    def test_report_shape(self):
+        checks = verify.check_appendix_lemmas()
         assert len(checks) == 4
         for c in checks:
             assert set(c) >= {"name", "statistic", "predicted", "tolerance", "ok"}
             assert c["tolerance"] > 0
 
-    def test_random_sums_match_one_draw(self):
-        # blocks of summands drawn in stream order give the sums of a
-        # single draw; more counts than one block, so a block edge is crossed
-        counts = np.random.default_rng(5).geometric(0.5, verify._SUM_BLOCK + 1000)
-        y = np.random.default_rng(6).random(int(counts.sum()))
-        expect = np.bincount(np.repeat(np.arange(counts.size), counts), weights=y)
-        rng = np.random.default_rng(6)
-        got = verify._random_sums(counts, rng.random)
-        np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0)
+    def test_checks_are_deterministic(self):
+        assert verify.check_appendix_lemmas() == verify.check_appendix_lemmas()
+
+    @pytest.mark.parametrize("dist, t", [
+        (ParetoShifted(2.5, 1.0), [0.5, 1.0, 5.0, 40.0, 60.0, 90.0, 140.0]),
+        (Exponential(2.0), [0.1, 0.5, 1.0, 3.0, 5.0]),
+    ])
+    def test_euler_survival_matches_closed_form(self, dist, t):
+        t = np.array(t)
+        np.testing.assert_allclose(verify._euler_survival(dist.lst, t),
+                                   dist.survival(t), rtol=1e-6, atol=0)
+
+    def test_random_sum_cdf_matches_enumeration(self):
+        # every (n, y_1, ..., y_n) with all terms >= 1 and sum at most t; the
+        # pmfs on 0..t leave their mass beyond t out, as in the lemma
+        t = 6
+        rng = np.random.default_rng(1)
+        count = np.concatenate([[0.0], rng.random(t)])
+        count /= count.sum() * 1.3
+        summand = np.concatenate([[0.0], rng.random(t)])
+        summand /= summand.sum() * 1.1
+        pmf = np.zeros(t + 1)
+        for n in range(1, t + 1):
+            for ys in itertools.product(range(1, t + 1), repeat=n):
+                if sum(ys) <= t:
+                    pmf[sum(ys)] += count[n] * np.prod(summand[list(ys)])
+        np.testing.assert_allclose(verify._random_sum_cdf(count, summand),
+                                   np.cumsum(pmf), rtol=1e-13, atol=0)
