@@ -42,6 +42,8 @@ __all__ = ["RunConfig", "load_config", "entry", "main"]
 
 _CONFIG_ERRORS = (BadParam, Unstable, AssumptionViolation)
 _DATA_ERRORS = (InsufficientData, WindowTooNoisy)
+# tail-fit tolerances echoed into verify_report.json next to the fits
+_KAPPA_TOL, _C_TOL = 0.15, 0.25
 
 
 @dataclass
@@ -54,8 +56,6 @@ class RunConfig:
     verify_light_window: tuple = (30, 100)
     verify_n_states: int = 50
     verify_samples: int = 1_000_000
-    kappa_tol: float = 0.15
-    c_tol: float = 0.25
     out: str = "out"
     seed: int = 0
     raw: dict = field(default_factory=dict)
@@ -120,28 +120,17 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
 
     seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
     sim_block = raw.get("sim", {})
-    _require_keys(
-        sim_block,
-        {"max_events", "max_time", "warmup_fraction", "batches", "queue_cap"},
-        "sim",
-    )
+    _require_keys(sim_block, {"max_events", "queue_cap"}, "sim")
     sim = SimConfig(
         max_events=int(sim_block.get("max_events", 1_000_000)),
-        max_time=float(sim_block.get("max_time", float("inf"))),
         seed=seed,
-        warmup_fraction=float(sim_block.get("warmup_fraction", 0.2)),
-        batches=int(sim_block.get("batches", 20)),
         queue_cap=int(sim_block.get("queue_cap", 10_000_000)),
     )
 
     inv = raw.get("inversion", {})
     _require_keys(inv, {"n", "radius"}, "inversion")
     ver = raw.get("verify", {})
-    _require_keys(
-        ver,
-        {"window", "light_window", "n_states", "samples", "kappa_tol", "c_tol"},
-        "verify",
-    )
+    _require_keys(ver, {"window", "light_window", "n_states", "samples"}, "verify")
 
     return RunConfig(
         params=params,
@@ -152,8 +141,6 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
         verify_light_window=tuple(ver.get("light_window", (30, 100))),
         verify_n_states=int(ver.get("n_states", 50)),
         verify_samples=int(ver.get("samples", 1_000_000)),
-        kappa_tol=float(ver.get("kappa_tol", 0.15)),
-        c_tol=float(ver.get("c_tol", 0.25)),
         out=str(raw.get("out", "out")) if out_override is None else str(out_override),
         seed=seed,
         raw=raw,
@@ -342,7 +329,7 @@ def cmd_verify(cfg: RunConfig) -> list:
         "occupancy": occupancy,
         "targets": {r.target: r.to_dict() for r in reports},
         "lemmas": verify.check_appendix_lemmas(),
-        "tolerances": {"kappa": cfg.kappa_tol, "c": cfg.c_tol,
+        "tolerances": {"kappa": _KAPPA_TOL, "c": _C_TOL,
                        "note": "windowed trend checks, not limits"},
     }
     path = os.path.join(cfg.out, "verify_report.json")

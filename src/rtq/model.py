@@ -10,6 +10,8 @@ without oscillating, which makes complex arguments (needed for
 generating-function inversion) cost the same as real ones.  The rotated
 integrand is written in real modulus and phase and summed over blocks of
 arguments, and one pass gives the LST and its derivative together.  The
+quadrature rule depends on the index alone: the LST of scale c at s is the
+scale-1 LST at c s, so no scale is too small or too large for it.  The
 shifted Pareto law also gives the pmf of the Poisson count over one service
 time, on the same quadrature nodes, for the limit-lemma checks of `verify`.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy import special
@@ -103,16 +105,11 @@ class ServiceDist:
         """Law with density survival(t)/mean (stationary excess)."""
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size):
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
     def sample_length_biased(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draws from the length-biased law, density t f(t) / mean."""
-        raise NotImplementedError
-
-    def sample_one(self, pyrng) -> float:
-        """Scalar draw using a random.Random; kept allocation-free for the
-        simulator's event loop."""
         raise NotImplementedError
 
 
@@ -158,9 +155,6 @@ class Exponential(ServiceDist):
 
     def sample_length_biased(self, rng, size):
         return rng.gamma(2.0, 1.0 / self.rate, size)
-
-    def sample_one(self, pyrng):
-        return pyrng.expovariate(self.rate)
 
 
 class Erlang(ServiceDist):
@@ -216,9 +210,6 @@ class Erlang(ServiceDist):
     def sample_length_biased(self, rng, size):
         return rng.gamma(self.shape + 1, 1.0 / self.rate, size)
 
-    def sample_one(self, pyrng):
-        return pyrng.gammavariate(self.shape, 1.0 / self.rate)
-
 
 # quadrature levels tried in order: (step, half-width) of the exp-sinh rule
 _ESH_LEVELS = [(0.08, 4.6), (0.05, 5.0), (0.032, 5.4)]
@@ -235,6 +226,80 @@ def _expsinh_rule(step, half_width):
     return t[keep], w[keep]
 
 
+def _unit_pareto_lst(index, s_arr, rule):
+    """(lst, lst_deriv) of ParetoShifted(index, 1) at every s of s_arr from
+    one exp-sinh pass.
+
+    With s = |s| e^{i theta} the ray is rotated to t e^{-i theta}, so
+    exp(-s t) = exp(-|s| t) decays without oscillating; the density is
+    analytic off (-inf, -1].  With c = cos theta and sn = sin theta the
+    rotated integrand is, in real arithmetic,
+        index exp(-|s| t - (index+1)/2 log(1 + 2 c t + t^2))
+            * exp(i (index+1) atan2(sn t, 1 + c t)),
+    which the rule sums against w for the LST and against w t for the
+    derivative, times e^{-i theta} and -e^{-2 i theta} after the sum.
+    With T = tan(phase / 2), cos(phase) = (1 - T^2) / (1 + T^2) and
+    sin(phase) = 2 T / (1 + T^2): numpy's float64 tan costs a fraction of
+    its cos and sin together.
+    """
+    t, w = rule
+    a1 = index + 1.0
+    t2 = t * t
+    # columns: weights of the LST and of its derivative's integrand
+    weights = index * np.stack([w, w * t], axis=1)
+    flat = s_arr.reshape(-1)
+    mod = np.abs(flat)
+    theta = np.angle(flat)
+    c, sn = np.cos(theta), np.sin(theta)
+    re = np.empty((flat.size, 2))
+    im = np.empty((flat.size, 2))
+    for lo in range(0, flat.size, _LST_BLOCK):
+        blk = slice(lo, lo + _LST_BLOCK)
+        # exp underflows to 0.0 below -745.2, so the nodes (sorted by t)
+        # with |s| t > 746 for the whole block add nothing; skip them
+        k = np.searchsorted(mod[blk].min() * t, 746.0)
+        ct = np.multiply.outer(c[blk], t[:k])
+        half = np.arctan2(np.multiply.outer(sn[blk], t[:k]), 1.0 + ct)
+        half *= 0.5 * a1
+        tan = np.tan(half)
+        mag = np.log1p(2.0 * ct + t2[:k])
+        mag *= -0.5 * a1
+        mag -= np.multiply.outer(mod[blk], t[:k])
+        np.exp(mag, out=mag)
+        tan2 = tan * tan
+        mag /= 1.0 + tan2
+        re[blk] = (mag - mag * tan2) @ weights[:k]
+        im[blk] = (mag * tan) @ weights[:k]  # half the imaginary part
+    rot = np.exp(-1j * theta)
+    val = (re[:, 0] + 2j * im[:, 0]) * rot
+    val[flat == 0] = 1.0
+    deriv = (re[:, 1] + 2j * im[:, 1]) * (-rot * rot)
+    return val.reshape(s_arr.shape), deriv.reshape(s_arr.shape)
+
+
+@cache
+def _pareto_rule(index):
+    """(nodes, weights) of the coarsest exp-sinh level that agrees with the
+    next finer one to ~1e-12 on a probe grid, for ParetoShifted(index, 1).
+
+    A scale c law needs no rule of its own: its LST at s is the scale-1 LST
+    at c s, and its derivative gains a factor c.
+    """
+    probe = np.array(
+        [1e-3, 0.1, 1.0, 10.0, 50.0, 0.005 + 0.9j, 0.01 - 2j, 2 + 1j, 1e-4 + 0.3j]
+    )
+    prev = None
+    for step, hw in _ESH_LEVELS:
+        rule = _expsinh_rule(step, hw)
+        vals = _unit_pareto_lst(index, probe, rule)[0]
+        if prev is not None and np.max(np.abs(vals - prev)) < 1e-12:
+            return rule
+        prev = vals
+    raise QuadratureFailure(
+        f"LST quadrature for pareto index {index} did not stabilise at 1e-12"
+    )
+
+
 class ParetoShifted(ServiceDist):
     """Survival (1 + t/scale)**(-index); all moments below `index` finite."""
 
@@ -247,7 +312,6 @@ class ParetoShifted(ServiceDist):
             raise BadParam(f"pareto scale must be positive, got {scale}")
         self.index = float(index)
         self.scale = float(scale)
-        self._nodes = None
 
     @classmethod
     def from_mean(cls, index: float, mean: float):
@@ -275,77 +339,6 @@ class ParetoShifted(ServiceDist):
         a, s = self.index, self.scale
         return (a / s) * (1 + t / s) ** (-(a + 1))
 
-    def _rule(self):
-        # pick the coarsest exp-sinh level that agrees with the next finer
-        # one to ~1e-12 on a probe grid spanning the arguments we meet
-        if self._nodes is None:
-            probe = np.array(
-                [1e-3, 0.1, 1.0, 10.0, 50.0, 0.005 + 0.9j, 0.01 - 2j, 2 + 1j, 1e-4 + 0.3j]
-            )
-            prev = None
-            for step, hw in _ESH_LEVELS:
-                rule = _expsinh_rule(step, hw)
-                vals = self._lst_with_rule(probe, rule)[0]
-                if prev is not None and np.max(np.abs(vals - prev)) < 1e-12:
-                    self._nodes = rule
-                    break
-                prev = vals
-            else:
-                raise QuadratureFailure(
-                    f"LST quadrature for {self!r} did not stabilise at 1e-12"
-                )
-        return self._nodes
-
-    def _lst_with_rule(self, s_arr, rule):
-        """(lst, lst_deriv) at every s of s_arr from one exp-sinh pass.
-
-        With s = |s| e^{i theta} the ray is rotated to t e^{-i theta}, so
-        exp(-s t) = exp(-|s| t) decays without oscillating; the density is
-        analytic off (-inf, -scale].  With c = cos theta, sn = sin theta and
-        u = t / scale the rotated integrand is, in real arithmetic,
-            (index/scale) exp(-|s| t - (index+1)/2 log(1 + 2 c u + u^2))
-                * exp(i (index+1) atan2(sn u, 1 + c u)),
-        which the rule sums against w for the LST and against w u for the
-        derivative, times e^{-i theta} and -scale e^{-2 i theta} after the sum.
-        With T = tan(phase / 2), cos(phase) = (1 - T^2) / (1 + T^2) and
-        sin(phase) = 2 T / (1 + T^2): numpy's float64 tan costs a fraction of
-        its cos and sin together.
-        """
-        t, w = rule
-        a1 = self.index + 1.0
-        u = t / self.scale
-        u2 = u * u
-        # columns: weights of the LST and of its derivative's integrand
-        weights = (self.index / self.scale) * np.stack([w, w * u], axis=1)
-        flat = s_arr.reshape(-1)
-        mod = np.abs(flat)
-        theta = np.angle(flat)
-        c, sn = np.cos(theta), np.sin(theta)
-        re = np.empty((flat.size, 2))
-        im = np.empty((flat.size, 2))
-        for lo in range(0, flat.size, _LST_BLOCK):
-            blk = slice(lo, lo + _LST_BLOCK)
-            # exp underflows to 0.0 below -745.2, so the nodes (sorted by t)
-            # with |s| t > 746 for the whole block add nothing; skip them
-            k = np.searchsorted(mod[blk].min() * t, 746.0)
-            cu = np.multiply.outer(c[blk], u[:k])
-            half = np.arctan2(np.multiply.outer(sn[blk], u[:k]), 1.0 + cu)
-            half *= 0.5 * a1
-            tan = np.tan(half)
-            mag = np.log1p(2.0 * cu + u2[:k])
-            mag *= -0.5 * a1
-            mag -= np.multiply.outer(mod[blk], t[:k])
-            np.exp(mag, out=mag)
-            tan2 = tan * tan
-            mag /= 1.0 + tan2
-            re[blk] = (mag - mag * tan2) @ weights[:k]
-            im[blk] = (mag * tan) @ weights[:k]  # half the imaginary part
-        rot = np.exp(-1j * theta)
-        val = (re[:, 0] + 2j * im[:, 0]) * rot
-        val[flat == 0] = 1.0
-        deriv = (re[:, 1] + 2j * im[:, 1]) * (-self.scale * rot * rot)
-        return val.reshape(s_arr.shape), deriv.reshape(s_arr.shape)
-
     @staticmethod
     def _clamp_halfplane(arr):
         # round-off from upstream root solves can leave Re(s) at -1e-16;
@@ -365,8 +358,11 @@ class ParetoShifted(ServiceDist):
 
     def lst_and_deriv(self, s):
         arr, scalar = _as_complex(s)
-        val, deriv = self._lst_with_rule(self._clamp_halfplane(arr), self._rule())
-        return _maybe_scalar(val, scalar), _maybe_scalar(deriv, scalar)
+        c = self.scale
+        val, deriv = _unit_pareto_lst(
+            self.index, c * self._clamp_halfplane(arr), _pareto_rule(self.index)
+        )
+        return _maybe_scalar(val, scalar), _maybe_scalar(c * deriv, scalar)
 
     def survival(self, t):
         return (1 + np.asarray(t, dtype=float) / self.scale) ** (-self.index)
@@ -379,9 +375,6 @@ class ParetoShifted(ServiceDist):
     def sample(self, rng, size):
         u = rng.random(size)
         return self.scale * (u ** (-1.0 / self.index) - 1.0)
-
-    def sample_one(self, pyrng):
-        return self.scale * (pyrng.random() ** (-1.0 / self.index) - 1.0)
 
     def sample_length_biased(self, rng, size):
         # t f(t) / mean = index * t / (t + scale) * (density of the
@@ -402,7 +395,8 @@ class ParetoShifted(ServiceDist):
     def poisson_mixture_pmf(self, lam: float, kmax: int) -> np.ndarray:
         """b_k = E[(lam T)^k exp(-lam T) / k!] for k = 0..kmax: the law of
         the number of Poisson(lam) arrivals during one service time."""
-        t, w = self._rule()
+        t, w = _pareto_rule(self.index)
+        t, w = self.scale * t, self.scale * w
         logwf = np.log(w) + np.log(self._density(t))
         loglt = np.log(lam * t)
         out = np.empty(kmax + 1)
@@ -485,9 +479,7 @@ class Mixture(ServiceDist):
         return out
 
     def sample(self, rng, size):
-        n = 1 if size is None else int(size)
-        out = self._sample_components(rng, n, self.weights, lambda c, k: c.sample(rng, k))
-        return out if size is not None else float(out[0])
+        return self._sample_components(rng, size, self.weights, lambda c, k: c.sample(rng, k))
 
     def sample_length_biased(self, rng, size):
         means = np.array([c.mean for c in self.components])
@@ -495,15 +487,6 @@ class Mixture(ServiceDist):
             rng, size, self.weights * means / self.mean,
             lambda c, k: c.sample_length_biased(rng, k),
         )
-
-    def sample_one(self, pyrng):
-        u = pyrng.random()
-        acc = 0.0
-        for w, c in zip(self.weights, self.components):
-            acc += w
-            if u <= acc:
-                return c.sample_one(pyrng)
-        return self.components[-1].sample_one(pyrng)
 
 
 @dataclass(frozen=True)

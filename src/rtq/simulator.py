@@ -8,15 +8,21 @@ clocks are exponential except the service draws, so the three pending
 events (arrival, service completion, effective retrial) can be redrawn
 memorylessly whenever the state changes.
 
-Statistics are time averages over the post-warmup horizon, split into
-batches for crude confidence intervals, with sparse joint histograms of
-(queue, orbit) held per server state.
+Every draw comes from numpy: inter-arrival times, class picks, retrial
+clocks and each class's service times have a PCG64 stream of their own,
+spawn keys (1, 0) to (1, 4) of the seed, and services are drawn by the
+laws' own `ServiceDist.sample`.  The decomposition sampler's streams have
+one-element spawn keys, (0,) by default, so for one seed the two pillars
+share no random bits.
+
+Statistics are time averages over the last 80% of the events, split into
+20 batches for crude confidence intervals, with sparse joint histograms
+of (queue, orbit) held per server state.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +33,9 @@ from .model import ModelParams, validate
 __all__ = ["SimConfig", "SimResult", "simulate", "IDLE", "BUSY1", "BUSY2", "TARGET_STATES"]
 
 IDLE, BUSY1, BUSY2 = 0, 1, 2
+_WARMUP_FRACTION = 0.2  # share of the events run before statistics start
+_BATCHES = 20
+_BLOCK = 4096  # draws fetched from numpy at a time
 _STATE_NAMES = {"idle": IDLE, "busy1": BUSY1, "busy2": BUSY2}
 # each conditional law as the (server state, coordinate) it is observed in
 TARGET_STATES = {
@@ -41,10 +50,7 @@ TARGET_STATES = {
 @dataclass(frozen=True)
 class SimConfig:
     max_events: int = 1_000_000
-    max_time: float = math.inf
     seed: int = 0
-    warmup_fraction: float = 0.2
-    batches: int = 20
     queue_cap: int = 10_000_000
 
 
@@ -54,7 +60,7 @@ class SimResult:
     events: int
     collected_time: float
     time_in_state: np.ndarray          # (3,) time observed in each server state
-    batch_time: np.ndarray             # (batches, 3)
+    batch_time: np.ndarray             # (_BATCHES, 3)
     hist: list                         # per state: dict (queue, orbit) -> time
     arrivals_seen: np.ndarray          # (3,) server state found by arrivals
     arrivals: int
@@ -104,25 +110,43 @@ class SimResult:
         return {k: w / tot for k, w in self.hist[s].items()}
 
 
+def _draws(seed: int, stream: int, draw):
+    """Callable returning the next float of draw(rng, _BLOCK), one at a time,
+    where rng is the simulator's numpy stream `stream` of `seed`."""
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1, stream)))
+    )
+
+    def floats():
+        while True:
+            yield from draw(rng, _BLOCK).tolist()
+
+    return floats().__next__
+
+
 def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     """Run the event loop; deterministic for a fixed (params, config)."""
     validate(params)
-    rng = random.Random(config.seed)
     lam, q, mu = params.lam, params.q, params.mu
-    d1, d2 = params.dist1, params.dist2
+    seed = config.seed
+    gap = _draws(seed, 0, lambda rng, k: rng.exponential(1.0 / lam, k))
+    uniform = _draws(seed, 1, lambda rng, k: rng.random(k))
+    unit_exp = _draws(seed, 2, lambda rng, k: rng.standard_exponential(k))
+    service1 = _draws(seed, 3, params.dist1.sample)
+    service2 = _draws(seed, 4, params.dist2.sample)
     inf = math.inf
 
     t = 0.0
     server = IDLE
     nq = 0          # high-priority customers waiting (not in service)
     no = 0          # orbit size
-    t_arrival = rng.expovariate(lam)
+    t_arrival = gap()
     t_done = inf
     t_retry = inf
 
-    warmup = int(config.warmup_fraction * config.max_events)
+    warmup = int(_WARMUP_FRACTION * config.max_events)
     span = max(1, config.max_events - warmup)
-    nbatch = config.batches
+    nbatch = _BATCHES
     time_in_state = np.zeros(3)
     batch_time = np.zeros((nbatch, 3))
     hist = [dict(), dict(), dict()]
@@ -132,7 +156,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     t_collect_start = 0.0
 
     events = 0
-    while events < config.max_events and t < config.max_time:
+    while events < config.max_events:
         t_next = t_arrival
         kind = 0
         if t_done < t_next:
@@ -153,34 +177,34 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
             arrivals += 1
             if collecting:
                 arrivals_seen[server] += 1
-            if rng.random() < q:
+            if uniform() < q:
                 if server == IDLE:
                     server = BUSY1
-                    t_done = t + d1.sample_one(rng)
+                    t_done = t + service1()
                     t_retry = inf
                 else:
                     nq += 1
             else:
                 if server == IDLE:
                     server = BUSY2
-                    t_done = t + d2.sample_one(rng)
+                    t_done = t + service2()
                     t_retry = inf
                 else:
                     no += 1
-            t_arrival = t + rng.expovariate(lam)
+            t_arrival = t + gap()
         elif kind == 1:  # service completion
             if nq > 0:
                 nq -= 1
                 server = BUSY1
-                t_done = t + d1.sample_one(rng)
+                t_done = t + service1()
             else:
                 server = IDLE
                 t_done = inf
-                t_retry = t + rng.expovariate(no * mu) if no > 0 else inf
+                t_retry = t + unit_exp() / (no * mu) if no > 0 else inf
         else:  # successful retrial (only scheduled while idle)
             no -= 1
             server = BUSY2
-            t_done = t + d2.sample_one(rng)
+            t_done = t + service2()
             t_retry = inf
 
         if nq + no > config.queue_cap:

@@ -99,6 +99,11 @@ class TestConfigValidation:
             ("inversion", {"n": 50, "contour": 0.9}),
             ("inversion", {"n": 50, "points": 400}),
             ("verify", {"tolerance": 0.1}),
+            ("sim", {"max_events": 1000, "warmup_fraction": 0.1}),
+            ("sim", {"max_events": 1000, "batches": 10}),
+            ("sim", {"max_events": 1000, "max_time": 1000.0}),
+            ("verify", {"kappa_tol": 0.15}),
+            ("verify", {"c_tol": 0.25}),
         ):
             path = write_config(_base_config(**{block: bad}), f"{block}.json")
             assert cli.main(["analyze", "--config", path,

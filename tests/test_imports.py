@@ -1,0 +1,35 @@
+"""The three pillars stay independent in code: checked on the import graph."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rtq"
+
+
+def _imports(module: str) -> set:
+    """Every module, and every name taken from one, that `rtq.<module>`
+    imports anywhere in its source, with relative imports made absolute."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["rtq" if node.level else "", node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_parser_sees_both_import_forms():
+    names = _imports("cli")
+    assert {"argparse", "rtq.transforms", "rtq.decomposition", "rtq.model.Erlang"} <= names
+
+
+@pytest.mark.parametrize("module, banned", [
+    ("simulator", {"random", "rtq.transforms", "rtq.decomposition"}),
+    ("decomposition", {"rtq.transforms"}),
+])
+def test_pillar_does_not_import(module, banned):
+    assert not _imports(module) & banned

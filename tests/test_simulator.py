@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rtq.errors import InsufficientData, OverflowGuard, Unstable
-from rtq.model import Exponential, ModelParams
+from rtq.model import Erlang, Exponential, ModelParams
 from rtq.simulator import BUSY1, BUSY2, IDLE, SimConfig, SimResult, simulate
 
 
@@ -21,6 +21,13 @@ class TestBalanceLaws:
         assert frac.sum() == pytest.approx(1.0, abs=1e-12)
         err = np.abs(frac - target)
         assert np.all(err <= 3.0 * quick_sim.state_fraction_stderr() + 1e-9)
+
+    def test_erlang_service_occupancies(self):
+        # type-2 services come from Erlang.sample: mean 0.5, so rho2 = 0.25
+        p = ModelParams(1.0, 0.5, 1.0, Exponential(2.0), Erlang(3, 6.0))
+        res = simulate(p, SimConfig(max_events=200_000, seed=9))
+        err = np.abs(res.state_fractions() - [1.0 - p.rho, p.rho1, p.rho2])
+        assert np.all(err <= 4.0 * res.state_fraction_stderr())
 
     def test_poisson_arrivals_see_time_averages(self, quick_sim):
         np.testing.assert_allclose(
@@ -88,9 +95,3 @@ class TestDeterminism:
         a = simulate(ref_params, SimConfig(max_events=50_000, seed=3))
         b = simulate(ref_params, SimConfig(max_events=50_000, seed=4))
         assert not np.array_equal(a.time_in_state, b.time_in_state)
-
-    def test_time_horizon(self, ref_params):
-        res = simulate(
-            ref_params, SimConfig(max_events=10_000_000, max_time=200.0, seed=2)
-        )
-        assert res.events < 10_000_000

@@ -83,7 +83,7 @@ class TestOrbitFactors:
     @settings(max_examples=40, deadline=None)
     @given(a1=st.floats(2.0, 4.0, exclude_min=True),
            a2_gap=st.one_of(st.none(), st.floats(0.01, 3.0)),
-           m1=st.floats(0.1, 2.0), m2=st.floats(0.1, 2.0),
+           m1=st.floats(1e-3, 1e3), m2=st.floats(1e-3, 1e3),
            q=st.floats(0.05, 0.95),
            rho=st.floats(0.05, 0.98, exclude_max=True))
     def test_factors_bounded_on_closed_disk(self, a1, a2_gap, m1, m2, q, rho):
