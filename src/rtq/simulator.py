@@ -23,7 +23,7 @@ of (queue, orbit) held per server state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

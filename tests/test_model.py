@@ -4,8 +4,6 @@ High-precision quadrature (mpmath) provides independent reference values for
 the heavy-tailed transform code.
 """
 
-import math
-
 import mpmath as mp
 import numpy as np
 import pytest
