@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy import special
 
 from .errors import AssumptionViolation, BadParam, QuadratureFailure, Unstable
 
@@ -53,20 +52,22 @@ class TailDescriptor:
 
 
 def _as_complex(s):
-    """(at least 1-d complex array, whether s was a scalar); the evaluators
-    here and in `transforms` compute on arrays and hand scalars back."""
+    """(at least 1-d complex array, kind): the evaluators here and in
+    `transforms` compute on arrays and hand scalars back.  kind is None for
+    an array, float for a real scalar and complex for any other scalar."""
     arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
+    if arr.ndim:
+        return arr, None
+    return np.atleast_1d(arr), complex if arr.imag else float
 
 
-def _maybe_scalar(out: np.ndarray, scalar: bool):
-    """Undo `_as_complex`: a scalar input gets a Python scalar, real when the
-    imaginary part is round-off."""
-    if not scalar:
+def _maybe_scalar(out: np.ndarray, kind):
+    """Undo `_as_complex`: an array input gets the array back, a scalar one
+    a Python scalar of its own kind (the real part for a real argument)."""
+    if kind is None:
         return out
     v = complex(out.reshape(-1)[0])
-    return v.real if abs(v.imag) < 1e-12 * max(1.0, abs(v.real)) else v
+    return v.real if kind is float else v
 
 
 class ServiceDist:
@@ -137,12 +138,12 @@ class Exponential(ServiceDist):
         return TailDescriptor(r=self.rate, a=0.0, L0=1.0)
 
     def lst(self, s):
-        arr, scalar = _as_complex(s)
-        return _maybe_scalar(self.rate / (self.rate + arr), scalar)
+        arr, kind = _as_complex(s)
+        return _maybe_scalar(self.rate / (self.rate + arr), kind)
 
     def lst_deriv(self, s):
-        arr, scalar = _as_complex(s)
-        return _maybe_scalar(-self.rate / (self.rate + arr) ** 2, scalar)
+        arr, kind = _as_complex(s)
+        return _maybe_scalar(-self.rate / (self.rate + arr) ** 2, kind)
 
     def survival(self, t):
         return np.exp(-self.rate * np.asarray(t, dtype=float))
@@ -187,16 +188,22 @@ class Erlang(ServiceDist):
         )
 
     def lst(self, s):
-        arr, scalar = _as_complex(s)
-        return _maybe_scalar((self.rate / (self.rate + arr)) ** self.shape, scalar)
+        arr, kind = _as_complex(s)
+        return _maybe_scalar((self.rate / (self.rate + arr)) ** self.shape, kind)
 
     def lst_deriv(self, s):
-        arr, scalar = _as_complex(s)
+        arr, kind = _as_complex(s)
         k, nu = self.shape, self.rate
-        return _maybe_scalar(-k * nu**k / (nu + arr) ** (k + 1), scalar)
+        return _maybe_scalar(-k * nu**k / (nu + arr) ** (k + 1), kind)
 
     def survival(self, t):
-        return special.gammaincc(self.shape, self.rate * np.asarray(t, dtype=float))
+        # P{Poisson(x) < shape} at x = rate t, its terms summed in log space;
+        # 1 for x <= 0 and 0 for x = inf
+        x = self.rate * np.asarray(t, dtype=float)
+        inside = (x > 0) & (x < math.inf)
+        xs = np.where(inside, x, 1.0)[..., None]
+        logterm = np.arange(self.shape) * np.log(xs) - xs - _log_factorials(self.shape - 1)
+        return np.where(inside, np.exp(_logsumexp(logterm)), x <= 0)[()]
 
     def equilibrium(self):
         # classical identity: the excess of an Erlang(k) is an equal mixture
@@ -209,6 +216,17 @@ class Erlang(ServiceDist):
 
     def sample_length_biased(self, rng, size):
         return rng.gamma(self.shape + 1, 1.0 / self.rate, size)
+
+
+def _log_factorials(kmax: int) -> np.ndarray:
+    """log k! for k = 0..kmax."""
+    return np.array([math.lgamma(k + 1.0) for k in range(kmax + 1)])
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum exp(a) over the last axis, each row shifted by its maximum."""
+    top = a.max(axis=-1, keepdims=True)
+    return np.log(np.exp(a - top).sum(axis=-1)) + top[..., 0]
 
 
 # quadrature levels tried in order: (step, half-width) of the exp-sinh rule
@@ -357,12 +375,12 @@ class ParetoShifted(ServiceDist):
         return self.lst_and_deriv(s)[1]
 
     def lst_and_deriv(self, s):
-        arr, scalar = _as_complex(s)
+        arr, kind = _as_complex(s)
         c = self.scale
         val, deriv = _unit_pareto_lst(
             self.index, c * self._clamp_halfplane(arr), _pareto_rule(self.index)
         )
-        return _maybe_scalar(val, scalar), _maybe_scalar(c * deriv, scalar)
+        return _maybe_scalar(val, kind), _maybe_scalar(c * deriv, kind)
 
     def survival(self, t):
         return (1 + np.asarray(t, dtype=float) / self.scale) ** (-self.index)
@@ -401,10 +419,11 @@ class ParetoShifted(ServiceDist):
         loglt = np.log(lam * t)
         out = np.empty(kmax + 1)
         ks = np.arange(kmax + 1)
+        logfact = _log_factorials(kmax)
         for lo in range(0, kmax + 1, 2048):
             k = ks[lo : lo + 2048, None]
-            logterm = k * loglt[None, :] - lam * t[None, :] - special.gammaln(k + 1)
-            out[lo : lo + 2048] = np.exp(special.logsumexp(logterm + logwf[None, :], axis=1))
+            logterm = k * loglt - lam * t - logfact[lo : lo + 2048, None]
+            out[lo : lo + 2048] = np.exp(_logsumexp(logterm + logwf))
         return out
 
 
@@ -447,18 +466,18 @@ class Mixture(ServiceDist):
         return TailDescriptor(r=key[0], a=key[1], L0=float(L0))
 
     def lst(self, s):
-        arr, scalar = _as_complex(s)
+        arr, kind = _as_complex(s)
         out = np.zeros_like(arr)
         for w, c in zip(self.weights, self.components):
             out += w * np.atleast_1d(np.asarray(c.lst(arr), dtype=complex))
-        return _maybe_scalar(out, scalar)
+        return _maybe_scalar(out, kind)
 
     def lst_deriv(self, s):
-        arr, scalar = _as_complex(s)
+        arr, kind = _as_complex(s)
         out = np.zeros_like(arr)
         for w, c in zip(self.weights, self.components):
             out += w * np.atleast_1d(np.asarray(c.lst_deriv(arr), dtype=complex))
-        return _maybe_scalar(out, scalar)
+        return _maybe_scalar(out, kind)
 
     def survival(self, t):
         return sum(w * c.survival(t) for w, c in zip(self.weights, self.components))

@@ -17,17 +17,23 @@ share no random bits.
 
 Statistics are time averages over the last 80% of the events, split into
 20 batches for crude confidence intervals, with sparse joint histograms
-of (queue, orbit) held per server state.
+of (queue, orbit) held per server state.  One loop body runs segment by
+segment: a warm-up segment whose accumulators are thrown away, then one
+segment per batch, ending at the exact event counts that split the rest
+into 20 near-equal batches.  Within a segment the time per server state
+and the server states that arrivals find add up in 3-element lists, and
+each time step adds to the (queue, orbit) dict of its server state.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, OverflowGuard
+from .errors import BadParam, InsufficientData, OverflowGuard
 from .model import ModelParams, validate
 
 __all__ = ["SimConfig", "SimResult", "simulate", "IDLE", "BUSY1", "BUSY2", "TARGET_STATES"]
@@ -35,6 +41,7 @@ __all__ = ["SimConfig", "SimResult", "simulate", "IDLE", "BUSY1", "BUSY2", "TARG
 IDLE, BUSY1, BUSY2 = 0, 1, 2
 _WARMUP_FRACTION = 0.2  # share of the events run before statistics start
 _BATCHES = 20
+_MIN_EVENTS = 24  # fewest events that give each batch one after warm-up
 _BLOCK = 4096  # draws fetched from numpy at a time
 _STATE_NAMES = {"idle": IDLE, "busy1": BUSY1, "busy2": BUSY2}
 # each conditional law as the (server state, coordinate) it is observed in
@@ -52,6 +59,13 @@ class SimConfig:
     max_events: int = 1_000_000
     seed: int = 0
     queue_cap: int = 10_000_000
+
+    def __post_init__(self):
+        if self.max_events < _MIN_EVENTS:
+            raise BadParam(
+                f"max_events must be at least {_MIN_EVENTS} so that each of the "
+                f"{_BATCHES} batches gets an event, got {self.max_events}"
+            )
 
 
 @dataclass
@@ -116,18 +130,23 @@ def _draws(seed: int, stream: int, draw):
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1, stream)))
     )
+    blocks = (draw(rng, _BLOCK).tolist() for _ in itertools.repeat(None))
+    return itertools.chain.from_iterable(blocks).__next__
 
-    def floats():
-        while True:
-            yield from draw(rng, _BLOCK).tolist()
 
-    return floats().__next__
+def _segment_ends(max_events: int) -> list:
+    """Event counts at which the warm-up and each batch end: event
+    warmup + j (j = 0..span-1) belongs to batch j * _BATCHES // span, so
+    batch b starts at warmup + ceil(b * span / _BATCHES)."""
+    warmup = int(_WARMUP_FRACTION * max_events)
+    span = max_events - warmup
+    return [warmup - (-b * span // _BATCHES) for b in range(_BATCHES + 1)]
 
 
 def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     """Run the event loop; deterministic for a fixed (params, config)."""
     validate(params)
-    lam, q, mu = params.lam, params.q, params.mu
+    lam, q, mu, cap = params.lam, params.q, params.mu, config.queue_cap
     seed = config.seed
     gap = _draws(seed, 0, lambda rng, k: rng.exponential(1.0 / lam, k))
     uniform = _draws(seed, 1, lambda rng, k: rng.random(k))
@@ -144,87 +163,80 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     t_done = inf
     t_retry = inf
 
-    warmup = int(_WARMUP_FRACTION * config.max_events)
-    span = max(1, config.max_events - warmup)
-    nbatch = _BATCHES
-    time_in_state = np.zeros(3)
-    batch_time = np.zeros((nbatch, 3))
-    hist = [dict(), dict(), dict()]
-    arrivals_seen = np.zeros(3, dtype=np.int64)
-    arrivals = 0
-    collecting = False
+    time_in_state = [0.0, 0.0, 0.0]
+    hist = [{}, {}, {}]
+    arrivals_seen = [0, 0, 0]
+    batch_time = []
+    # the warm-up segment accumulates into throwaway lists
+    tis, hists, seen = [0.0, 0.0, 0.0], [{}, {}, {}], [0, 0, 0]
     t_collect_start = 0.0
-
     events = 0
-    while events < config.max_events:
-        t_next = t_arrival
-        kind = 0
-        if t_done < t_next:
-            t_next, kind = t_done, 1
-        if t_retry < t_next:
-            t_next, kind = t_retry, 2
-        if collecting:
+    for segment, end in enumerate(_segment_ends(config.max_events)):
+        bt = [0.0, 0.0, 0.0]
+        for _ in range(end - events):
+            if t_done < t_arrival:
+                t_next, kind = t_done, 1
+            elif t_retry < t_arrival:
+                t_next, kind = t_retry, 2
+            else:
+                t_next, kind = t_arrival, 0
             dt = t_next - t
-            time_in_state[server] += dt
-            b = min(nbatch - 1, (events - warmup) * nbatch // span)
-            batch_time[b, server] += dt
+            tis[server] += dt
+            bt[server] += dt
+            bucket = hists[server]
             key = (nq, no)
-            bucket = hist[server]
             bucket[key] = bucket.get(key, 0.0) + dt
-        t = t_next
+            t = t_next
 
-        if kind == 0:  # arrival
-            arrivals += 1
-            if collecting:
-                arrivals_seen[server] += 1
-            if uniform() < q:
-                if server == IDLE:
+            if kind == 0:  # arrival
+                seen[server] += 1
+                if uniform() < q:
+                    if server == IDLE:
+                        server = BUSY1
+                        t_done = t + service1()
+                        t_retry = inf
+                    else:
+                        nq += 1
+                else:
+                    if server == IDLE:
+                        server = BUSY2
+                        t_done = t + service2()
+                        t_retry = inf
+                    else:
+                        no += 1
+                if nq + no > cap:
+                    raise OverflowGuard(
+                        f"backlog exceeded {cap} customers at t={t:.6g}"
+                    )
+                t_arrival = t + gap()
+            elif kind == 1:  # service completion
+                if nq > 0:
+                    nq -= 1
                     server = BUSY1
                     t_done = t + service1()
-                    t_retry = inf
                 else:
-                    nq += 1
-            else:
-                if server == IDLE:
-                    server = BUSY2
-                    t_done = t + service2()
-                    t_retry = inf
-                else:
-                    no += 1
-            t_arrival = t + gap()
-        elif kind == 1:  # service completion
-            if nq > 0:
-                nq -= 1
-                server = BUSY1
-                t_done = t + service1()
-            else:
-                server = IDLE
-                t_done = inf
-                t_retry = t + unit_exp() / (no * mu) if no > 0 else inf
-        else:  # successful retrial (only scheduled while idle)
-            no -= 1
-            server = BUSY2
-            t_done = t + service2()
-            t_retry = inf
-
-        if nq + no > config.queue_cap:
-            raise OverflowGuard(
-                f"backlog exceeded {config.queue_cap} customers at t={t:.6g}"
-            )
-        events += 1
-        if not collecting and events >= warmup:
-            collecting = True
+                    server = IDLE
+                    t_done = inf
+                    t_retry = t + unit_exp() / (no * mu) if no > 0 else inf
+            else:  # successful retrial (only scheduled while idle)
+                no -= 1
+                server = BUSY2
+                t_done = t + service2()
+                t_retry = inf
+        if segment == 0:  # warm-up over: collect from here on
             t_collect_start = t
-            arrivals = 0
-            arrivals_seen[:] = 0
+            tis, hists, seen = time_in_state, hist, arrivals_seen
+        else:
+            batch_time.append(bt)
+        events = end
 
     return SimResult(
         config=config,
         events=events,
         collected_time=t - t_collect_start,
-        time_in_state=time_in_state,
-        batch_time=batch_time,
+        time_in_state=np.array(time_in_state),
+        batch_time=np.array(batch_time),
         hist=hist,
-        arrivals_seen=arrivals_seen,
-        arrivals=max(arrivals, 1),
+        arrivals_seen=np.array(arrivals_seen, dtype=np.int64),
+        arrivals=max(sum(arrivals_seen), 1),
     )

@@ -109,25 +109,25 @@ def _busy_root(params, y_of):
 
 def solve_alpha(params: ModelParams, s):
     """Minimal root of the busy-period equation a = beta1(s + lam1 - lam1 a)."""
-    arr, scalar = _as_complex(s)
+    arr, kind = _as_complex(s)
     lam1 = params.lambda1
     a = _busy_root(params, lambda x: arr + lam1 * (1.0 - x))
-    return _maybe_scalar(a, scalar)
+    return _maybe_scalar(a, kind)
 
 
 def solve_h(params: ModelParams, z2):
     """Minimal root of h = beta1(lam - lam1 h - lam2 z2)."""
-    arr, scalar = _as_complex(z2)
+    arr, kind = _as_complex(z2)
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
     h = _busy_root(params, lambda x: lam - lam1 * x - lam2 * arr)
-    return _maybe_scalar(h, scalar)
+    return _maybe_scalar(h, kind)
 
 
 def eval_g(params: ModelParams, z2, h=None):
     """g(z2) = q h(z2) + p z2, the batch-size transform."""
-    arr, scalar = _as_complex(z2)
+    arr, kind = _as_complex(z2)
     hh = np.atleast_1d(np.asarray(solve_h(params, arr) if h is None else h, dtype=complex))
-    return _maybe_scalar(params.q * hh + params.p * arr, scalar)
+    return _maybe_scalar(params.q * hh + params.p * arr, kind)
 
 
 def factor_K(params: ModelParams, u, h=None) -> KFactors:
@@ -138,7 +138,7 @@ def factor_K(params: ModelParams, u, h=None) -> KFactors:
     equilibrium LSTs beta1e and beta2e, with no removable point at u = 1 and
     denominators at least 1 - rho1 and 1 - vartheta in modulus.
     """
-    arr, scalar = _as_complex(u)
+    arr, kind = _as_complex(u)
     rho1, rho2, vt = params.rho1, params.rho2, params.vartheta
     hh = np.atleast_1d(np.asarray(solve_h(params, arr) if h is None else h, dtype=complex))
     s = params.lam * (1.0 - (params.q * hh + params.p * arr))
@@ -149,9 +149,7 @@ def factor_K(params: ModelParams, u, h=None) -> KFactors:
     kc = (1.0 - vt) / (1.0 - vt * ka * b2e)
     beta2_g = np.atleast_1d(np.asarray(params.dist2.lst(s), dtype=complex))
     k = ka * kb * kc
-    if scalar:
-        return KFactors(*(_maybe_scalar(x, True) for x in (ka, kb, kc, k, beta2_g)))
-    return KFactors(ka, kb, kc, k, beta2_g)
+    return KFactors(*(_maybe_scalar(x, kind) for x in (ka, kb, kc, k, beta2_g)))
 
 
 _GL_CACHE = {}
@@ -189,26 +187,35 @@ def _k_integral(params, z):
 
 def eval_R0(params: ModelParams, z2):
     """Orbit transform given an idle server: exp(-psi * int_z^1 K)."""
-    arr, scalar = _as_complex(z2)
+    arr, kind = _as_complex(z2)
     out = np.exp(-params.psi * _k_integral(params, arr))
-    return _maybe_scalar(out, scalar)
+    return _maybe_scalar(out, kind)
+
+
+def _pair_kind(k1, k2):
+    """The `_as_complex` kind of a result of two arguments: a scalar only
+    when both are, a real one only when both are real."""
+    if k1 is None or k2 is None:
+        return None
+    return float if k1 is k2 is float else complex
 
 
 def eval_S_beta(params: ModelParams, i: int, z1, z2):
     """Equilibrium service LST of type i composed with lam - lam1 z1 - lam2 z2."""
     d = params.dist1_eq if i == 1 else params.dist2_eq
-    a1, s1 = _as_complex(z1)
-    a2, s2 = _as_complex(z2)
+    a1, k1 = _as_complex(z1)
+    a2, k2 = _as_complex(z2)
     s = params.lam - params.lambda1 * a1 - params.lambda2 * a2
-    return _maybe_scalar(np.atleast_1d(np.asarray(d.lst(s), dtype=complex)), s1 and s2)
+    out = np.atleast_1d(np.asarray(d.lst(s), dtype=complex))
+    return _maybe_scalar(out, _pair_kind(k1, k2))
 
 
 def _points(params, z1, z2):
-    """(z1, z2, h(z2)) as arrays and whether z1 and z2 were both scalars:
-    what every two-argument evaluator starts from."""
-    a1, s1 = _as_complex(z1)
-    a2, s2 = _as_complex(z2)
-    return a1, a2, solve_h(params, a2), s1 and s2
+    """(z1, z2, h(z2)) as arrays and the `_pair_kind` of z1 and z2: what
+    every two-argument evaluator starts from."""
+    a1, k1 = _as_complex(z1)
+    a2, k2 = _as_complex(z2)
+    return a1, a2, solve_h(params, a2), _pair_kind(k1, k2)
 
 
 # The kernels below take arrays, h = h(z2) and, where needed, the orbit
@@ -260,48 +267,48 @@ def _r2(params, z1, z2, kf, r0):
 
 
 def eval_H_beta1(params: ModelParams, z1, z2):
-    a1, a2, h, scalar = _points(params, z1, z2)
-    return _maybe_scalar(_H_beta(params, 1, a1, a2, h), scalar)
+    a1, a2, h, kind = _points(params, z1, z2)
+    return _maybe_scalar(_H_beta(params, 1, a1, a2, h), kind)
 
 
 def eval_H_beta2(params: ModelParams, z1, z2):
-    a1, a2, h, scalar = _points(params, z1, z2)
-    return _maybe_scalar(_H_beta(params, 2, a1, a2, h), scalar)
+    a1, a2, h, kind = _points(params, z1, z2)
+    return _maybe_scalar(_H_beta(params, 2, a1, a2, h), kind)
 
 
 def eval_M1(params: ModelParams, z1, z2):
     """Geometric factor (1 - rho1) / (1 - rho1 * H_beta1)."""
-    a1, a2, h, scalar = _points(params, z1, z2)
-    return _maybe_scalar(_m1(params, a1, a2, h), scalar)
+    a1, a2, h, kind = _points(params, z1, z2)
+    return _maybe_scalar(_m1(params, a1, a2, h), kind)
 
 
 def eval_M1_raw(params: ModelParams, z1, z2):
     """Published difference-quotient form of M1 (cross-check only; no
     singular-point handling)."""
-    a1, a2, h, scalar = _points(params, z1, z2)
+    a1, a2, h, kind = _points(params, z1, z2)
     s = params.lam - params.lambda1 * a1 - params.lambda2 * a2
     b1 = np.asarray(params.dist1.lst(s), dtype=complex)
-    return _maybe_scalar((1.0 - params.rho1) * (h - a1) / (b1 - a1), scalar)
+    return _maybe_scalar((1.0 - params.rho1) * (h - a1) / (b1 - a1), kind)
 
 
 def eval_M2(params: ModelParams, z1, z2):
     """Factor vartheta H_beta2 Ka Kc + 1 - vartheta."""
-    a1, a2, h, scalar = _points(params, z1, z2)
-    return _maybe_scalar(_m2(params, a1, a2, h, factor_K(params, a2, h)), scalar)
+    a1, a2, h, kind = _points(params, z1, z2)
+    return _maybe_scalar(_m2(params, a1, a2, h, factor_K(params, a2, h)), kind)
 
 
 def eval_R1(params: ModelParams, z1, z2):
     """Factored conditional transform given a Type-1 service in progress."""
-    a1, a2, h, scalar = _points(params, z1, z2)
+    a1, a2, h, kind = _points(params, z1, z2)
     kf = factor_K(params, a2, h)
-    return _maybe_scalar(_r1(params, a1, a2, h, kf, eval_R0(params, a2)), scalar)
+    return _maybe_scalar(_r1(params, a1, a2, h, kf, eval_R0(params, a2)), kind)
 
 
 def eval_R2(params: ModelParams, z1, z2):
     """Factored conditional transform given a Type-2 service in progress."""
-    a1, a2, h, scalar = _points(params, z1, z2)
+    a1, a2, h, kind = _points(params, z1, z2)
     kf = factor_K(params, a2, h)
-    return _maybe_scalar(_r2(params, a1, a2, kf, eval_R0(params, a2)), scalar)
+    return _maybe_scalar(_r2(params, a1, a2, kf, eval_R0(params, a2)), kind)
 
 
 def _w_fn(params, z1, z2, h, g):
@@ -316,7 +323,7 @@ def _w_fn(params, z1, z2, h, g):
 
 def eval_R1_raw(params: ModelParams, z1, z2):
     """Original published form of R1 (interior points only)."""
-    a1, a2, h, scalar = _points(params, z1, z2)
+    a1, a2, h, kind = _points(params, z1, z2)
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
     g = params.q * h + params.p * a2
     s12 = lam - lam1 * a1 - lam2 * a2
@@ -333,12 +340,12 @@ def eval_R1_raw(params: ModelParams, z1, z2):
         / s12
         * r0
     )
-    return _maybe_scalar(np.atleast_1d(out), scalar)
+    return _maybe_scalar(np.atleast_1d(out), kind)
 
 
 def eval_R2_raw(params: ModelParams, z1, z2):
     """Original published form of R2 (interior points only)."""
-    a1, a2, h, scalar = _points(params, z1, z2)
+    a1, a2, h, kind = _points(params, z1, z2)
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
     g = params.q * h + params.p * a2
     s12 = lam - lam1 * a1 - lam2 * a2
@@ -354,7 +361,7 @@ def eval_R2_raw(params: ModelParams, z1, z2):
         / s12
         * r0
     )
-    return _maybe_scalar(np.atleast_1d(out), scalar)
+    return _maybe_scalar(np.atleast_1d(out), kind)
 
 
 def _ring(radius, points):

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import asymptotics, transforms
 from .errors import WindowTooNoisy
@@ -234,7 +233,7 @@ def _euler_survival(lst, t):
     terms = ((1.0 - np.asarray(lst(s), dtype=complex)) / s).real * (-1.0) ** k
     terms[:, 0] /= 2.0  # the trapezoidal rule's half weight at s = A / 2t
     partial = np.cumsum(terms, axis=1)[:, _EULER_N:]
-    binom = special.comb(_EULER_M, np.arange(_EULER_M + 1)) / 2.0**_EULER_M
+    binom = np.array([math.comb(_EULER_M, i) for i in range(_EULER_M + 1)]) / 2.0**_EULER_M
     return math.exp(_EULER_A / 2.0) / t[:, 0] * (partial @ binom)
 
 
@@ -320,6 +319,22 @@ def _random_sum_cdf(count_pmf, summand_pmf):
     return np.cumsum(pmf)
 
 
+# Bernoulli numbers B_2, B_4, ..., B_12, for the Euler-Maclaurin tail of zeta
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+
+
+def _zeta(s: float) -> float:
+    """Riemann zeta(s) for real s > 1: the first n - 1 = 9 terms of the
+    series, then the Euler-Maclaurin sum for the rest, from n on."""
+    n = 10
+    total = sum(k**-s for k in range(1, n)) + n ** (1 - s) / (s - 1) + 0.5 * n**-s
+    rising = s  # s (s + 1) ... (s + 2j - 2)
+    for j, b in enumerate(_BERNOULLI, start=1):
+        total += b / math.factorial(2 * j) * rising * n ** (1 - s - 2 * j)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return total
+
+
 def _lemma_random_sum():
     # random sum with heavy count and heavy summands of equal index h:
     # P{S > j} ~ (c_N mu_Y^h + mu_N c_Y) j^-h.  Both laws are floor(U^-1/h),
@@ -331,7 +346,7 @@ def _lemma_random_sum():
     pmf = np.zeros_like(m)
     pmf[1:] = m[1:] ** -h - (m[1:] + 1.0) ** -h
     exact = 1.0 - _random_sum_cdf(pmf, pmf)[t_grid]
-    mu = float(special.zeta(h, 1))
+    mu = _zeta(h)
     const = mu**h + mu
     ratio = float(np.mean(exact / (const * t_grid.astype(float) ** -h)))
     return {

@@ -78,10 +78,12 @@ class TestConfigValidation:
         assert "config error" in proc.stderr
 
     def test_import_does_not_load_scipy_stats(self):
-        # a fresh interpreter: this one may already hold scipy.stats
+        # a fresh interpreter: this one may already hold scipy; rtq loads no
+        # part of it, scipy.stats included
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import rtq.cli, sys; assert 'scipy.stats' not in sys.modules"],
+             "import rtq.cli, sys; "
+             "assert not [m for m in sys.modules if m.startswith('scipy')]"],
             env=_src_env(), capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
@@ -215,6 +217,18 @@ class TestSimulate:
         assert np.allclose(frac, stats["expected_fractions"], atol=0.05)
         header, rows = _read_csv(out / "hist_R0.csv")
         assert float(sum(float(r[1]) for r in rows)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_fewest_events(self, write_config, tmp_path, capsys):
+        # 24 events leave 20 after warm-up: one per batch
+        cfg = _base_config(sim={"max_events": 23})
+        assert cli.main(["simulate", "--config", write_config(cfg),
+                         "--out", str(tmp_path / "a")]) == 2
+        assert "max_events" in capsys.readouterr().err
+        cfg = _base_config(sim={"max_events": 24})
+        out = tmp_path / "b"
+        assert cli.main(["simulate", "--config", write_config(cfg), "--out", str(out)]) == 0
+        stats = json.loads((out / "sim_stats.json").read_text())
+        assert np.all(np.isfinite(stats["state_fraction_stderr"]))
 
 
 class TestSample:

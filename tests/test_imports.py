@@ -33,3 +33,9 @@ def test_parser_sees_both_import_forms():
 ])
 def test_pillar_does_not_import(module, banned):
     assert not _imports(module) & banned
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_no_module_imports_scipy(module):
+    # numpy is the only run-time dependency
+    assert not {name for name in _imports(module) if name.split(".")[0] == "scipy"}

@@ -73,6 +73,16 @@ class TestErlang:
             expect = (1 - complex(d.lst(s))) / (d.mean * s)
             assert complex(e.lst(s)) == pytest.approx(expect, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [1, 2, 3, 7, 40, 200])
+    def test_survival_against_mpmath(self, shape):
+        # the regularized upper incomplete gamma function Q(shape, rate t)
+        d = Erlang(shape, 2.0)
+        x = np.array([0.0, 0.5, 3.0, 30.0, 150.0, 400.0])
+        expect = [float(mp.gammainc(shape, v, regularized=True)) for v in x]
+        np.testing.assert_allclose(d.survival(x / 2.0), expect, rtol=1e-12, atol=0)
+        assert d.survival(0.0) == 1.0 and d.survival(np.inf) == 0.0
+        assert d.survival(1.5) == d.survival(np.array([1.5]))[0]
+
 
 class TestParetoShifted:
     def test_from_mean(self):
@@ -171,6 +181,18 @@ class TestParetoShifted:
         np.testing.assert_allclose(
             deriv, [complex(d.lst_deriv(x)) for x in s], rtol=0, atol=2e-15
         )
+
+    def test_scalar_calls_keep_the_argument_kind(self):
+        # at scale 1e-6 the derivative is of order 1e-7 and its imaginary
+        # part 1e-13, 3e-7 of it: a complex argument keeps that part, a real
+        # one gives a float
+        d = ParetoShifted(4.0, 1e-6)
+        s = 1e-9 + 0.3j
+        deriv = d.lst_deriv(s)
+        assert isinstance(deriv, complex) and deriv.imag != 0.0
+        assert deriv == d.lst_deriv(np.array([s]))[0]
+        assert type(d.lst(0.3)) is float and type(d.lst(0.3 + 0j)) is float
+        assert d.lst(0.3) == d.lst(np.array([0.3]))[0].real
 
     @pytest.mark.parametrize("index, nodes", [(1.5, 338), (2.5, 201), (3.0, 201), (4.0, 201)])
     def test_rule_level(self, index, nodes):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rtq import simulator
 from rtq.errors import InsufficientData, OverflowGuard, Unstable
 from rtq.model import Erlang, Exponential, ModelParams
 from rtq.simulator import BUSY1, BUSY2, IDLE, SimConfig, SimResult, simulate
@@ -81,6 +82,19 @@ class TestGuards:
             quick_sim.conditional_pmf("serving", "orbit")
         with pytest.raises(ValueError):
             quick_sim.conditional_pmf(IDLE, "buffer")
+
+
+class TestSegments:
+    @pytest.mark.parametrize("n", [24, 25, 37, 99, 100, 101, 1234, 54_321])
+    def test_ends_split_events_into_batches(self, n):
+        # event e >= warmup belongs to batch (e - warmup) * 20 // (n - warmup)
+        warmup = int(0.2 * n)
+        ends = simulator._segment_ends(n)
+        assert ends[0] == warmup and ends[-1] == n
+        batch = [(e - warmup) * 20 // (n - warmup) for e in range(warmup, n)]
+        for b in range(20):
+            assert batch[ends[b] - warmup : ends[b + 1] - warmup] == [b] * (ends[b + 1] - ends[b])
+            assert ends[b + 1] > ends[b]
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@
 
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -158,6 +159,10 @@ class TestStructuralLemmas:
         t = np.array(t)
         np.testing.assert_allclose(verify._euler_survival(dist.lst, t),
                                    dist.survival(t), rtol=1e-6, atol=0)
+
+    @pytest.mark.parametrize("s", [1.5, 2.5, 4.0])
+    def test_zeta_matches_mpmath(self, s):
+        assert verify._zeta(s) == pytest.approx(float(mpmath.zeta(s)), rel=1e-13, abs=0)
 
     def test_random_sum_cdf_matches_enumeration(self):
         # every (n, y_1, ..., y_n) with all terms >= 1 and sum at most t; the
