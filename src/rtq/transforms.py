@@ -12,6 +12,11 @@ public `eval_*` functions take points only and solve for h themselves; the
 arithmetic they share lives in private array kernels, which
 `conditional_pmfs` calls with the h, orbit factors and R0 it has already
 computed on its contour.
+
+Every transform inverted here is a PGF with real coefficients, so it takes
+conjugate values at z and conj(z).  `conditional_pmfs` therefore evaluates
+only the upper half of its contour, indices 0..m//2, and mirrors the rest
+(`_mirror`); its FFT coefficients are real by construction.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import math
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -86,23 +92,32 @@ class Pmf:
 
 def _busy_root(params, y_of):
     """Solve x = beta1(y_of(x)) by a few Picard sweeps (which select the
-    probabilistically minimal root from 0) followed by Newton polishing."""
+    probabilistically minimal root from 0) followed by Newton polishing.
+
+    Newton runs on an active set: a pass evaluates the LST and its
+    derivative only at the points whose last step exceeded `_ROOT_TOL`, and
+    a point leaves the set after its first step at or below it, so every
+    point's final step is at most `_ROOT_TOL`."""
     d = params.dist1
     lam1 = params.lambda1
     x = None
     for _ in range(4):
         y = y_of(0.0 if x is None else x)
         x = np.asarray(d.lst(y), dtype=complex)
+    active = np.ones(x.shape, dtype=bool)
     for _ in range(_ROOT_MAX_ITER):
-        b, db = d.lst_and_deriv(y_of(x))
-        f = np.asarray(b, dtype=complex) - x
-        fprime = -lam1 * np.asarray(db, dtype=complex) - 1.0
-        step = f / fprime
-        x = x - step
+        xa = x[active]
+        b, db = d.lst_and_deriv(y_of(x)[active])
+        step = (np.asarray(b, dtype=complex) - xa) / (
+            -lam1 * np.asarray(db, dtype=complex) - 1.0
+        )
+        xa -= step
         # the root is a transform of a law, so |x| <= 1; past the circle the
         # LST's argument is clamped to Re >= 0 and the next step overshoots
-        x /= np.maximum(np.abs(x), 1.0)
-        if np.max(np.abs(step)) <= _ROOT_TOL:
+        xa /= np.maximum(np.abs(xa), 1.0)
+        x[active] = xa
+        active[active] = np.abs(step) > _ROOT_TOL
+        if not active.any():
             return x
     raise NoConvergence(f"busy-period fixed point stalled (last step {np.max(np.abs(step)):.2e})")
 
@@ -152,30 +167,29 @@ def factor_K(params: ModelParams, u, h=None) -> KFactors:
     return KFactors(*(_maybe_scalar(x, kind) for x in (ka, kb, kc, k, beta2_g)))
 
 
-_GL_CACHE = {}
-
-
+@cache
 def _gl_rule(order):
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = ((x + 1.0) / 2.0, w / 2.0)  # mapped to [0,1]
-    return _GL_CACHE[order]
+    x, w = np.polynomial.legendre.leggauss(order)
+    return (x + 1.0) / 2.0, w / 2.0  # mapped to [0,1]
 
 
 def _k_integral(params, z):
     """integral of K(u) du along the straight segment from z to 1,
     refined by doubling the Gauss-Legendre order until two successive
-    orders agree to `_K_QUAD_TOL`."""
+    orders agree to `_K_QUAD_TOL`.
+
+    K has a (1 - u)^(a - 1) term at u = 1 (a the type-1 Pareto index), so
+    the rule runs in t with u = 1 - (1 - z) t^2, which turns the endpoint
+    term into t^(2a - 1): int_z^1 K = (1 - z) int_0^1 2 t K(u(t)) dt."""
     arr = np.atleast_1d(np.asarray(z, dtype=complex))
     seg = 1.0 - arr
     prev = None
     order = 16
     while order <= _K_MAX_ORDER:
-        x, w = _gl_rule(order)
-        u = arr[..., None] + seg[..., None] * x  # (..., order)
-        flat = u.reshape(-1)
-        k = np.asarray(factor_K(params, flat).k, dtype=complex).reshape(u.shape)
-        val = seg * (k @ w)
+        t, w = _gl_rule(order)
+        u = 1.0 - seg[..., None] * (t * t)  # (..., order)
+        k = np.asarray(factor_K(params, u.reshape(-1)).k, dtype=complex).reshape(u.shape)
+        val = seg * (k @ (2.0 * t * w))
         if prev is not None and np.max(np.abs(val - prev)) <= _K_QUAD_TOL:
             return val
         prev = val
@@ -228,21 +242,32 @@ def _H_beta(params, which, z1, z2, h, b_shift=None):
     # computed here unless the caller already has it
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
     d = params.dist1 if which == 1 else params.dist2
+    d_eq = params.dist1_eq if which == 1 else params.dist2_eq
     pref = 1.0 / params.rho1 if which == 1 else params.p / (params.q * params.rho2)
-    s = lam - lam1 * z1 - lam2 * z2
-    bz = np.asarray(d.lst(s), dtype=complex)
+    z1, z2, h = np.broadcast_arrays(z1, z2, h)
+    out = np.empty(z1.shape, dtype=complex)
+    # on z2 = 1, h = 1 and the quotient is the equilibrium LST at
+    # lam1 (1 - z1), which is free of its cancelling difference
+    on_one = z2 == 1.0
+    out[on_one] = d_eq.lst(lam1 * (1.0 - z1[on_one]))
+    rest = ~on_one
+    z1, z2, h = z1[rest], z2[rest], h[rest]
     if which == 1:
         b_shift = h  # h is itself beta1 at the shifted argument
     elif b_shift is None:
         b_shift = np.asarray(d.lst(lam - lam1 * h - lam2 * z2), dtype=complex)
+    else:
+        b_shift = np.broadcast_to(b_shift, rest.shape)[rest]
+    s = lam - lam1 * z1 - lam2 * z2
+    bz = np.asarray(d.lst(s), dtype=complex)
     den = z1 - h
-    out = np.empty(np.broadcast(bz, den).shape, dtype=complex)
-    bz, b_shift, den, s = np.broadcast_arrays(bz, b_shift, den, s)
     near = np.abs(den) < _NEAR_SINGULAR
+    val = np.empty(den.shape, dtype=complex)
     fa = ~near
-    out[fa] = pref * (bz[fa] - b_shift[fa]) / den[fa]
+    val[fa] = pref * (bz[fa] - b_shift[fa]) / den[fa]
     if near.any():
-        out[near] = pref * lam1 * (-np.asarray(d.lst_deriv(s[near]), dtype=complex))
+        val[near] = pref * lam1 * (-np.asarray(d.lst_deriv(s[near]), dtype=complex))
+    out[rest] = val
     return out
 
 
@@ -383,21 +408,30 @@ def _check_roundoff(n, radius):
         )
 
 
-def _r0_on_contour(params, z, kvals):
-    """R0 at every point of the inversion contour at once.
+def _mirror(half, m):
+    """Values on the whole m-point ring from those at indices 0..m//2.
+
+    Every transform inverted here is a PGF with real coefficients, so it
+    takes conjugate values at z and conj(z): the value at index m - k is the
+    conjugate of the value at index k."""
+    return np.concatenate([half, np.conj(half[1 : (m + 1) // 2][::-1])])
+
+
+def _r0_on_contour(params, z, kvals, m):
+    """R0 at the points z, indices 0..m//2 of the m-point inversion contour.
 
     K has a nonnegative power series with K(1) = 1, so the segment integral
     splits as int_z^1 K = int_0^1 K - sum_n k_n z^(n+1)/(n+1).  The k_n come
-    from an FFT of the already-computed contour values of K; the aliased
-    tail carries a factor radius^m, which the contour size chosen by
-    `conditional_pmfs` keeps below `_ALIAS_TOL`.  The series is
-    cross-checked against direct quadrature at one contour point.
+    from an FFT of the already-computed contour values of K, mirrored onto
+    the whole ring; the aliased tail carries a factor radius^m, which the
+    contour size chosen by `conditional_pmfs` keeps below `_ALIAS_TOL`.
+    The series is cross-checked against direct quadrature at one contour
+    point.
     """
-    m = z.size
     total = _k_integral(params, np.array([0.0 + 0j]))[0]
     # fft of the contour values gives k_n * radius^n directly
-    kn = np.fft.fft(kvals) / m
-    partial = m * np.fft.ifft(kn / np.arange(1, m + 1))
+    kn = np.fft.fft(_mirror(kvals, m)) / m
+    partial = m * np.fft.ifft(kn / np.arange(1, m + 1))[: z.size]
     integral = total - z * partial
     check = _k_integral(params, z[:1])[0]
     if abs(integral[0] - check) > 1e-8:
@@ -453,19 +487,22 @@ def conditional_pmfs(params: ModelParams, n: int, radius: float = 0.9) -> dict:
     R0:  orbit | idle;  R11/R12: queue/orbit | Type-1 in service;
     R21/R22: queue/orbit | Type-2 in service.  One shared contour is used so
     the expensive fixed points and the R0 integral are computed once.  The
-    contour has max(4n, m + 1) points, m the least with radius^m at most
-    `_ALIAS_TOL`, so the R0 series is exact at working precision.
+    contour has m = max(4n, k + 1) points, k the least with radius^k at
+    most `_ALIAS_TOL`, so the R0 series is exact at working precision.
+    h, the orbit factors, R0 and the five transforms are evaluated on its
+    upper half only, indices 0..m//2 (m//2 + 1 points, for odd m as for
+    even), and each is mirrored onto the whole ring before its FFT.
     """
     if not 0.0 < radius < 1.0:
         raise InversionError(f"inversion radius must lie in (0, 1), got {radius}")
     m = max(4 * n, math.ceil(math.log(_ALIAS_TOL) / math.log(radius)) + 1)
     _check_roundoff(n, radius)
-    z = _ring(radius, m)
+    z = _ring(radius, m)[: m // 2 + 1]
     one = np.ones_like(z)
 
     h = solve_h(params, z)
     kf = factor_K(params, z, h)
-    r0 = _r0_on_contour(params, z, kf.k)
+    r0 = _r0_on_contour(params, z, kf.k, m)
     # z2 = 1 slices: h(1) = 1 and the orbit factors and R0 are 1, so
     # H_beta_i(z, 1) is the equilibrium LST S_beta_i(z, 1), with no
     # difference quotient; M1 = (1 - rho1) / (1 - rho1 s1) and
@@ -491,6 +528,6 @@ def conditional_pmfs(params: ModelParams, n: int, radius: float = 0.9) -> dict:
         "R22": "orbit | serving type 2",
     }
     return {
-        name: _coeffs_from_ring(v, n, radius, label=f"{name}: {labels[name]}")
+        name: _coeffs_from_ring(_mirror(v, m), n, radius, label=f"{name}: {labels[name]}")
         for name, v in vals.items()
     }

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtq import model
 from rtq import transforms as T
 from rtq.errors import InversionError
 from rtq.model import Erlang, Exponential, ModelParams, ParetoShifted
@@ -51,6 +52,15 @@ class TestFixedPoints:
         assert complex(T.solve_alpha(ref_params, 0.0 + 0j)) == pytest.approx(
             1.0, abs=1e-12
         )
+
+    def test_h_residual_on_the_half_ring(self, ref_params, alt_params):
+        # every point of the half ring that conditional_pmfs(n=2000, r=0.995)
+        # solves on, m = 8000, must leave Newton's active set converged
+        z = T._ring(0.995, 8000)[:4001]
+        for p in (ref_params, alt_params):
+            h = T.solve_h(p, z)
+            resid = h - p.dist1.lst(p.lam - p.lambda1 * h - p.lambda2 * z)
+            assert np.max(np.abs(resid)) <= 1e-12
 
     def test_g_definition(self, ref_params):
         p = ref_params
@@ -137,7 +147,22 @@ class TestStationaryTransforms:
         z = 0.995 * np.exp(2j * np.pi * np.arange(512) / 512)
         one = np.ones_like(z)
         np.testing.assert_allclose(T.eval_H_beta1(p, z, one),
-                                   T.eval_S_beta(p, 1, z, one), rtol=0, atol=1e-11)
+                                   T.eval_S_beta(p, 1, z, one), rtol=0, atol=1e-14)
+
+    def test_kernels_on_z2_one_use_the_equilibrium_lsts(self, alt_params):
+        # on z2 = 1, H_beta2 is S_beta2, M1 = (1 - rho1) / (1 - rho1 S_beta1)
+        # and M2 = vartheta S_beta2 + 1 - vartheta, with no cancelling
+        # difference quotient, even on the r = 0.998 ring
+        p = alt_params
+        z = 0.998 * np.exp(2j * np.pi * np.arange(2048) / 2048)
+        one = np.ones_like(z)
+        s1 = T.eval_S_beta(p, 1, z, one)
+        s2 = T.eval_S_beta(p, 2, z, one)
+        vt = p.vartheta
+        for got, expect in ((T.eval_H_beta2(p, z, one), s2),
+                            (T.eval_M1(p, z, one), (1 - p.rho1) / (1 - p.rho1 * s1)),
+                            (T.eval_M2(p, z, one), vt * s2 + 1 - vt)):
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14)
 
     def test_h_beta_limit_branch(self, ref_params):
         # approaching the removable singularity z1 -> h(z2) must agree with
@@ -248,6 +273,41 @@ class TestConditionalPmfs:
         direct = T.extract_pmf(lambda z: T.eval_R0(ref_params, z), 10, radius=0.8)
         np.testing.assert_allclose(series.probs, direct.probs, rtol=0, atol=1e-8)
         assert series.deficit == pytest.approx(direct.deficit, abs=1e-8)
+
+    def test_odd_ring_matches_full_ring_inversions(self, ref_params):
+        # n = 10 at r = 0.8 gives an odd contour, m = 125, so the mirrored
+        # half ring has no point at z = -r; the full-ring references use
+        # 160 points, where radius**m is 3e-16
+        p = ref_params
+        pmfs = T.conditional_pmfs(p, 10, radius=0.8)
+        for name, fn in (("R12", T.eval_R1), ("R22", T.eval_R2)):
+            solo = T.extract_pmf(lambda z, fn=fn: fn(p, np.ones_like(z), z), 40, radius=0.8)
+            np.testing.assert_allclose(pmfs[name].probs, solo.probs[:11], rtol=0, atol=1e-10)
+
+    def test_lst_point_budget(self, ref_params, monkeypatch):
+        # the half ring and the Newton active set keep the Pareto LST work of
+        # the deep inversion near half of what a full-ring pass needs
+        points = []
+        unit_lst = model._unit_pareto_lst
+
+        def counted(index, s_arr, rule):
+            points.append(np.size(s_arr))
+            return unit_lst(index, s_arr, rule)
+
+        monkeypatch.setattr(model, "_unit_pareto_lst", counted)
+        T.conditional_pmfs(ref_params, 2000, radius=0.995)
+        assert 0 < sum(points) <= 55_000
+
+    @pytest.mark.parametrize("index", [2.05, 2.1])
+    def test_r0_integral_near_index_two(self, index):
+        # K has a (1 - u)^(index - 1) term at u = 1, which the substitution
+        # u = 1 - (1 - z) t^2 smooths, so the R0 integral converges here
+        p = ModelParams(lam=1.0, q=0.5, mu=1.0,
+                        dist1=ParetoShifted.from_mean(index, 0.6),
+                        dist2=Exponential(10.0 / 3.0))
+        r0 = T.conditional_pmfs(p, 300, radius=0.99)["R0"]
+        assert r0.mean() == pytest.approx(p.psi, abs=1e-3)
+        assert r0.deficit < 1e-5
 
     @pytest.mark.parametrize("radius", [1.0, 1.2])
     def test_rejects_radius_outside_unit_interval(self, ref_params, radius):
