@@ -25,10 +25,6 @@ class NoConvergence(RtqError):
     """A fixed-point iteration hit its iteration cap."""
 
 
-class DegenerateDenominator(RtqError):
-    """A transform denominator vanished away from its removable point."""
-
-
 class InversionError(RtqError):
     """Coefficient extraction produced an inconsistent probability vector."""
 

@@ -2,18 +2,19 @@
 
 A service distribution exposes the handful of functionals the rest of the
 package needs: the Laplace-Stieltjes transform (LST) on the closed right
-half-plane, its derivative, the survival function, exact samplers, the
-equilibrium (stationary-excess) law and a tail descriptor.  Exponential and
-Erlang laws use closed forms; the shifted Pareto law evaluates its LST by
-double-exponential quadrature on a ray rotated so that exp(-s t) decays
-without oscillating, which makes complex arguments (needed for
-generating-function inversion) cost the same as real ones.  The rotated
-integrand is written in real modulus and phase and summed over blocks of
-arguments, and one pass gives the LST and its derivative together.  The
-quadrature rule depends on the index alone: the LST of scale c at s is the
-scale-1 LST at c s, so no scale is too small or too large for it.  The
-shifted Pareto law also gives the pmf of the Poisson count over one service
-time, on the same quadrature nodes, for the limit-lemma checks of `verify`.
+half-plane and its derivative, both from one kernel (`lst_and_deriv`), the
+survival function, exact samplers, the equilibrium (stationary-excess) law
+and a tail descriptor.  Exponential and Erlang laws use closed forms; the
+shifted Pareto law evaluates its LST by double-exponential quadrature on a
+ray rotated so that exp(-s t) decays without oscillating, which makes
+complex arguments (needed for generating-function inversion) cost the same
+as real ones.  The rotated integrand is written in real modulus and phase
+and summed over blocks of arguments, and one pass gives the LST and its
+derivative together.  The quadrature rule depends on the index alone: the
+LST of scale c at s is the scale-1 LST at c s, so no scale is too small or
+too large for it.  The shifted Pareto law also gives the pmf of the Poisson
+count over one service time, on the same quadrature nodes, for the
+limit-lemma checks of `verify`.
 """
 
 from __future__ import annotations
@@ -71,7 +72,10 @@ def _maybe_scalar(out: np.ndarray, kind):
 
 
 class ServiceDist:
-    """Common interface of service-time laws; subclasses fill in the law."""
+    """Common interface of service-time laws; subclasses fill in the law.
+
+    A law defines one LST kernel, `lst_and_deriv`, which gives the LST and
+    its derivative together; `lst` and `lst_deriv` are its two halves."""
 
     kind: str
 
@@ -87,17 +91,18 @@ class ServiceDist:
     def tail(self) -> TailDescriptor:
         raise NotImplementedError
 
-    def lst(self, s):
-        """E exp(-s T) for Re(s) >= 0; accepts scalars or arrays."""
+    def lst_and_deriv(self, s):
+        """(E exp(-s T), its derivative -E[T exp(-s T)]) for Re(s) >= 0;
+        accepts scalars or arrays.  The one LST kernel each law defines."""
         raise NotImplementedError
+
+    def lst(self, s):
+        """E exp(-s T): the first half of `lst_and_deriv`."""
+        return self.lst_and_deriv(s)[0]
 
     def lst_deriv(self, s):
-        """d/ds of the LST (equals -E[T exp(-s T)])."""
-        raise NotImplementedError
-
-    def lst_and_deriv(self, s):
-        """(lst(s), lst_deriv(s)); laws that get both from one pass override it."""
-        return self.lst(s), self.lst_deriv(s)
+        """d/ds of the LST: the second half of `lst_and_deriv`."""
+        return self.lst_and_deriv(s)[1]
 
     def survival(self, t):
         raise NotImplementedError
@@ -137,13 +142,10 @@ class Exponential(ServiceDist):
     def tail(self):
         return TailDescriptor(r=self.rate, a=0.0, L0=1.0)
 
-    def lst(self, s):
+    def lst_and_deriv(self, s):
         arr, kind = _as_complex(s)
-        return _maybe_scalar(self.rate / (self.rate + arr), kind)
-
-    def lst_deriv(self, s):
-        arr, kind = _as_complex(s)
-        return _maybe_scalar(-self.rate / (self.rate + arr) ** 2, kind)
+        den = self.rate + arr
+        return _maybe_scalar(self.rate / den, kind), _maybe_scalar(-self.rate / den**2, kind)
 
     def survival(self, t):
         return np.exp(-self.rate * np.asarray(t, dtype=float))
@@ -187,14 +189,12 @@ class Erlang(ServiceDist):
             r=self.rate, a=-(k - 1), L0=self.rate ** (k - 1) / math.factorial(k - 1)
         )
 
-    def lst(self, s):
-        arr, kind = _as_complex(s)
-        return _maybe_scalar((self.rate / (self.rate + arr)) ** self.shape, kind)
-
-    def lst_deriv(self, s):
+    def lst_and_deriv(self, s):
         arr, kind = _as_complex(s)
         k, nu = self.shape, self.rate
-        return _maybe_scalar(-k * nu**k / (nu + arr) ** (k + 1), kind)
+        den = nu + arr
+        deriv = -k * nu**k / den ** (k + 1)
+        return _maybe_scalar((nu / den) ** k, kind), _maybe_scalar(deriv, kind)
 
     def survival(self, t):
         # P{Poisson(x) < shape} at x = rate t, its terms summed in log space;
@@ -230,7 +230,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 # quadrature levels tried in order: (step, half-width) of the exp-sinh rule
-_ESH_LEVELS = [(0.08, 4.6), (0.05, 5.0), (0.032, 5.4)]
+_ESH_LEVELS = [(0.08, 4.6), (0.05, 5.0), (0.032, 5.4), (0.02, 5.8)]
 # LST arguments per kernel block; a block's (points x nodes) float64
 # temporaries, about 400 kB each, then stay near a core's cache size
 _LST_BLOCK = 256
@@ -368,12 +368,6 @@ class ParetoShifted(ServiceDist):
             raise BadParam("pareto LST requires Re(s) >= 0")
         return arr
 
-    def lst(self, s):
-        return self.lst_and_deriv(s)[0]
-
-    def lst_deriv(self, s):
-        return self.lst_and_deriv(s)[1]
-
     def lst_and_deriv(self, s):
         arr, kind = _as_complex(s)
         c = self.scale
@@ -465,19 +459,14 @@ class Mixture(ServiceDist):
         )
         return TailDescriptor(r=key[0], a=key[1], L0=float(L0))
 
-    def lst(self, s):
+    def lst_and_deriv(self, s):
         arr, kind = _as_complex(s)
-        out = np.zeros_like(arr)
+        val, deriv = np.zeros_like(arr), np.zeros_like(arr)
         for w, c in zip(self.weights, self.components):
-            out += w * np.atleast_1d(np.asarray(c.lst(arr), dtype=complex))
-        return _maybe_scalar(out, kind)
-
-    def lst_deriv(self, s):
-        arr, kind = _as_complex(s)
-        out = np.zeros_like(arr)
-        for w, c in zip(self.weights, self.components):
-            out += w * np.atleast_1d(np.asarray(c.lst_deriv(arr), dtype=complex))
-        return _maybe_scalar(out, kind)
+            cv, cd = c.lst_and_deriv(arr)
+            val += w * cv
+            deriv += w * cd
+        return _maybe_scalar(val, kind), _maybe_scalar(deriv, kind)
 
     def survival(self, t):
         return sum(w * c.survival(t) for w, c in zip(self.weights, self.components))

@@ -14,9 +14,10 @@ arithmetic they share lives in private array kernels, which
 computed on its contour.
 
 Every transform inverted here is a PGF with real coefficients, so it takes
-conjugate values at z and conj(z).  `conditional_pmfs` therefore evaluates
-only the upper half of its contour, indices 0..m//2, and mirrors the rest
-(`_mirror`); its FFT coefficients are real by construction.
+conjugate values at z and conj(z).  `conditional_pmfs` and `extract_pmf`
+therefore evaluate only the upper half of the contour, indices 0..m//2
+(`_ring`), and recover the coefficients by a real inverse FFT, which makes
+them real by construction.
 """
 
 from __future__ import annotations
@@ -389,9 +390,11 @@ def eval_R2_raw(params: ModelParams, z1, z2):
     return _maybe_scalar(np.atleast_1d(out), kind)
 
 
-def _ring(radius, points):
-    m = np.arange(points)
-    return radius * np.exp(2j * np.pi * m / points)
+def _ring(radius, m):
+    """Indices 0..m//2 of the m-point ring of the given radius: the upper
+    half, which fixes a PGF with real coefficients on the whole ring."""
+    k = np.arange(m // 2 + 1)
+    return radius * np.exp(2j * np.pi * k / m)
 
 
 def _check_roundoff(n, radius):
@@ -408,30 +411,21 @@ def _check_roundoff(n, radius):
         )
 
 
-def _mirror(half, m):
-    """Values on the whole m-point ring from those at indices 0..m//2.
-
-    Every transform inverted here is a PGF with real coefficients, so it
-    takes conjugate values at z and conj(z): the value at index m - k is the
-    conjugate of the value at index k."""
-    return np.concatenate([half, np.conj(half[1 : (m + 1) // 2][::-1])])
-
-
 def _r0_on_contour(params, z, kvals, m):
     """R0 at the points z, indices 0..m//2 of the m-point inversion contour.
 
     K has a nonnegative power series with K(1) = 1, so the segment integral
-    splits as int_z^1 K = int_0^1 K - sum_n k_n z^(n+1)/(n+1).  The k_n come
-    from an FFT of the already-computed contour values of K, mirrored onto
-    the whole ring; the aliased tail carries a factor radius^m, which the
+    splits as int_z^1 K = int_0^1 K - sum_n k_n z^(n+1)/(n+1).  The real
+    inverse FFT of the half-ring values of K gives k_n radius^n, and the
+    real forward FFT of those terms over n + 1 sums the series back on the
+    half ring; the aliased tail carries a factor radius^m, which the
     contour size chosen by `conditional_pmfs` keeps below `_ALIAS_TOL`.
     The series is cross-checked against direct quadrature at one contour
     point.
     """
     total = _k_integral(params, np.array([0.0 + 0j]))[0]
-    # fft of the contour values gives k_n * radius^n directly
-    kn = np.fft.fft(_mirror(kvals, m)) / m
-    partial = m * np.fft.ifft(kn / np.arange(1, m + 1))[: z.size]
+    kn = np.fft.irfft(np.conj(kvals), m)  # k_n * radius^n
+    partial = np.conj(np.fft.rfft(kn / np.arange(1, m + 1)))
     integral = total - z * partial
     check = _k_integral(params, z[:1])[0]
     if abs(integral[0] - check) > 1e-8:
@@ -442,11 +436,14 @@ def _r0_on_contour(params, z, kvals, m):
     return np.exp(-params.psi * integral)
 
 
-def _coeffs_from_ring(values, n, radius, label=""):
-    """Power-series coefficients p_0..p_n from samples on |z| = radius."""
-    m = values.size
-    coeffs = np.fft.fft(values)[: n + 1] / m
-    probs = coeffs.real * radius ** -np.arange(n + 1)
+def _coeffs_from_ring(values, m, n, radius, label=""):
+    """Power-series coefficients p_0..p_n of a PGF with real coefficients
+    from its values at indices 0..m//2 of the m-point ring |z| = radius.
+
+    The values at the other indices are the conjugates of these, so the
+    real inverse FFT of the conjugated values is the coefficient vector
+    itself, real for odd and even m."""
+    probs = np.fft.irfft(np.conj(values), m)[: n + 1] * radius ** -np.arange(n + 1)
     lowest = probs.min()
     if lowest < -1e-6:
         raise InversionError(f"{label or 'pmf'}: coefficient {lowest:.3e} below -1e-6")
@@ -462,10 +459,12 @@ def _coeffs_from_ring(values, n, radius, label=""):
 def extract_pmf(f, n: int, radius: float = 0.9, label: str = "") -> Pmf:
     """Invert a one-argument PGF by sampling it on a circle of given radius.
 
-    Uses 4n contour points; the result carries the unrecovered tail mass as
-    `deficit`.  A radius above 1 is allowed for PGFs analytic beyond the
-    unit disk (light-tailed laws), where it is the only way to resolve
-    geometrically small coefficients.
+    The contour has 4n points, and f is evaluated on its upper half only,
+    the 2n + 1 points of `_ring`: a PGF has real coefficients, so its
+    values there fix the rest.  The result carries the unrecovered tail
+    mass as `deficit`.  A radius above 1 is allowed for PGFs analytic
+    beyond the unit disk (light-tailed laws), where it is the only way to
+    resolve geometrically small coefficients.
     """
     if n < 1:
         raise InversionError("need n >= 1 coefficients")
@@ -477,8 +476,8 @@ def extract_pmf(f, n: int, radius: float = 0.9, label: str = "") -> Pmf:
     if abs(at_one - 1.0) > 1e-8:
         raise InversionError(f"{label or 'pmf'}: PGF at 1 is {at_one:.10f}, not 1")
     z = _ring(radius, m)
-    values = np.asarray(f(z), dtype=complex).reshape(m)
-    return _coeffs_from_ring(values, n, radius, label=label)
+    values = np.asarray(f(z), dtype=complex).reshape(z.size)
+    return _coeffs_from_ring(values, m, n, radius, label=label)
 
 
 def conditional_pmfs(params: ModelParams, n: int, radius: float = 0.9) -> dict:
@@ -491,13 +490,13 @@ def conditional_pmfs(params: ModelParams, n: int, radius: float = 0.9) -> dict:
     most `_ALIAS_TOL`, so the R0 series is exact at working precision.
     h, the orbit factors, R0 and the five transforms are evaluated on its
     upper half only, indices 0..m//2 (m//2 + 1 points, for odd m as for
-    even), and each is mirrored onto the whole ring before its FFT.
+    even), and each is inverted from there by one real FFT.
     """
     if not 0.0 < radius < 1.0:
         raise InversionError(f"inversion radius must lie in (0, 1), got {radius}")
     m = max(4 * n, math.ceil(math.log(_ALIAS_TOL) / math.log(radius)) + 1)
     _check_roundoff(n, radius)
-    z = _ring(radius, m)[: m // 2 + 1]
+    z = _ring(radius, m)
     one = np.ones_like(z)
 
     h = solve_h(params, z)
@@ -528,6 +527,6 @@ def conditional_pmfs(params: ModelParams, n: int, radius: float = 0.9) -> dict:
         "R22": "orbit | serving type 2",
     }
     return {
-        name: _coeffs_from_ring(_mirror(v, m), n, radius, label=f"{name}: {labels[name]}")
+        name: _coeffs_from_ring(v, m, n, radius, label=f"{name}: {labels[name]}")
         for name, v in vals.items()
     }

@@ -143,18 +143,23 @@ def fit_tail(source, window, known_kappa: float | None = None, L0: float = 1.0) 
                    "loglog-regression")
 
 
-def light_queue_pmf(params: ModelParams, n: int, margin: float = 0.85) -> Pmf:
+# share of the PGF's radius of analyticity beyond 1 that light_queue_pmf's
+# contour reaches out to
+_LIGHT_MARGIN = 0.85
+
+
+def light_queue_pmf(params: ModelParams, n: int) -> Pmf:
     """Queue-given-low-priority-service pmf when the type-2 law is light.
 
     Its coefficients fall geometrically, far below the round-off floor of a
     contour inside the unit disk, so this inverts on a circle of radius
-    1 + margin * r / lambda1 -- inside the PGF's disk of analyticity, which
-    extends to 1 + r / lambda1.
+    1 + `_LIGHT_MARGIN` * r / lambda1 -- inside the PGF's disk of
+    analyticity, which extends to 1 + r / lambda1.
     """
     t2 = params.dist2.tail
     if t2.is_power:
         raise ValueError("light-tail inversion needs a light-tailed type-2 law")
-    radius = 1.0 + margin * t2.r / params.lambda1
+    radius = 1.0 + _LIGHT_MARGIN * t2.r / params.lambda1
 
     def pgf(z):
         z = np.asarray(z, dtype=complex)

@@ -12,7 +12,11 @@ def test_all_errors_share_the_base():
         obj for _, obj in inspect.getmembers(errors, inspect.isclass)
         if issubclass(obj, Exception) and obj is not errors.RtqError
     ]
-    assert len(members) >= 12
+    assert {cls.__name__ for cls in members} == {
+        "AssumptionViolation", "BadParam", "InsufficientData", "InversionError",
+        "NoConvergence", "NotApplicable", "OverflowGuard", "QuadratureFailure",
+        "RecursionDepthExceeded", "Unstable", "WindowTooNoisy",
+    }
     for cls in members:
         assert issubclass(cls, errors.RtqError)
 

@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from rtq import model
 from rtq.errors import AssumptionViolation, BadParam, Unstable
 from rtq.model import (
     Erlang,
@@ -15,6 +16,7 @@ from rtq.model import (
     Mixture,
     ModelParams,
     ParetoShifted,
+    ServiceDist,
     _pareto_rule,
     validate,
 )
@@ -154,7 +156,7 @@ class TestParetoShifted:
         assert np.all(x >= 0)
         assert x.mean() == pytest.approx(0.6, abs=0.01)
 
-    @pytest.mark.parametrize("index", [1.5, 2.5, 4.0])
+    @pytest.mark.parametrize("index", [0.5, 1.5, 2.5, 4.0])
     @pytest.mark.parametrize("s", [0.3, 2.0, 17.0, 1.0 + 1.0j, 0.2 - 2.0j, 1e-9 + 0.3j])
     def test_lst_against_closed_form(self, index, s):
         # DLMF 13.4.4: int_0^inf e^{-s t} (1 + t/c)^{-a-1} dt = c U(1, 1-a, c s),
@@ -194,7 +196,9 @@ class TestParetoShifted:
         assert type(d.lst(0.3)) is float and type(d.lst(0.3 + 0j)) is float
         assert d.lst(0.3) == d.lst(np.array([0.3]))[0].real
 
-    @pytest.mark.parametrize("index, nodes", [(1.5, 338), (2.5, 201), (3.0, 201), (4.0, 201)])
+    @pytest.mark.parametrize(
+        "index, nodes", [(0.5, 581), (1.5, 338), (2.5, 201), (3.0, 201), (4.0, 201)]
+    )
     def test_rule_level(self, index, nodes):
         t, w = _pareto_rule(index)
         assert t.size == w.size == nodes
@@ -242,6 +246,19 @@ def test_lst_and_deriv_equals_separate_calls(dist, s):
     np.testing.assert_array_equal(val, dist.lst(s))
     np.testing.assert_array_equal(deriv, dist.lst_deriv(s))
     assert type(val) is type(dist.lst(s)) and type(deriv) is type(dist.lst_deriv(s))
+
+
+def test_laws_define_only_the_fused_lst():
+    # lst and lst_deriv are the two halves of lst_and_deriv, written once in
+    # ServiceDist; a law that overrode one of them could drift from its kernel
+    laws = [
+        cls for cls in vars(model).values()
+        if isinstance(cls, type) and issubclass(cls, ServiceDist) and cls is not ServiceDist
+    ]
+    assert {cls.__name__ for cls in laws} == {"Exponential", "Erlang", "ParetoShifted", "Mixture"}
+    for cls in laws:
+        assert "lst_and_deriv" in vars(cls), cls.__name__
+        assert not {"lst", "lst_deriv"} & set(vars(cls)), cls.__name__
 
 
 class TestLengthBiased:

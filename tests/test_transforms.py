@@ -56,7 +56,7 @@ class TestFixedPoints:
     def test_h_residual_on_the_half_ring(self, ref_params, alt_params):
         # every point of the half ring that conditional_pmfs(n=2000, r=0.995)
         # solves on, m = 8000, must leave Newton's active set converged
-        z = T._ring(0.995, 8000)[:4001]
+        z = T._ring(0.995, 8000)
         for p in (ref_params, alt_params):
             h = T.solve_h(p, z)
             resid = h - p.dist1.lst(p.lam - p.lambda1 * h - p.lambda2 * z)
@@ -222,6 +222,23 @@ class TestExtractPmf:
         with pytest.raises(InversionError, match="round-off"):
             T.extract_pmf(lambda z: (1 - g) / (1 - g * z), 500, radius=0.9)
 
+    @pytest.mark.parametrize("m", [45, 44])
+    def test_half_ring_matches_full_ring_fft(self, m):
+        # a PGF with known coefficients (j + 1) (1 - g)^2 g^j: the real FFT of
+        # its half-ring values gives what a complex FFT of all m values does
+        g, n, radius = 0.35, 10, 0.9
+        f = lambda z: ((1 - g) / (1 - g * z)) ** 2
+        j = np.arange(n + 1)
+        half = T._ring(radius, m)
+        assert half.size == m // 2 + 1
+        full = radius * np.exp(2j * np.pi * np.arange(m) / m)
+        np.testing.assert_array_equal(half, full[: half.size])
+        expect = (np.fft.fft(f(full)) / m)[: n + 1] * radius ** -j
+        pmf = T._coeffs_from_ring(f(half), m, n, radius)
+        np.testing.assert_allclose(pmf.probs, expect.real, rtol=0, atol=1e-15)
+        assert np.max(np.abs(expect.imag)) < 1e-15
+        np.testing.assert_allclose(pmf.probs, (j + 1) * (1 - g) ** 2 * g**j, rtol=0, atol=1e-14)
+
     def test_radius_above_one_for_light_tails(self):
         g = 0.2  # analytic up to 1/g = 5
         pmf = T.extract_pmf(lambda z: (1 - g) / (1 - g * z), 60, radius=2.0)
@@ -308,6 +325,20 @@ class TestConditionalPmfs:
         r0 = T.conditional_pmfs(p, 300, radius=0.99)["R0"]
         assert r0.mean() == pytest.approx(p.psi, abs=1e-3)
         assert r0.deficit < 1e-5
+
+    def test_type1_index_one_and_a_half(self):
+        # the type-1 equilibrium law has index 0.5, whose LST needs the
+        # finest exp-sinh level
+        p = ModelParams(lam=1.0, q=0.5, mu=1.0,
+                        dist1=ParetoShifted.from_mean(1.5, 0.6),
+                        dist2=Exponential(10.0 / 3.0))
+        pmfs = T.conditional_pmfs(p, 300, radius=0.99)
+        # the orbit survival falls like j^-1.5, so the mean of p_0..p_300
+        # falls short of psi by about 0.013
+        assert 0.0 < p.psi - pmfs["R0"].mean() < 0.02
+        assert pmfs["R0"].deficit < 1e-4
+        for pmf in pmfs.values():
+            assert pmf.probs.sum() + pmf.deficit == pytest.approx(1.0, abs=1e-7)
 
     @pytest.mark.parametrize("radius", [1.0, 1.2])
     def test_rejects_radius_outside_unit_interval(self, ref_params, radius):
