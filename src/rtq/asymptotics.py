@@ -111,28 +111,19 @@ def tail_catalog(params: ModelParams) -> dict:
     s12_c = lam1 * lam2 ** (a - 1) / (rho1 * (a - 1))
     put("s12", s12_c, a - 1, desc="orbit part of the type-1 excess factor")
     if t2.is_power:
-        s21 = PowerTail(
-            c=lam2 * lam1 ** (t2.a - 1) / (rho2 * (t2.a - 1)), kappa=t2.a - 1,
-            L0=t2.L0, description="queue part of the type-2 excess factor",
-        )
-        s22 = PowerTail(
-            c=lam2**t2.a / (rho2 * (t2.a - 1)), kappa=t2.a - 1,
-            L0=t2.L0, description="orbit part of the type-2 excess factor",
-        )
+        put("s21", lam2 * lam1 ** (t2.a - 1) / (rho2 * (t2.a - 1)), t2.a - 1,
+            L0=t2.L0, desc="queue part of the type-2 excess factor")
+        put("s22", lam2**t2.a / (rho2 * (t2.a - 1)), t2.a - 1,
+            L0=t2.L0, desc="orbit part of the type-2 excess factor")
     else:
         r = t2.r
-        s21 = PowerTail(
-            c=lam2 * lam1 * (lam1 + r) ** (t2.a - 1) / (rho2 * r), kappa=t2.a,
+        put("s21", lam2 * lam1 * (lam1 + r) ** (t2.a - 1) / (rho2 * r), t2.a,
             L0=t2.L0, geom=lam1 / (lam1 + r),
-            description="queue part of the type-2 excess factor",
-        )
-        s22 = PowerTail(
-            c=lam2 * lam2 * (lam2 + r) ** (t2.a - 1) / (rho2 * r), kappa=t2.a,
+            desc="queue part of the type-2 excess factor")
+        put("s22", lam2 * lam2 * (lam2 + r) ** (t2.a - 1) / (rho2 * r), t2.a,
             L0=t2.L0, geom=lam2 / (lam2 + r),
-            description="orbit part of the type-2 excess factor",
-        )
-    cat["s21"] = s21
-    cat["s22"] = s22
+            desc="orbit part of the type-2 excess factor")
+    s21 = cat["s21"]
 
     # --- difference-quotient factors -------------------------------------
     put("h11", cat["s11"].c, a - 1, desc="queue part of the type-1 H factor")
@@ -142,20 +133,15 @@ def tail_catalog(params: ModelParams) -> dict:
         desc="lower envelope for the orbit part of the type-1 H factor")
     put("h12_upper", a / one1 ** (a - 1) * s12_c, a - 1, validity="upper-bound",
         desc="upper envelope for the orbit part of the type-1 H factor")
-    cat["h21"] = PowerTail(
-        c=s21.c, kappa=s21.kappa, L0=s21.L0, geom=s21.geom,
-        description="queue part of the type-2 H factor",
-    )
+    put("h21", s21.c, s21.kappa, s21.L0, s21.geom,
+        desc="queue part of the type-2 H factor")
     put("h22", 0.0, a - 1, validity="little-o",
         desc="orbit part of the type-2 H factor")
 
     # --- geometric compounds ---------------------------------------------
     put("m11", rho1 / one1 * cat["s11"].c, a - 1, desc="queue part of M1")
     put("m12", rho1 / one1 * cat["h12"].c, a - 1, desc="orbit part of M1")
-    cat["m21"] = PowerTail(
-        c=vt * s21.c, kappa=s21.kappa, L0=s21.L0, geom=s21.geom,
-        description="queue part of M2",
-    )
+    put("m21", vt * s21.c, s21.kappa, s21.L0, s21.geom, desc="queue part of M2")
     put("m22", vt * kac_c, a - 1, desc="orbit part of M2")
 
     # --- stationary conditional laws -------------------------------------
@@ -164,10 +150,8 @@ def tail_catalog(params: ModelParams) -> dict:
     put("r12", (rho2 / (1.0 - rho) + 1.0 / rho1)
         * lam1 * lam2 ** (a - 1) / ((a - 1) * one1**a), a - 1,
         desc="orbit given a type-1 service")
-    cat["r21"] = PowerTail(
-        c=s21.c, kappa=s21.kappa, L0=s21.L0, geom=s21.geom,
-        description="queue given a type-2 service",
-    )
+    put("r21", s21.c, s21.kappa, s21.L0, s21.geom,
+        desc="queue given a type-2 service")
     put("r22", kac_c, a - 1, desc="orbit given a type-2 service")
 
     return cat

@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,15 +50,15 @@ _KAPPA_TOL, _C_TOL = 0.15, 0.25
 class RunConfig:
     params: ModelParams
     sim: SimConfig
-    inversion_n: int = 150
-    inversion_radius: float = 0.9
-    verify_window: tuple = (50, 1000)
-    verify_light_window: tuple = (30, 100)
-    verify_n_states: int = 50
-    verify_samples: int = 1_000_000
-    out: str = "out"
-    seed: int = 0
-    raw: dict = field(default_factory=dict)
+    inversion_n: int
+    inversion_radius: float
+    verify_window: tuple
+    verify_light_window: tuple
+    verify_n_states: int
+    verify_samples: int
+    out: str
+    seed: int
+    raw: dict
 
 
 def _require_keys(block: dict, allowed: set, where: str):
@@ -121,11 +121,7 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
     seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
     sim_block = raw.get("sim", {})
     _require_keys(sim_block, {"max_events", "queue_cap"}, "sim")
-    sim = SimConfig(
-        max_events=int(sim_block.get("max_events", 1_000_000)),
-        seed=seed,
-        queue_cap=int(sim_block.get("queue_cap", 10_000_000)),
-    )
+    sim = SimConfig(seed=seed, **{key: int(v) for key, v in sim_block.items()})
 
     inv = raw.get("inversion", {})
     _require_keys(inv, {"n", "radius"}, "inversion")
@@ -276,7 +272,7 @@ def _verify_target(cfg, target, pmfs, sim_res, sampler_pmfs, catalog):
         sources["simulator"] = sim_res.conditional_pmf(state, coord)
     except InsufficientData:
         pass
-    entry = catalog[verify.TARGET_TO_CATALOG[target]]
+    entry = catalog[target.lower()]
     window = cfg.verify_window
     if entry.geom < 1.0:
         window = cfg.verify_light_window
@@ -297,18 +293,12 @@ def cmd_verify(cfg: RunConfig) -> list:
     sim_res = simulate(params, cfg.sim)
     sampler = DecompositionSampler(params, seed=cfg.seed)
     nd = cfg.verify_samples
-    draws = {
-        "R0": sampler.sample_r0(nd),
-        "R1": sampler.sample_r1_pair(nd),
-        "R2": sampler.sample_r2_pair(nd),
-    }
-    m = cfg.verify_n_states
+    # drawn in TARGET_STATES order: R0, then the (R11, R12) and (R21, R22) pairs
+    draws = (sampler.sample_r0(nd), *sampler.sample_r1_pair(nd),
+             *sampler.sample_r2_pair(nd))
     sampler_pmfs = {
-        "R0": verify.empirical_pmf(draws["R0"], m),
-        "R11": verify.empirical_pmf(draws["R1"][0], m),
-        "R12": verify.empirical_pmf(draws["R1"][1], m),
-        "R21": verify.empirical_pmf(draws["R2"][0], m),
-        "R22": verify.empirical_pmf(draws["R2"][1], m),
+        target: verify.empirical_pmf(d, cfg.verify_n_states)
+        for target, d in zip(TARGET_STATES, draws)
     }
     catalog = asymptotics.tail_catalog(params)
     reports = [

@@ -64,20 +64,28 @@ class DecompositionSampler:
         Each period is the total service time of a branching tree: the root
         customer's service (drawn from `root`, by default the type-1 law),
         plus one subtree per priority arrival during any service in the tree.
+        By default the trees may hold 30 times their mean total of services,
+        and at least a million; a tree has 1 + lam1 E[root] / (1 - rho1)
+        services on average, a mean taken as 1 when E[root] is infinite.
         """
         p = self.params
         rng = self.rng
-        budget = max_nodes if max_nodes is not None else max(1_000_000, 30 * n)
-        svc = (p.dist1 if root is None else root).sample(rng, n)
+        root = p.dist1 if root is None else root
+        if max_nodes is None:
+            per_tree = 1.0 + p.lambda1 * root.mean / (1.0 - p.rho1)
+            if not np.isfinite(per_tree):
+                per_tree = 1.0
+            max_nodes = max(1_000_000, int(30 * n * per_tree))
+        svc = root.sample(rng, n)
         total = svc.copy()
         owner = np.arange(n)
         used = n
         while owner.size:
             kids = rng.poisson(p.lambda1 * svc)
             used += int(kids.sum())
-            if used > budget:
+            if used > max_nodes:
                 raise RecursionDepthExceeded(
-                    f"busy-period trees exceeded {budget} services"
+                    f"busy-period trees exceeded {max_nodes} services"
                 )
             owner = np.repeat(owner, kids)
             if owner.size == 0:

@@ -15,6 +15,11 @@ LST of scale c at s is the scale-1 LST at c s, so no scale is too small or
 too large for it.  The shifted Pareto law also gives the pmf of the Poisson
 count over one service time, on the same quadrature nodes, for the
 limit-lemma checks of `verify`.
+
+The LST evaluators follow numpy's convention: the argument is taken as
+`np.asarray(s, dtype=complex)` and the result has its shape, so a scalar,
+real or complex, gives a complex numpy scalar (`np.complex128`, a subclass
+of `complex`), as a one-element array gives a one-element complex array.
 """
 
 from __future__ import annotations
@@ -52,25 +57,6 @@ class TailDescriptor:
         return self.r == 0.0
 
 
-def _as_complex(s):
-    """(at least 1-d complex array, kind): the evaluators here and in
-    `transforms` compute on arrays and hand scalars back.  kind is None for
-    an array, float for a real scalar and complex for any other scalar."""
-    arr = np.asarray(s, dtype=complex)
-    if arr.ndim:
-        return arr, None
-    return np.atleast_1d(arr), complex if arr.imag else float
-
-
-def _maybe_scalar(out: np.ndarray, kind):
-    """Undo `_as_complex`: an array input gets the array back, a scalar one
-    a Python scalar of its own kind (the real part for a real argument)."""
-    if kind is None:
-        return out
-    v = complex(out.reshape(-1)[0])
-    return v.real if kind is float else v
-
-
 class ServiceDist:
     """Common interface of service-time laws; subclasses fill in the law.
 
@@ -92,8 +78,8 @@ class ServiceDist:
         raise NotImplementedError
 
     def lst_and_deriv(self, s):
-        """(E exp(-s T), its derivative -E[T exp(-s T)]) for Re(s) >= 0;
-        accepts scalars or arrays.  The one LST kernel each law defines."""
+        """(E exp(-s T), its derivative -E[T exp(-s T)]) for Re(s) >= 0,
+        complex and of the shape of s.  The one LST kernel each law defines."""
         raise NotImplementedError
 
     def lst(self, s):
@@ -143,9 +129,8 @@ class Exponential(ServiceDist):
         return TailDescriptor(r=self.rate, a=0.0, L0=1.0)
 
     def lst_and_deriv(self, s):
-        arr, kind = _as_complex(s)
-        den = self.rate + arr
-        return _maybe_scalar(self.rate / den, kind), _maybe_scalar(-self.rate / den**2, kind)
+        den = self.rate + np.asarray(s, dtype=complex)
+        return self.rate / den, -self.rate / den**2
 
     def survival(self, t):
         return np.exp(-self.rate * np.asarray(t, dtype=float))
@@ -190,11 +175,9 @@ class Erlang(ServiceDist):
         )
 
     def lst_and_deriv(self, s):
-        arr, kind = _as_complex(s)
         k, nu = self.shape, self.rate
-        den = nu + arr
-        deriv = -k * nu**k / den ** (k + 1)
-        return _maybe_scalar((nu / den) ** k, kind), _maybe_scalar(deriv, kind)
+        den = nu + np.asarray(s, dtype=complex)
+        return (nu / den) ** k, -k * nu**k / den ** (k + 1)
 
     def survival(self, t):
         # P{Poisson(x) < shape} at x = rate t, its terms summed in log space;
@@ -369,12 +352,10 @@ class ParetoShifted(ServiceDist):
         return arr
 
     def lst_and_deriv(self, s):
-        arr, kind = _as_complex(s)
         c = self.scale
-        val, deriv = _unit_pareto_lst(
-            self.index, c * self._clamp_halfplane(arr), _pareto_rule(self.index)
-        )
-        return _maybe_scalar(val, kind), _maybe_scalar(c * deriv, kind)
+        arr = self._clamp_halfplane(np.asarray(s, dtype=complex))
+        val, deriv = _unit_pareto_lst(self.index, c * arr, _pareto_rule(self.index))
+        return val[()], (c * deriv)[()]
 
     def survival(self, t):
         return (1 + np.asarray(t, dtype=float) / self.scale) ** (-self.index)
@@ -460,13 +441,9 @@ class Mixture(ServiceDist):
         return TailDescriptor(r=key[0], a=key[1], L0=float(L0))
 
     def lst_and_deriv(self, s):
-        arr, kind = _as_complex(s)
-        val, deriv = np.zeros_like(arr), np.zeros_like(arr)
-        for w, c in zip(self.weights, self.components):
-            cv, cd = c.lst_and_deriv(arr)
-            val += w * cv
-            deriv += w * cd
-        return _maybe_scalar(val, kind), _maybe_scalar(deriv, kind)
+        parts = [c.lst_and_deriv(s) for c in self.components]
+        val = sum(w * v for w, (v, _) in zip(self.weights, parts))
+        return val, sum(w * d for w, (_, d) in zip(self.weights, parts))
 
     def survival(self, t):
         return sum(w * c.survival(t) for w, c in zip(self.weights, self.components))

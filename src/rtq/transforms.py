@@ -7,11 +7,13 @@ the idle-orbit transform R0, the service-excess factors S, the
 difference-quotient factors H, the geometric factors M1/M2, and the full
 conditional transforms R1/R2 in both their raw and factored forms.
 
-All evaluators broadcast over numpy arrays; scalars in, scalars out.  The
-public `eval_*` functions take points only and solve for h themselves; the
-arithmetic they share lives in private array kernels, which
-`conditional_pmfs` calls with the h, orbit factors and R0 it has already
-computed on its contour.
+All evaluators follow numpy's convention: arguments are taken as complex
+arrays and the result has their broadcast shape, so scalar arguments, real
+or complex, give a complex numpy scalar (`np.complex128`), as one-element
+arrays give a one-element complex array.  The public `eval_*` functions
+take points only and solve for h themselves; the arithmetic they share
+lives in private array kernels, which `conditional_pmfs` calls with the h,
+orbit factors and R0 it has already computed on its contour.
 
 Every transform inverted here is a PGF with real coefficients, so it takes
 conjugate values at z and conj(z).  `conditional_pmfs` and `extract_pmf`
@@ -31,7 +33,7 @@ from functools import cache
 import numpy as np
 
 from .errors import InversionError, NoConvergence, QuadratureFailure
-from .model import ModelParams, _as_complex, _maybe_scalar
+from .model import ModelParams
 
 __all__ = [
     "Pmf",
@@ -63,9 +65,8 @@ _ROOT_TOL = 1e-12  # Newton step size at which a busy-period root is accepted
 _ROOT_MAX_ITER = 10_000
 
 
-# beta2_g = beta2(lam (1 - g(u))) is the shifted value in M2's H_beta2
-# quotient, from the same rule as the quotient's other beta2 value
-KFactors = namedtuple("KFactors", ["ka", "kb", "kc", "k", "beta2_g"])
+# the paper's three orbit factors and their product K = Ka Kb Kc
+KFactors = namedtuple("KFactors", ["ka", "kb", "kc", "k"])
 
 
 @dataclass
@@ -101,17 +102,15 @@ def _busy_root(params, y_of):
     point's final step is at most `_ROOT_TOL`."""
     d = params.dist1
     lam1 = params.lambda1
-    x = None
+    x = 0.0
     for _ in range(4):
-        y = y_of(0.0 if x is None else x)
-        x = np.asarray(d.lst(y), dtype=complex)
+        x = d.lst(y_of(x))
+    x = np.asarray(x)  # 0-d for a scalar argument; updated by mask below
     active = np.ones(x.shape, dtype=bool)
     for _ in range(_ROOT_MAX_ITER):
         xa = x[active]
         b, db = d.lst_and_deriv(y_of(x)[active])
-        step = (np.asarray(b, dtype=complex) - xa) / (
-            -lam1 * np.asarray(db, dtype=complex) - 1.0
-        )
+        step = (b - xa) / (-lam1 * db - 1.0)
         xa -= step
         # the root is a transform of a law, so |x| <= 1; past the circle the
         # LST's argument is clamped to Re >= 0 and the next step overshoots
@@ -119,53 +118,48 @@ def _busy_root(params, y_of):
         x[active] = xa
         active[active] = np.abs(step) > _ROOT_TOL
         if not active.any():
-            return x
+            return x[()]
     raise NoConvergence(f"busy-period fixed point stalled (last step {np.max(np.abs(step)):.2e})")
 
 
 def solve_alpha(params: ModelParams, s):
     """Minimal root of the busy-period equation a = beta1(s + lam1 - lam1 a)."""
-    arr, kind = _as_complex(s)
+    s = np.asarray(s, dtype=complex)
     lam1 = params.lambda1
-    a = _busy_root(params, lambda x: arr + lam1 * (1.0 - x))
-    return _maybe_scalar(a, kind)
+    return _busy_root(params, lambda x: s + lam1 * (1.0 - x))
 
 
 def solve_h(params: ModelParams, z2):
     """Minimal root of h = beta1(lam - lam1 h - lam2 z2)."""
-    arr, kind = _as_complex(z2)
+    z2 = np.asarray(z2, dtype=complex)
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
-    h = _busy_root(params, lambda x: lam - lam1 * x - lam2 * arr)
-    return _maybe_scalar(h, kind)
+    return _busy_root(params, lambda x: lam - lam1 * x - lam2 * z2)
 
 
 def eval_g(params: ModelParams, z2, h=None):
     """g(z2) = q h(z2) + p z2, the batch-size transform."""
-    arr, kind = _as_complex(z2)
-    hh = np.atleast_1d(np.asarray(solve_h(params, arr) if h is None else h, dtype=complex))
-    return _maybe_scalar(params.q * hh + params.p * arr, kind)
+    z2 = np.asarray(z2, dtype=complex)
+    if h is None:
+        h = solve_h(params, z2)
+    return params.q * h + params.p * z2
 
 
 def factor_K(params: ModelParams, u, h=None) -> KFactors:
-    """The three orbit factors, their product and beta2(lam (1 - g(u))) at u.
+    """The three orbit factors Ka, Kb, Kc and their product K at u.
 
     At s = lam (1 - g(u)) = lam - lam1 h - lam2 u the busy-period root is
     h = beta1(s), so each factor is a compound-geometric form in the
     equilibrium LSTs beta1e and beta2e, with no removable point at u = 1 and
     denominators at least 1 - rho1 and 1 - vartheta in modulus.
     """
-    arr, kind = _as_complex(u)
     rho1, rho2, vt = params.rho1, params.rho2, params.vartheta
-    hh = np.atleast_1d(np.asarray(solve_h(params, arr) if h is None else h, dtype=complex))
-    s = params.lam * (1.0 - (params.q * hh + params.p * arr))
-    b1e = np.atleast_1d(np.asarray(params.dist1_eq.lst(s), dtype=complex))
-    b2e = np.atleast_1d(np.asarray(params.dist2_eq.lst(s), dtype=complex))
+    s = params.lam * (1.0 - eval_g(params, u, h))
+    b1e = params.dist1_eq.lst(s)
+    b2e = params.dist2_eq.lst(s)
     ka = (1.0 - rho1) / (1.0 - rho1 * b1e)
     kb = (rho1 * b1e + rho2 * b2e) / params.rho
     kc = (1.0 - vt) / (1.0 - vt * ka * b2e)
-    beta2_g = np.atleast_1d(np.asarray(params.dist2.lst(s), dtype=complex))
-    k = ka * kb * kc
-    return KFactors(*(_maybe_scalar(x, kind) for x in (ka, kb, kc, k, beta2_g)))
+    return KFactors(ka, kb, kc, ka * kb * kc)
 
 
 @cache
@@ -175,22 +169,20 @@ def _gl_rule(order):
 
 
 def _k_integral(params, z):
-    """integral of K(u) du along the straight segment from z to 1,
-    refined by doubling the Gauss-Legendre order until two successive
-    orders agree to `_K_QUAD_TOL`.
+    """integral of K(u) du along the straight segment from each z to 1, in
+    the shape of z, refined by doubling the Gauss-Legendre order until two
+    successive orders agree to `_K_QUAD_TOL`.
 
     K has a (1 - u)^(a - 1) term at u = 1 (a the type-1 Pareto index), so
     the rule runs in t with u = 1 - (1 - z) t^2, which turns the endpoint
     term into t^(2a - 1): int_z^1 K = (1 - z) int_0^1 2 t K(u(t)) dt."""
-    arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    seg = 1.0 - arr
+    seg = 1.0 - np.asarray(z, dtype=complex)
     prev = None
     order = 16
     while order <= _K_MAX_ORDER:
         t, w = _gl_rule(order)
         u = 1.0 - seg[..., None] * (t * t)  # (..., order)
-        k = np.asarray(factor_K(params, u.reshape(-1)).k, dtype=complex).reshape(u.shape)
-        val = seg * (k @ (2.0 * t * w))
+        val = seg * (factor_K(params, u).k @ (2.0 * t * w))
         if prev is not None and np.max(np.abs(val - prev)) <= _K_QUAD_TOL:
             return val
         prev = val
@@ -202,35 +194,21 @@ def _k_integral(params, z):
 
 def eval_R0(params: ModelParams, z2):
     """Orbit transform given an idle server: exp(-psi * int_z^1 K)."""
-    arr, kind = _as_complex(z2)
-    out = np.exp(-params.psi * _k_integral(params, arr))
-    return _maybe_scalar(out, kind)
-
-
-def _pair_kind(k1, k2):
-    """The `_as_complex` kind of a result of two arguments: a scalar only
-    when both are, a real one only when both are real."""
-    if k1 is None or k2 is None:
-        return None
-    return float if k1 is k2 is float else complex
+    return np.exp(-params.psi * _k_integral(params, z2))
 
 
 def eval_S_beta(params: ModelParams, i: int, z1, z2):
     """Equilibrium service LST of type i composed with lam - lam1 z1 - lam2 z2."""
     d = params.dist1_eq if i == 1 else params.dist2_eq
-    a1, k1 = _as_complex(z1)
-    a2, k2 = _as_complex(z2)
-    s = params.lam - params.lambda1 * a1 - params.lambda2 * a2
-    out = np.atleast_1d(np.asarray(d.lst(s), dtype=complex))
-    return _maybe_scalar(out, _pair_kind(k1, k2))
+    z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
+    return d.lst(params.lam - params.lambda1 * z1 - params.lambda2 * z2)
 
 
 def _points(params, z1, z2):
-    """(z1, z2, h(z2)) as arrays and the `_pair_kind` of z1 and z2: what
-    every two-argument evaluator starts from."""
-    a1, k1 = _as_complex(z1)
-    a2, k2 = _as_complex(z2)
-    return a1, a2, solve_h(params, a2), _pair_kind(k1, k2)
+    """(z1, z2, h(z2)) with z1 and z2 as complex arrays: what every
+    two-argument evaluator starts from."""
+    z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
+    return z1, z2, solve_h(params, z2)
 
 
 # The kernels below take arrays, h = h(z2) and, where needed, the orbit
@@ -238,9 +216,7 @@ def _points(params, z1, z2):
 # it already has on its contour.
 
 
-def _H_beta(params, which, z1, z2, h, b_shift=None):
-    # b_shift, beta_i at the shifted argument lam - lam1 h - lam2 z2, is
-    # computed here unless the caller already has it
+def _H_beta(params, which, z1, z2, h):
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
     d = params.dist1 if which == 1 else params.dist2
     d_eq = params.dist1_eq if which == 1 else params.dist2_eq
@@ -253,23 +229,24 @@ def _H_beta(params, which, z1, z2, h, b_shift=None):
     out[on_one] = d_eq.lst(lam1 * (1.0 - z1[on_one]))
     rest = ~on_one
     z1, z2, h = z1[rest], z2[rest], h[rest]
+    # beta_i at the shifted argument lam - lam1 h - lam2 z2 = lam (1 - g):
+    # h itself for type 1; for type 2 the LST at lam (1 - g), written as
+    # factor_K writes its argument so that both round alike
     if which == 1:
-        b_shift = h  # h is itself beta1 at the shifted argument
-    elif b_shift is None:
-        b_shift = np.asarray(d.lst(lam - lam1 * h - lam2 * z2), dtype=complex)
+        b_shift = h
     else:
-        b_shift = np.broadcast_to(b_shift, rest.shape)[rest]
+        b_shift = d.lst(lam * (1.0 - eval_g(params, z2, h)))
     s = lam - lam1 * z1 - lam2 * z2
-    bz = np.asarray(d.lst(s), dtype=complex)
+    bz = d.lst(s)
     den = z1 - h
     near = np.abs(den) < _NEAR_SINGULAR
     val = np.empty(den.shape, dtype=complex)
     fa = ~near
     val[fa] = pref * (bz[fa] - b_shift[fa]) / den[fa]
     if near.any():
-        val[near] = pref * lam1 * (-np.asarray(d.lst_deriv(s[near]), dtype=complex))
+        val[near] = pref * lam1 * -d.lst_deriv(s[near])
     out[rest] = val
-    return out
+    return out[()]
 
 
 def _m1(params, z1, z2, h):
@@ -277,8 +254,7 @@ def _m1(params, z1, z2, h):
 
 
 def _m2(params, z1, z2, h, kf):
-    # beta2 at lam - lam1 h - lam2 z2 is beta2(lam (1 - g)), known from factor_K
-    H2 = _H_beta(params, 2, z1, z2, h, b_shift=kf.beta2_g)
+    H2 = _H_beta(params, 2, z1, z2, h)
     vt = params.vartheta
     return vt * H2 * kf.ka * kf.kc + (1.0 - vt)
 
@@ -293,55 +269,49 @@ def _r2(params, z1, z2, kf, r0):
 
 
 def eval_H_beta1(params: ModelParams, z1, z2):
-    a1, a2, h, kind = _points(params, z1, z2)
-    return _maybe_scalar(_H_beta(params, 1, a1, a2, h), kind)
+    return _H_beta(params, 1, *_points(params, z1, z2))
 
 
 def eval_H_beta2(params: ModelParams, z1, z2):
-    a1, a2, h, kind = _points(params, z1, z2)
-    return _maybe_scalar(_H_beta(params, 2, a1, a2, h), kind)
+    return _H_beta(params, 2, *_points(params, z1, z2))
 
 
 def eval_M1(params: ModelParams, z1, z2):
     """Geometric factor (1 - rho1) / (1 - rho1 * H_beta1)."""
-    a1, a2, h, kind = _points(params, z1, z2)
-    return _maybe_scalar(_m1(params, a1, a2, h), kind)
+    return _m1(params, *_points(params, z1, z2))
 
 
 def eval_M1_raw(params: ModelParams, z1, z2):
     """Published difference-quotient form of M1 (cross-check only; no
     singular-point handling)."""
-    a1, a2, h, kind = _points(params, z1, z2)
-    s = params.lam - params.lambda1 * a1 - params.lambda2 * a2
-    b1 = np.asarray(params.dist1.lst(s), dtype=complex)
-    return _maybe_scalar((1.0 - params.rho1) * (h - a1) / (b1 - a1), kind)
+    z1, z2, h = _points(params, z1, z2)
+    b1 = params.dist1.lst(params.lam - params.lambda1 * z1 - params.lambda2 * z2)
+    return (1.0 - params.rho1) * (h - z1) / (b1 - z1)
 
 
 def eval_M2(params: ModelParams, z1, z2):
     """Factor vartheta H_beta2 Ka Kc + 1 - vartheta."""
-    a1, a2, h, kind = _points(params, z1, z2)
-    return _maybe_scalar(_m2(params, a1, a2, h, factor_K(params, a2, h)), kind)
+    z1, z2, h = _points(params, z1, z2)
+    return _m2(params, z1, z2, h, factor_K(params, z2, h))
 
 
 def eval_R1(params: ModelParams, z1, z2):
     """Factored conditional transform given a Type-1 service in progress."""
-    a1, a2, h, kind = _points(params, z1, z2)
-    kf = factor_K(params, a2, h)
-    return _maybe_scalar(_r1(params, a1, a2, h, kf, eval_R0(params, a2)), kind)
+    z1, z2, h = _points(params, z1, z2)
+    return _r1(params, z1, z2, h, factor_K(params, z2, h), eval_R0(params, z2))
 
 
 def eval_R2(params: ModelParams, z1, z2):
     """Factored conditional transform given a Type-2 service in progress."""
-    a1, a2, h, kind = _points(params, z1, z2)
-    kf = factor_K(params, a2, h)
-    return _maybe_scalar(_r2(params, a1, a2, kf, eval_R0(params, a2)), kind)
+    z1, z2, h = _points(params, z1, z2)
+    return _r2(params, z1, z2, factor_K(params, z2, h), eval_R0(params, z2))
 
 
 def _w_fn(params, z1, z2, h, g):
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
     s12 = lam - lam1 * z1 - lam2 * z2
-    b2_12 = np.asarray(params.dist2.lst(s12), dtype=complex)
-    b2_g = np.asarray(params.dist2.lst(lam * (1.0 - g)), dtype=complex)
+    b2_12 = params.dist2.lst(s12)
+    b2_g = params.dist2.lst(lam * (1.0 - g))
     return (lam - lam1 * h - lam2 * b2_g) * (b2_12 - z2) + (
         lam - lam1 * z1 - lam2 * b2_12
     ) * (z2 - b2_g)
@@ -349,45 +319,40 @@ def _w_fn(params, z1, z2, h, g):
 
 def eval_R1_raw(params: ModelParams, z1, z2):
     """Original published form of R1 (interior points only)."""
-    a1, a2, h, kind = _points(params, z1, z2)
+    z1, z2, h = _points(params, z1, z2)
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
-    g = params.q * h + params.p * a2
-    s12 = lam - lam1 * a1 - lam2 * a2
-    b1 = np.asarray(params.dist1.lst(s12), dtype=complex)
-    b2_g = np.asarray(params.dist2.lst(lam * (1.0 - g)), dtype=complex)
-    w = _w_fn(params, a1, a2, h, g)
-    r0 = np.asarray(eval_R0(params, a2), dtype=complex)
-    out = (
+    g = eval_g(params, z2, h)
+    s12 = lam - lam1 * z1 - lam2 * z2
+    b1 = params.dist1.lst(s12)
+    b2_g = params.dist2.lst(lam * (1.0 - g))
+    return (
         (1.0 - params.rho)
         / params.rho1
-        * w
-        / ((b2_g - a2) * (a1 - b1))
+        * _w_fn(params, z1, z2, h, g)
+        / ((b2_g - z2) * (z1 - b1))
         * (1.0 - b1)
         / s12
-        * r0
+        * eval_R0(params, z2)
     )
-    return _maybe_scalar(np.atleast_1d(out), kind)
 
 
 def eval_R2_raw(params: ModelParams, z1, z2):
     """Original published form of R2 (interior points only)."""
-    a1, a2, h, kind = _points(params, z1, z2)
+    z1, z2, h = _points(params, z1, z2)
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
-    g = params.q * h + params.p * a2
-    s12 = lam - lam1 * a1 - lam2 * a2
-    b2_12 = np.asarray(params.dist2.lst(s12), dtype=complex)
-    b2_g = np.asarray(params.dist2.lst(lam * (1.0 - g)), dtype=complex)
-    r0 = np.asarray(eval_R0(params, a2), dtype=complex)
-    out = (
+    g = eval_g(params, z2, h)
+    s12 = lam - lam1 * z1 - lam2 * z2
+    b2_12 = params.dist2.lst(s12)
+    b2_g = params.dist2.lst(lam * (1.0 - g))
+    return (
         (1.0 - params.rho)
         / params.rho2
         * (lam * (1.0 - g))
-        / (b2_g - a2)
+        / (b2_g - z2)
         * (1.0 - b2_12)
         / s12
-        * r0
+        * eval_R0(params, z2)
     )
-    return _maybe_scalar(np.atleast_1d(out), kind)
 
 
 def _ring(radius, m):

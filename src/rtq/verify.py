@@ -39,9 +39,6 @@ __all__ = [
     "check_appendix_lemmas",
 ]
 
-TARGET_TO_CATALOG = {"R0": "r0", "R11": "r11", "R12": "r12", "R21": "r21", "R22": "r22"}
-
-
 @dataclass
 class TailFit:
     window: tuple
@@ -197,7 +194,7 @@ def compare(params: ModelParams, target: str, sources: dict, n_states: int = 50,
             report.tv[(a, b)] = tv_distance(sources[a], sources[b], n_states)
     if catalog is None:
         catalog = asymptotics.tail_catalog(params)
-    entry = catalog.get(TARGET_TO_CATALOG.get(target, target))
+    entry = catalog.get(target.lower())
     report.catalog_entry = entry
     if window is not None and "inversion" in sources and entry is not None:
         if entry.geom == 1.0:

@@ -6,7 +6,7 @@ import pytest
 
 from rtq.asymptotics import PowerTail, catalog_to_json, tail_catalog
 from rtq.errors import NotApplicable
-from rtq.model import Exponential, ModelParams, ParetoShifted
+from rtq.model import Erlang, Exponential, ModelParams, ParetoShifted
 
 
 class TestPowerTail:
@@ -103,3 +103,12 @@ class TestSerialization:
         assert sorted(blob) == sorted(ref_catalog)
         assert blob["r0"]["kappa"] == pytest.approx(ref_catalog["r0"].kappa)
         assert "description" in blob["r0"]
+
+    def test_every_number_is_a_float(self):
+        # an Erlang law's tail exponent is an int, -(shape - 1); every entry
+        # stores floats, so catalog.json writes -2.0 throughout
+        params = ModelParams(1.0, 0.5, 1.0, ParetoShifted.from_mean(2.5, 0.6),
+                             Erlang(3, 10.0))
+        for name, entry in tail_catalog(params).items():
+            for field in ("c", "kappa", "L0", "geom"):
+                assert type(getattr(entry, field)) is float, (name, field)

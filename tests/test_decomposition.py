@@ -12,7 +12,7 @@ from rtq.decomposition import (
     make_rng,
 )
 from rtq.errors import RecursionDepthExceeded
-from rtq.model import Erlang, ModelParams, ParetoShifted
+from rtq.model import Erlang, Exponential, ModelParams, ParetoShifted
 
 
 def _factor_pmf(params, name, n=60, radius=0.9):
@@ -60,6 +60,16 @@ class TestBusyPeriods:
         ds = DecompositionSampler(ref_params, seed=1)
         with pytest.raises(RecursionDepthExceeded):
             ds.busy_durations(100, max_nodes=5)
+
+    def test_default_budget_scales_with_the_tree_size(self):
+        # at rho1 = 0.95 an equilibrium-rooted tree has 58 services on
+        # average; a budget of 30 services per tree raised on Ka
+        params = ModelParams(lam=1.0, q=0.5, mu=1.0,
+                             dist1=ParetoShifted.from_mean(2.5, 1.9),
+                             dist2=Exponential(50.0))
+        assert params.rho1 == pytest.approx(0.95)
+        draws = DecompositionSampler(params, seed=3).sample("ka", 10_000)
+        assert draws.shape == (10_000,) and np.all(draws >= 0)
 
     def test_orbit_input_mean(self, ref_params, sampler):
         # each effective arrival feeds p/(1-rho1) customers to the orbit

@@ -39,3 +39,15 @@ def test_pillar_does_not_import(module, banned):
 def test_no_module_imports_scipy(module):
     # numpy is the only run-time dependency
     assert not {name for name in _imports(module) if name.split(".")[0] == "scipy"}
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_no_module_imports_a_private_name(module):
+    # underscore names stay inside their module; dunders such as
+    # __version__ are public
+    private = {
+        name for name in _imports(module)
+        if name.startswith("rtq.") and name.rsplit(".", 1)[1].startswith("_")
+        and not name.endswith("__")
+    }
+    assert not private

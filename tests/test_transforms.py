@@ -78,6 +78,7 @@ class TestOrbitFactors:
             assert complex(v) == pytest.approx(1.0, abs=1e-9)
 
     def test_product_structure(self, ref_params):
+        assert T.KFactors._fields == ("ka", "kb", "kc", "k")
         kf = T.factor_K(ref_params, 0.6 + 0j)
         assert complex(kf.k) == pytest.approx(
             complex(kf.ka * kf.kb * kf.kc), abs=1e-13
@@ -185,6 +186,42 @@ class TestStationaryTransforms:
             assert complex(T.eval_R2(p, z1 + 0j, z2 + 0j)) == pytest.approx(
                 complex(T.eval_R2_raw(p, z1 + 0j, z2 + 0j)), abs=1e-9
             )
+
+
+def test_evaluators_follow_numpys_convention(alt_params):
+    # every public evaluator takes a scalar, real or complex, to a complex
+    # numpy scalar, the value of the one-element-array call (to round-off,
+    # as for the laws), and keeps an array argument's shape
+    p = alt_params
+    one_arg = {
+        "solve_alpha": lambda p, z: T.solve_alpha(p, 1.0 - z),  # Re s >= 0
+        "solve_h": T.solve_h,
+        "eval_g": T.eval_g,
+        "eval_R0": T.eval_R0,
+        **{f"factor_K.{f}": (lambda p, z, f=f: getattr(T.factor_K(p, z), f))
+           for f in T.KFactors._fields},
+    }
+    two_arg = {
+        "eval_S_beta1": lambda p, z1, z2: T.eval_S_beta(p, 1, z1, z2),
+        "eval_S_beta2": lambda p, z1, z2: T.eval_S_beta(p, 2, z1, z2),
+        **{name: getattr(T, name) for name in (
+            "eval_H_beta1", "eval_H_beta2", "eval_M1", "eval_M1_raw", "eval_M2",
+            "eval_R1", "eval_R1_raw", "eval_R2", "eval_R2_raw")},
+    }
+    evaluators = {name: (lambda z, fn=fn: fn(p, z)) for name, fn in one_arg.items()}
+    evaluators.update(
+        {name: (lambda z, fn=fn: fn(p, 0.8 * z, z)) for name, fn in two_arg.items()}
+    )
+    grid = np.array([[0.1, 0.3, 0.5], [0.2 + 0.3j, -0.4 + 0.1j, 0.6j]])
+    for name, fn in evaluators.items():
+        for z in (0.3, 0.3 + 0.4j):
+            got = fn(z)
+            assert type(got) is np.complex128, (name, z)
+            np.testing.assert_allclose(got, fn(np.array([z]))[0], rtol=1e-15, atol=0,
+                                       err_msg=f"{name} at {z}")
+        on_grid = fn(grid)
+        assert on_grid.shape == (2, 3), name
+        np.testing.assert_array_equal(on_grid, fn(grid.reshape(-1)).reshape(2, 3), name)
 
 
 class TestExtractPmf:
