@@ -18,7 +18,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -31,6 +30,7 @@ from .errors import (
     BadParam,
     InsufficientData,
     NotApplicable,
+    OverflowGuard,
     RtqError,
     Unstable,
     WindowTooNoisy,
@@ -44,6 +44,7 @@ _CONFIG_ERRORS = (BadParam, Unstable, AssumptionViolation)
 _DATA_ERRORS = (InsufficientData, WindowTooNoisy)
 # tail-fit tolerances echoed into verify_report.json next to the fits
 _KAPPA_TOL, _C_TOL = 0.15, 0.25
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -148,9 +149,15 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
 
 
 def _atomic_write(path: str, data: str):
+    """Write `data` to `path` through a temp file in the same directory.
+
+    The temp file is created with mode 0666 less the umask, the mode a plain
+    open(path, "w") gives, and keeps it through the rename.
+    """
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
@@ -162,13 +169,42 @@ def _atomic_write(path: str, data: str):
 
 
 def _csv_text(header, *columns) -> str:
-    """CSV text of a header and equal-length columns.
+    """CSV text of a header and equal-length columns of the small files.
 
-    Every cell is an int, a formatted float or a bare word, so no field needs
-    quoting and joined strings are the bytes csv.writer would write.
+    For `analyze` and `simulate`, whose cells are ints, formatted floats or
+    bare words: no field needs quoting, so joined strings are the bytes
+    csv.writer would write.  Integer draws go through `_int_csv_text`.
     """
     row = ",".join(["{}"] * len(header))
     return "\n".join([",".join(header), *map(row.format, *columns)]) + "\n"
+
+
+def _int_csv_text(header, *columns) -> str:
+    """CSV text of one or two equal-length int64 columns, as csv.writer writes it.
+
+    Each distinct row is formatted once and the text joins the looked-up
+    strings, so the cost is a sort plus one string per distinct row, not one
+    per row.  Two columns are encoded as one exact int64 code per row, after
+    shifting each column to start at 0; `OverflowGuard` is raised when the
+    codes would not fit in int64.
+    """
+    if len(columns) == 1:
+        uniq, inverse = np.unique(columns[0], return_inverse=True)
+        cells = list(map(str, uniq.tolist()))
+    else:
+        q, o = columns
+        q0, o0 = int(q.min()), int(o.min())
+        q_span, width = int(q.max()) - q0, int(o.max()) - o0 + 1
+        if q_span * width + width - 1 > _INT64_MAX:
+            raise OverflowGuard(
+                f"cannot encode {','.join(header)} rows as int64 codes: "
+                f"column spans {q_span} and {width - 1}"
+            )
+        uniq, inverse = np.unique((q - q0) * width + (o - o0), return_inverse=True)
+        hi, lo = np.divmod(uniq, width)
+        cells = [f"{a},{b}" for a, b in zip((hi + q0).tolist(), (lo + o0).tolist())]
+    rows = np.array(cells, dtype=object)[inverse].tolist()
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 def _json_text(obj) -> str:
@@ -256,9 +292,9 @@ def cmd_sample(cfg: RunConfig, target: str, n: int) -> list:
     drawn = sampler.sample(target, n)
     path = os.path.join(cfg.out, f"samples_{target.lower()}.csv")
     if isinstance(drawn, tuple):
-        text = _csv_text(("queue", "orbit"), drawn[0].tolist(), drawn[1].tolist())
+        text = _int_csv_text(("queue", "orbit"), *drawn)
     else:
-        text = _csv_text(("value",), drawn.tolist())
+        text = _int_csv_text(("value",), drawn)
     _atomic_write(path, text)
     return [path]
 

@@ -34,7 +34,7 @@ class RecursionDepthExceeded(RtqError):
 
 
 class OverflowGuard(RtqError):
-    """Simulated queue or orbit length exceeded the configured cap."""
+    """Queue or orbit lengths outgrew the simulator's cap or the int64 row codes."""
 
 
 class InsufficientData(RtqError):

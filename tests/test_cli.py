@@ -4,15 +4,18 @@ import csv
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rtq import cli, transforms
-from rtq.decomposition import DecompositionSampler
-from rtq.errors import BadParam
+from rtq.decomposition import PAIR_TARGETS, SCALAR_TARGETS, DecompositionSampler
+from rtq.errors import BadParam, OverflowGuard
 from rtq.simulator import TARGET_STATES, simulate
 
 
@@ -183,6 +186,23 @@ class TestAnalyze:
             assert rows[-1][0] == "deficit"
             assert float(rows[-1][1]) <= 1e-6
 
+    def test_artifacts_get_the_umask_mode(self, write_config, tmp_path):
+        # renamed artifacts get the mode open(path, "w") gives, as runs.jsonl does
+        out = tmp_path / "out"
+        path = write_config(_base_config())
+        old = os.umask(0o027)
+        try:
+            assert cli.main(["analyze", "--config", path, "--out", str(out)]) == 0
+            assert cli.main(["sample", "--config", path, "--out", str(out),
+                             "--target", "r1", "-n", "10"]) == 0
+        finally:
+            os.umask(old)
+        names = sorted(p.name for p in out.iterdir())
+        assert "runs.jsonl" in names and "samples_r1.csv" in names
+        assert not [n for n in names if n.startswith(".tmp-")]
+        for p in out.iterdir():
+            assert stat.S_IMODE(p.stat().st_mode) == 0o640, p.name
+
     def test_run_log_appends(self, write_config, tmp_path):
         out = tmp_path / "out"
         path = write_config(_base_config())
@@ -261,20 +281,21 @@ class TestSample:
         assert drawn("b") == first
         assert drawn("c", "--seed", "4") != first
 
-    @pytest.mark.parametrize("target", ["r0", "r1"])
+    @pytest.mark.parametrize("target", SCALAR_TARGETS + PAIR_TARGETS)
     def test_csv_is_the_csv_writer_text(self, write_config, tmp_path, target):
         path = write_config(_base_config())
-        out = tmp_path / "out"
-        assert cli.main(["sample", "--config", path, "--out", str(out),
-                         "--target", target, "-n", "3000"]) == 0
-        cfg = cli.load_config(path, out_override=str(out))
-        drawn = DecompositionSampler(cfg.params, seed=cfg.seed).sample(target, 3000)
-        if isinstance(drawn, tuple):
-            rows = zip(drawn[0].tolist(), drawn[1].tolist())
-            expect = _csv_writer_text(("queue", "orbit"), rows)
-        else:
-            expect = _csv_writer_text(("value",), [(v,) for v in drawn.tolist()])
-        assert (out / f"samples_{target}.csv").read_text() == expect
+        for n in (1, 3000):
+            out = tmp_path / f"out{n}"
+            assert cli.main(["sample", "--config", path, "--out", str(out),
+                             "--target", target, "-n", str(n)]) == 0
+            cfg = cli.load_config(path, out_override=str(out))
+            drawn = DecompositionSampler(cfg.params, seed=cfg.seed).sample(target, n)
+            if isinstance(drawn, tuple):
+                rows = zip(drawn[0].tolist(), drawn[1].tolist())
+                expect = _csv_writer_text(("queue", "orbit"), rows)
+            else:
+                expect = _csv_writer_text(("value",), [(v,) for v in drawn.tolist()])
+            assert (out / f"samples_{target}.csv").read_text() == expect
 
     def test_requires_target(self, write_config, tmp_path):
         assert cli.main(["sample", "--config", write_config(_base_config()),
@@ -284,6 +305,47 @@ class TestSample:
         assert cli.main(["sample", "--config", write_config(_base_config()),
                          "--out", str(tmp_path / "o"), "--target", "r9",
                          "-n", "10"]) == 2
+
+
+@st.composite
+def _int_columns(draw):
+    """One or two columns of non-negative int64 whose pair codes fit in int64."""
+    n = draw(st.integers(1, 40))
+    highs = draw(st.sampled_from([[2**40], [2**40, 2**22], [2**22, 2**40]]))
+    columns = []
+    for hi in highs:
+        if draw(st.booleans()):
+            columns.append([draw(st.integers(0, hi))] * n)
+        else:
+            cell = st.one_of(st.just(0), st.integers(0, 3), st.integers(0, hi))
+            columns.append(draw(st.lists(cell, min_size=n, max_size=n)))
+    return columns
+
+
+_I64 = np.iinfo(np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=_int_columns())
+@example(columns=[[_I64.min, _I64.max, 0, -1, _I64.max]])
+@example(columns=[[0, 2**62 - 1, 5], [0, 1, 1]])  # largest code exactly 2**63 - 1
+@example(columns=[[-5, 3, -5], [-(2**40), 7, 0]])
+def test_int_writer_is_the_csv_writer_text(columns):
+    header = ("value",) if len(columns) == 1 else ("queue", "orbit")
+    arrays = [np.array(c, dtype=np.int64) for c in columns]
+    assert cli._int_csv_text(header, *arrays) == _csv_writer_text(header, zip(*columns))
+
+
+@pytest.mark.parametrize("columns", [
+    [[0, 2**62], [0, 3]],
+    [[0, (2**63 - 1) // 3], [0, 2]],  # codes up to 2**63 + 1
+    [[_I64.min, 0], [0, 0]],
+    [[0, 0], [_I64.min, _I64.max]],
+])
+def test_int_writer_raises_when_pair_codes_overflow(columns):
+    arrays = [np.array(c, dtype=np.int64) for c in columns]
+    with pytest.raises(OverflowGuard):
+        cli._int_csv_text(("queue", "orbit"), *arrays)
 
 
 def _reject_constant(token):
