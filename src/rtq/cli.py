@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -40,7 +41,7 @@ from .simulator import TARGET_STATES, SimConfig, simulate
 
 __all__ = ["RunConfig", "load_config", "entry", "main"]
 
-_CONFIG_ERRORS = (BadParam, Unstable, AssumptionViolation)
+_CONFIG_ERRORS = (BadParam, Unstable, AssumptionViolation, ValueError)
 _DATA_ERRORS = (InsufficientData, WindowTooNoisy)
 # tail-fit tolerances echoed into verify_report.json next to the fits
 _KAPPA_TOL, _C_TOL = 0.15, 0.25
@@ -68,6 +69,28 @@ def _require_keys(block: dict, allowed: set, where: str):
         raise BadParam(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _number(block: dict, key: str, where: str, default=None):
+    """block[key], or `default` when absent; BadParam unless a finite number."""
+    value = block.get(key, default)
+    if type(value) not in (int, float) or not -math.inf < value < math.inf:
+        raise BadParam(f"{where}.{key} must be a finite number, got {value!r}")
+    return value
+
+
+def _count(block: dict, key: str, where: str, default: int) -> int:
+    value = int(_number(block, key, where, default))
+    if value < 1:
+        raise BadParam(f"{where}.{key} must be at least 1, got {value}")
+    return value
+
+
+def _window(block: dict, key: str, default: list) -> tuple:
+    w = block.get(key, default)
+    if not (type(w) is list and [type(j) for j in w] == [int, int] and 10 <= w[0] < w[1]):
+        raise BadParam(f"verify.{key} must be two integers 10 <= lo < hi, got {w!r}")
+    return tuple(w)
+
+
 def _parse_dist(block: dict, where: str):
     if not isinstance(block, dict) or "kind" not in block:
         raise BadParam(f"{where} must be an object with a 'kind'")
@@ -76,23 +99,27 @@ def _parse_dist(block: dict, where: str):
         _require_keys(block, {"kind", "rate", "mean"}, where)
         if ("rate" in block) == ("mean" in block):
             raise BadParam(f"{where}: give exactly one of rate/mean")
-        rate = block.get("rate", None)
-        return Exponential(rate if rate is not None else 1.0 / block["mean"])
+        if "rate" in block:
+            return Exponential(_number(block, "rate", where))
+        return Exponential(1.0 / _number(block, "mean", where))
     if kind == "erlang":
         _require_keys(block, {"kind", "shape", "rate"}, where)
-        return Erlang(block["shape"], block["rate"])
+        return Erlang(_number(block, "shape", where), _number(block, "rate", where))
     if kind == "pareto":
         _require_keys(block, {"kind", "index", "scale", "mean"}, where)
         if ("scale" in block) == ("mean" in block):
             raise BadParam(f"{where}: give exactly one of scale/mean")
+        index = _number(block, "index", where)
         if "mean" in block:
-            return ParetoShifted.from_mean(block["index"], block["mean"])
-        return ParetoShifted(block["index"], block["scale"])
+            return ParetoShifted.from_mean(index, _number(block, "mean", where))
+        return ParetoShifted(index, _number(block, "scale", where))
     raise BadParam(f"{where}: unknown distribution kind {kind!r}")
 
 
 def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
-    """Parse, validate and freeze a run configuration."""
+    """Parse, validate and freeze a run configuration.  BadParam for unknown
+    keys, missing, non-numeric or infinite numbers, counts below 1 (inversion
+    n, verify n_states and samples) and windows other than ints 10 <= lo < hi."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -106,23 +133,20 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
     if not isinstance(model, dict):
         raise BadParam("config needs a 'model' block")
     _require_keys(model, {"lam", "q", "mu", "dist1", "dist2"}, "model")
-    for key in ("lam", "q", "mu", "dist1", "dist2"):
-        if key not in model:
-            raise BadParam(f"model block is missing {key!r}")
     params = validate(
         ModelParams(
-            lam=float(model["lam"]),
-            q=float(model["q"]),
-            mu=float(model["mu"]),
-            dist1=_parse_dist(model["dist1"], "model.dist1"),
-            dist2=_parse_dist(model["dist2"], "model.dist2"),
+            lam=float(_number(model, "lam", "model")),
+            q=float(_number(model, "q", "model")),
+            mu=float(_number(model, "mu", "model")),
+            dist1=_parse_dist(model.get("dist1"), "model.dist1"),
+            dist2=_parse_dist(model.get("dist2"), "model.dist2"),
         )
     )
 
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
+    seed = int(_number(raw, "seed", "config", 0)) if seed_override is None else int(seed_override)
     sim_block = raw.get("sim", {})
     _require_keys(sim_block, {"max_events", "queue_cap"}, "sim")
-    sim = SimConfig(seed=seed, **{key: int(v) for key, v in sim_block.items()})
+    sim = SimConfig(seed=seed, **{key: _count(sim_block, key, "sim", None) for key in sim_block})
 
     inv = raw.get("inversion", {})
     _require_keys(inv, {"n", "radius"}, "inversion")
@@ -132,12 +156,12 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
     return RunConfig(
         params=params,
         sim=sim,
-        inversion_n=int(inv.get("n", 150)),
-        inversion_radius=float(inv.get("radius", 0.9)),
-        verify_window=tuple(ver.get("window", (50, 1000))),
-        verify_light_window=tuple(ver.get("light_window", (30, 100))),
-        verify_n_states=int(ver.get("n_states", 50)),
-        verify_samples=int(ver.get("samples", 1_000_000)),
+        inversion_n=_count(inv, "n", "inversion", 150),
+        inversion_radius=float(_number(inv, "radius", "inversion", 0.9)),
+        verify_window=_window(ver, "window", [50, 1000]),
+        verify_light_window=_window(ver, "light_window", [30, 100]),
+        verify_n_states=_count(ver, "n_states", "verify", 50),
+        verify_samples=_count(ver, "samples", "verify", 1_000_000),
         out=str(raw.get("out", "out")) if out_override is None else str(out_override),
         seed=seed,
         raw=raw,
@@ -300,9 +324,7 @@ def cmd_sample(cfg: RunConfig, target: str, n: int) -> list:
 
 
 def _verify_target(cfg, target, pmfs, sim_res, sampler_pmfs, catalog):
-    sources = {"inversion": pmfs[target]}
-    if target in sampler_pmfs:
-        sources["sampler"] = sampler_pmfs[target]
+    sources = {"inversion": pmfs[target], "sampler": sampler_pmfs[target]}
     state, coord = TARGET_STATES[target]
     try:
         sources["simulator"] = sim_res.conditional_pmf(state, coord)
@@ -315,11 +337,7 @@ def _verify_target(cfg, target, pmfs, sim_res, sampler_pmfs, catalog):
         sources["inversion"] = verify.light_queue_pmf(
             cfg.params, max(window[1] + 2, 120)
         )
-    j_hi = min(window[1], len(pmfs[target]) - 2)
-    return verify.compare(
-        cfg.params, target, sources, n_states=cfg.verify_n_states,
-        window=(window[0], j_hi), catalog=catalog,
-    )
+    return verify.compare(target, sources, cfg.verify_n_states, window, entry)
 
 
 def cmd_verify(cfg: RunConfig) -> list:
@@ -337,10 +355,10 @@ def cmd_verify(cfg: RunConfig) -> list:
         for target, d in zip(TARGET_STATES, draws)
     }
     catalog = asymptotics.tail_catalog(params)
-    reports = [
-        _verify_target(cfg, t, pmfs, sim_res, sampler_pmfs, catalog)
+    targets = {
+        t: _verify_target(cfg, t, pmfs, sim_res, sampler_pmfs, catalog)
         for t in TARGET_STATES
-    ]
+    }
 
     frac = sim_res.state_fractions()
     err = sim_res.state_fraction_stderr()
@@ -353,7 +371,7 @@ def cmd_verify(cfg: RunConfig) -> list:
     }
     body = {
         "occupancy": occupancy,
-        "targets": {r.target: r.to_dict() for r in reports},
+        "targets": targets,
         "lemmas": verify.check_appendix_lemmas(),
         "tolerances": {"kappa": _KAPPA_TOL, "c": _C_TOL,
                        "note": "windowed trend checks, not limits"},
@@ -402,9 +420,6 @@ def main(argv=None) -> int:
         else:
             artifacts = cmd_verify(cfg)
     except _CONFIG_ERRORS as exc:
-        print(f"rtq: config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"rtq: config error: {exc}", file=sys.stderr)
         return 2
     except _DATA_ERRORS as exc:

@@ -37,9 +37,11 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def _group_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sums of consecutive runs of `values`; run i has length counts[i]."""
+    """Sums of consecutive runs of `values`, in their dtype; run i has length
+    counts[i].  Empty draws need no branch: numpy's size-0 draws leave the
+    generator's state unchanged, and an empty run sums to 0."""
     owner = np.repeat(np.arange(counts.size), counts)
-    return np.bincount(owner, weights=values, minlength=counts.size)
+    return np.bincount(owner, weights=values, minlength=counts.size).astype(values.dtype)
 
 
 class DecompositionSampler:
@@ -100,17 +102,12 @@ class DecompositionSampler:
         p = self.params
         out = np.ones(n, dtype=np.int64)
         hi = self.rng.random(n) < p.q
-        m = int(hi.sum())
-        if m:
-            out[hi] = self.rng.poisson(p.lambda2 * self.busy_durations(m))
+        out[hi] = self.rng.poisson(p.lambda2 * self.busy_durations(int(hi.sum())))
         return out
 
     def _sum_xg(self, counts: np.ndarray) -> np.ndarray:
         """Independent sums of X_g, one sum per entry of `counts`."""
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(counts.size, dtype=np.int64)
-        return _group_sums(counts, self.sample_xg(total)).astype(np.int64)
+        return _group_sums(counts, self.sample_xg(int(counts.sum())))
 
     # ------------------------------------------------------------------
     # the orbit factors
@@ -122,10 +119,9 @@ class DecompositionSampler:
         p = self.params
         out = np.zeros(n, dtype=np.int64)
         on = np.flatnonzero(self.rng.random(n) < p.rho1)
-        if on.size:
-            stages = self.rng.geometric(1.0 - p.rho1, on.size)
-            busy = self.busy_durations(int(stages.sum()), root=p.dist1_eq)
-            out[on] = self.rng.poisson(p.lambda2 * _group_sums(stages, busy))
+        stages = self.rng.geometric(1.0 - p.rho1, on.size)
+        busy = self.busy_durations(int(stages.sum()), root=p.dist1_eq)
+        out[on] = self.rng.poisson(p.lambda2 * _group_sums(stages, busy))
         return out
 
     def sample_kb(self, n: int) -> np.ndarray:
@@ -144,10 +140,7 @@ class DecompositionSampler:
 
     def sample_kc(self, n: int) -> np.ndarray:
         stages = self.rng.geometric(1.0 - self.params.vartheta, n) - 1
-        total = int(stages.sum())
-        if total == 0:
-            return np.zeros(n, dtype=np.int64)
-        return _group_sums(stages, self._xc(total)).astype(np.int64)
+        return _group_sums(stages, self._xc(int(stages.sum())))
 
     def sample_k(self, n: int) -> np.ndarray:
         return self.sample_ka(n) + self.sample_kb(n) + self.sample_kc(n)
@@ -159,7 +152,7 @@ class DecompositionSampler:
         counts = self.rng.poisson(self.params.psi, n)
         cand = self.sample_k(int(counts.sum()))
         keep = self.rng.random(cand.size) * (cand + 1.0) < 1.0
-        return _group_sums(counts, np.where(keep, cand + 1, 0)).astype(np.int64)
+        return _group_sums(counts, np.where(keep, cand + 1, 0))
 
     # ------------------------------------------------------------------
     # bivariate (queue, orbit) factors
@@ -194,14 +187,8 @@ class DecompositionSampler:
     def sample_m1_pair(self, n: int):
         """Geometric compound of H factors for the high-priority class."""
         stages = self.rng.geometric(1.0 - self.params.rho1, n) - 1
-        total = int(stages.sum())
-        q_out = np.zeros(n, dtype=np.int64)
-        o_out = np.zeros(n, dtype=np.int64)
-        if total:
-            h1, h2 = self.sample_h_pair(1, total)
-            q_out += _group_sums(stages, h1).astype(np.int64)
-            o_out += _group_sums(stages, h2).astype(np.int64)
-        return q_out, o_out
+        h1, h2 = self.sample_h_pair(1, int(stages.sum()))
+        return _group_sums(stages, h1), _group_sums(stages, h2)
 
     def sample_m2_pair(self, n: int):
         """With probability vartheta an H factor for the low-priority class
@@ -209,12 +196,11 @@ class DecompositionSampler:
         vt = self.params.vartheta
         on = self.rng.random(n) < vt
         m = int(on.sum())
+        h1, h2 = self.sample_h_pair(2, m)
         q_out = np.zeros(n, dtype=np.int64)
         o_out = np.zeros(n, dtype=np.int64)
-        if m:
-            h1, h2 = self.sample_h_pair(2, m)
-            q_out[on] = h1
-            o_out[on] = h2 + self.sample_ka(m) + self.sample_kc(m)
+        q_out[on] = h1
+        o_out[on] = h2 + self.sample_ka(m) + self.sample_kc(m)
         return q_out, o_out
 
     def sample_r1_pair(self, n: int):

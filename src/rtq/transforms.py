@@ -457,6 +457,8 @@ def conditional_pmfs(params: ModelParams, n: int, radius: float = 0.9) -> dict:
     upper half only, indices 0..m//2 (m//2 + 1 points, for odd m as for
     even), and each is inverted from there by one real FFT.
     """
+    if n < 1:
+        raise InversionError("need n >= 1 coefficients")
     if not 0.0 < radius < 1.0:
         raise InversionError(f"inversion radius must lie in (0, 1), got {radius}")
     m = max(4 * n, math.ceil(math.log(_ALIAS_TOL) / math.log(radius)) + 1)

@@ -3,21 +3,22 @@
 Three independent routes produce each conditional law (contour inversion of
 the transforms, the factor samplers, the event-loop simulator) and a fourth
 gives its tail (the asymptote catalog).  This module quantifies agreement:
-total-variation distances over the bulk, windowed tail fits against the
-catalog, and deterministic property checks of the limit lemmas the tail
-results rest on (compound geometric sums, Poisson counts over heavy-tailed
-intervals, convolution and random-sum closure), each computed from exact
-laws.
+`compare` builds one target's entry of verify_report.json from
+total-variation distances over the bulk and windowed tail fits against its
+catalog entry, and `check_appendix_lemmas` gives deterministic property
+checks of the limit lemmas the tail results rest on (compound geometric
+sums, Poisson counts over heavy-tailed intervals, convolution and
+random-sum closure), each computed from exact laws.
 
-Heavy-tail caveat baked into the defaults: simulation only validates the
-bulk; tails come from inversion pmfs, and all tolerances are windowed-trend
-judgements, not limits.
+Heavy-tail caveat: simulation only validates the bulk; tails come from
+inversion pmfs, and all tolerances are windowed-trend judgements, not
+limits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .transforms import Pmf
 
 __all__ = [
     "TailFit",
-    "AgreementReport",
     "survival_of",
     "empirical_pmf",
     "tv_distance",
@@ -46,32 +46,6 @@ class TailFit:
     c: float
     r2: float | None  # None unless the exponent was fitted
     method: str  # "loglog-regression" or "ratio"
-
-
-@dataclass
-class AgreementReport:
-    target: str
-    tv: dict = field(default_factory=dict)          # (src_a, src_b) -> distance
-    fits: dict = field(default_factory=dict)        # source -> TailFit
-    catalog_entry: asymptotics.PowerTail | None = None
-    kappa_rel_err: float | None = None
-    c_rel_err: float | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "target": self.target,
-            "tv": {f"{a}|{b}": v for (a, b), v in self.tv.items()},
-            "fits": {
-                s: {"window": list(f.window), "kappa": f.kappa, "c": f.c,
-                    "r2": f.r2, "method": f.method}
-                for s, f in self.fits.items()
-            },
-        }
-        if self.catalog_entry is not None:
-            out["catalog"] = self.catalog_entry.to_dict()
-            out["kappa_rel_err"] = self.kappa_rel_err
-            out["c_rel_err"] = self.c_rel_err
-        return out
 
 
 def _as_pmf(source) -> Pmf:
@@ -162,12 +136,9 @@ def light_queue_pmf(params: ModelParams, n: int) -> Pmf:
         z = np.asarray(z, dtype=complex)
         return transforms.eval_S_beta(params, 2, z, np.ones_like(z))
 
-    return Pmf(
-        probs=transforms.extract_pmf(pgf, n, radius=radius,
-                                     label="queue | serving type 2 (light)").probs,
-        deficit=0.0,
-        label="queue | serving type 2 (light)",
-    )
+    pmf = transforms.extract_pmf(pgf, n, radius=radius,
+                                 label="queue | serving type 2 (light)")
+    return replace(pmf, deficit=0.0)
 
 
 def fit_geom_ratio(source, window) -> float:
@@ -180,36 +151,35 @@ def fit_geom_ratio(source, window) -> float:
     return float(np.mean(s[1:] / s[:-1]))
 
 
-def compare(params: ModelParams, target: str, sources: dict, n_states: int = 50,
-            window: tuple | None = (50, 1000), catalog: dict | None = None) -> AgreementReport:
-    """Pairwise bulk agreement plus a tail fit against the catalog.
-
-    `sources` maps a label to a Pmf, pmf vector or integer sample array; the
-    tail fit uses the source labelled 'inversion' when present.
-    """
-    report = AgreementReport(target=target)
+def compare(target: str, sources: dict, n_states: int, window: tuple,
+            entry: asymptotics.PowerTail) -> dict:
+    """One target's entry of verify_report.json: the TV distances between
+    `sources` (Pmfs, pmf vectors or integer samples) over states
+    0..n_states-1, keyed "a|b", and the fits of sources["inversion"] over
+    `window` against the catalog `entry` (a decay ratio when it is geometric)."""
     names = sorted(sources)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            report.tv[(a, b)] = tv_distance(sources[a], sources[b], n_states)
-    if catalog is None:
-        catalog = asymptotics.tail_catalog(params)
-    entry = catalog.get(target.lower())
-    report.catalog_entry = entry
-    if window is not None and "inversion" in sources and entry is not None:
-        if entry.geom == 1.0:
-            free = fit_tail(sources["inversion"], window, L0=entry.L0)
-            pinned = fit_tail(sources["inversion"], window,
-                              known_kappa=entry.kappa, L0=entry.L0)
-            report.fits["inversion"] = free
-            report.fits["inversion-pinned"] = pinned
-            report.kappa_rel_err = abs(free.kappa - entry.kappa) / entry.kappa
-            report.c_rel_err = abs(pinned.c - entry.c) / entry.c
-        else:
-            ratio = fit_geom_ratio(sources["inversion"], window)
-            report.fits["inversion"] = TailFit(tuple(window), None, ratio, None, "ratio")
-            report.c_rel_err = abs(ratio - entry.geom) / entry.geom
-    return report
+    tv = {f"{a}|{b}": tv_distance(sources[a], sources[b], n_states)
+          for i, a in enumerate(names) for b in names[i + 1 :]}
+    inversion = sources["inversion"]
+    kappa_rel_err = None
+    if entry.geom == 1.0:
+        free = fit_tail(inversion, window, L0=entry.L0)
+        pinned = fit_tail(inversion, window, known_kappa=entry.kappa, L0=entry.L0)
+        fits = {"inversion": free, "inversion-pinned": pinned}
+        kappa_rel_err = abs(free.kappa - entry.kappa) / entry.kappa
+        c_rel_err = abs(pinned.c - entry.c) / entry.c
+    else:
+        ratio = fit_geom_ratio(inversion, window)
+        fits = {"inversion": TailFit(tuple(window), None, ratio, None, "ratio")}
+        c_rel_err = abs(ratio - entry.geom) / entry.geom
+    return {
+        "target": target,
+        "tv": tv,
+        "fits": {name: asdict(fit) for name, fit in fits.items()},
+        "catalog": entry.to_dict(),
+        "kappa_rel_err": kappa_rel_err,
+        "c_rel_err": c_rel_err,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +209,14 @@ def _euler_survival(lst, t):
     return math.exp(_EULER_A / 2.0) / t[:, 0] * (partial @ binom)
 
 
+def _lemma(name: str, statistic: float, tolerance: float, note: str) -> dict:
+    """A lemma check's report entry: every statistic is a ratio whose
+    predicted limit is 1."""
+    return {"name": name, "statistic": statistic, "predicted": 1.0,
+            "tolerance": tolerance, "ok": abs(statistic - 1.0) <= tolerance,
+            "note": note}
+
+
 def _lemma_compound_geometric():
     # geometric number N >= 1 of iid heavy summands Y:
     # P{S > t} ~ E[N] (1 - F(t)) + E[N(N-1)] E[Y] f(t), the second-order
@@ -255,16 +233,9 @@ def _lemma_compound_geometric():
     mean_n = 1.0 / (1.0 - sigma)
     fact2_n = 2.0 * sigma / (1.0 - sigma) ** 2
     pred = mean_n * dist.survival(t_grid) + fact2_n * dist.mean * dist._density(t_grid)
-    ratio = float(np.mean(exact / pred))
-    return {
-        "name": "compound-geometric tail",
-        "statistic": ratio,
-        "predicted": 1.0,
-        "tolerance": 0.15,
-        "ok": abs(ratio - 1.0) <= 0.15,
-        "note": "exact P(S>t) by transform inversion over (E[N] survival + "
-                f"E[N(N-1)] E[Y] density), averaged over t in {t_grid.tolist()}",
-    }
+    return _lemma("compound-geometric tail", float(np.mean(exact / pred)), 0.15,
+                  "exact P(S>t) by transform inversion over (E[N] survival + "
+                  f"E[N(N-1)] E[Y] density), averaged over t in {t_grid.tolist()}")
 
 
 def _lemma_poisson_count():
@@ -274,15 +245,9 @@ def _lemma_poisson_count():
     b = dist.poisson_mixture_pmf(lam, 4096)
     surv = 1.0 - np.cumsum(b)
     j = np.arange(100, 1001)
-    ratio = float(np.mean(surv[j] / dist.survival(j / lam)))
-    return {
-        "name": "poisson count over heavy interval",
-        "statistic": ratio,
-        "predicted": 1.0,
-        "tolerance": 0.10,
-        "ok": abs(ratio - 1.0) <= 0.10,
-        "note": "exact count pmf vs interval survival, j in [100, 1000]",
-    }
+    return _lemma("poisson count over heavy interval",
+                  float(np.mean(surv[j] / dist.survival(j / lam))), 0.10,
+                  "exact count pmf vs interval survival, j in [100, 1000]")
 
 
 def _lemma_convolution():
@@ -296,15 +261,8 @@ def _lemma_convolution():
     sheavy = survival_of(heavy)
     sconv = survival_of(conv / conv.sum())
     jj = np.arange(500, 5001)
-    ratio = float(np.mean(sconv[jj] / sheavy[jj]))
-    return {
-        "name": "convolution tail closure",
-        "statistic": ratio,
-        "predicted": 1.0,
-        "tolerance": 0.10,
-        "ok": abs(ratio - 1.0) <= 0.10,
-        "note": "numeric convolution of a power pmf with a geometric pmf",
-    }
+    return _lemma("convolution tail closure", float(np.mean(sconv[jj] / sheavy[jj])),
+                  0.10, "numeric convolution of a power pmf with a geometric pmf")
 
 
 def _random_sum_cdf(count_pmf, summand_pmf):
@@ -350,16 +308,10 @@ def _lemma_random_sum():
     exact = 1.0 - _random_sum_cdf(pmf, pmf)[t_grid]
     mu = _zeta(h)
     const = mu**h + mu
-    ratio = float(np.mean(exact / (const * t_grid.astype(float) ** -h)))
-    return {
-        "name": "random-sum tail closure",
-        "statistic": ratio,
-        "predicted": 1.0,
-        "tolerance": 0.20,
-        "ok": abs(ratio - 1.0) <= 0.20,
-        "note": "exact P(S>t) by finite convolution vs c_N mu_Y^h + mu_N c_Y, "
-                "heavy count and summands",
-    }
+    return _lemma("random-sum tail closure",
+                  float(np.mean(exact / (const * t_grid.astype(float) ** -h))), 0.20,
+                  "exact P(S>t) by finite convolution vs c_N mu_Y^h + mu_N c_Y, "
+                  "heavy count and summands")
 
 
 def check_appendix_lemmas() -> list:

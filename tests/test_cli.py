@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtq import cli, transforms
+from rtq import cli, errors, transforms
 from rtq.decomposition import PAIR_TARGETS, SCALAR_TARGETS, DecompositionSampler
 from rtq.errors import BadParam, OverflowGuard
 from rtq.simulator import TARGET_STATES, simulate
@@ -129,6 +129,75 @@ class TestConfigValidation:
     def test_load_config_raises_bad_param(self, write_config):
         with pytest.raises(BadParam):
             cli.load_config(write_config({"model": {}}))
+
+    @pytest.mark.parametrize("block, update, where", [
+        ("verify", {"window": [120, 30]}, "verify.window"),
+        ("verify", {"window": [30.0, 120]}, "verify.window"),
+        ("verify", {"light_window": [5, 100]}, "verify.light_window"),
+        ("verify", {"samples": 0}, "verify.samples"),
+        ("verify", {"n_states": 0}, "verify.n_states"),
+        ("inversion", {"n": -3}, "inversion.n"),
+        ("inversion", {"n": 0}, "inversion.n"),
+        ("inversion", {"n": float("inf")}, "inversion.n"),
+        ("sim", {"max_events": None}, "sim.max_events"),
+        ("model", {"lam": None}, "model.lam"),
+        ("model", {"q": "0.5"}, "model.q"),
+        ("model", {"dist2": {"kind": "exponential", "rate": None}}, "model.dist2.rate"),
+        ("model", {"dist2": {"kind": "erlang", "rate": 10.0}}, "model.dist2.shape"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_malformed_values_are_config_errors(self, write_config, tmp_path, capsys,
+                                                block, update, where):
+        cfg = _base_config()
+        cfg[block] = {**cfg[block], **update}
+        path = write_config(cfg)
+        with pytest.raises(BadParam, match=where):
+            cli.load_config(path)
+        assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"rtq: config error: {where}")
+        assert not (tmp_path / "o").exists()
+
+
+# the exit code and stderr prefix of every rtq error class
+_EXITS = {
+    errors.BadParam: (2, "config error"),
+    errors.Unstable: (2, "config error"),
+    errors.AssumptionViolation: (2, "config error"),
+    errors.InsufficientData: (4, "data error"),
+    errors.WindowTooNoisy: (4, "data error"),
+    errors.QuadratureFailure: (3, "numeric error"),
+    errors.NoConvergence: (3, "numeric error"),
+    errors.InversionError: (3, "numeric error"),
+    errors.RecursionDepthExceeded: (3, "numeric error"),
+    errors.OverflowGuard: (3, "numeric error"),
+    errors.NotApplicable: (3, "numeric error"),
+}
+
+
+class TestExitCodes:
+    def test_every_error_class_has_an_exit_code(self):
+        classes = {c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.RtqError)}
+        assert classes - {errors.RtqError} == set(_EXITS)
+
+    @pytest.mark.parametrize("error", list(_EXITS), ids=lambda c: c.__name__)
+    def test_error_class_maps_to_its_exit_code(self, write_config, tmp_path, capsys,
+                                               monkeypatch, error):
+        def failing(cfg):
+            raise error("planted")
+
+        monkeypatch.setattr(cli, "cmd_analyze", failing)
+        code, prefix = _EXITS[error]
+        assert cli.main(["analyze", "--config", write_config(_base_config()),
+                         "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"rtq: {prefix}: planted\n"
+        assert not (tmp_path / "o" / "runs.jsonl").exists()
+
+    def test_hopeless_roundoff_is_a_numeric_error(self, write_config, tmp_path, capsys):
+        cfg = _base_config(inversion={"n": 150, "radius": 0.3})
+        assert cli.main(["analyze", "--config", write_config(cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "rtq: numeric error: radius 0.3 amplifies round-off")
 
 
 class TestAnalyze:

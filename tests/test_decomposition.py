@@ -71,6 +71,16 @@ class TestBusyPeriods:
         draws = DecompositionSampler(params, seed=3).sample("ka", 10_000)
         assert draws.shape == (10_000,) and np.all(draws >= 0)
 
+    def test_equilibrium_root_with_infinite_mean(self):
+        # type-1 index 1.8: the equilibrium root of a Ka tree has index 0.8
+        # and no mean, so the default budget counts one service per tree
+        params = ModelParams(lam=1.0, q=0.5, mu=1.0,
+                             dist1=ParetoShifted.from_mean(1.8, 0.6),
+                             dist2=Exponential(10.0 / 3.0))
+        assert params.dist1_eq.mean == np.inf
+        draws = DecompositionSampler(params, seed=3).sample("ka", 10_000)
+        assert verify.tv_distance(draws, _factor_pmf(params, "ka"), 40) < 0.02
+
     def test_orbit_input_mean(self, ref_params, sampler):
         # each effective arrival feeds p/(1-rho1) customers to the orbit
         x = sampler.sample_xg(300_000)

@@ -219,6 +219,18 @@ class TestMixture:
             )
             assert complex(m.lst(s)) == pytest.approx(expect, abs=1e-13)
 
+    def test_tail_pools_the_heaviest_components(self):
+        # equal power indices: the L0 masses scale^index add up by weight
+        tail = Mixture([0.3, 0.7], [ParetoShifted(2.5, 1.0), ParetoShifted(2.5, 2.0)]).tail
+        assert (tail.r, tail.a) == (0.0, 2.5)
+        assert tail.L0 == pytest.approx(0.3 + 0.7 * 2.0**2.5, rel=1e-14)
+
+    def test_tail_of_a_light_and_a_heavy_component(self):
+        # the exponential component decays faster and adds nothing
+        tail = Mixture([0.5, 0.5], [Exponential(1.0), ParetoShifted(3.0, 1.0)]).tail
+        assert (tail.r, tail.a) == (0.0, 3.0)
+        assert tail.L0 == pytest.approx(0.5, rel=1e-14)
+
     def test_equilibrium_identity(self):
         m = Mixture([0.3, 0.7], [Exponential(1.5), Erlang(3, 6.0)])
         e = m.equilibrium()

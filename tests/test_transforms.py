@@ -381,3 +381,9 @@ class TestConditionalPmfs:
     def test_rejects_radius_outside_unit_interval(self, ref_params, radius):
         with pytest.raises(InversionError, match="radius"):
             T.conditional_pmfs(ref_params, 10, radius=radius)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_fewer_than_one_coefficient(self, ref_params, n):
+        # as extract_pmf does: n = 0 would give empty pmfs, n < 0 a broadcast error
+        with pytest.raises(InversionError, match="n >= 1"):
+            T.conditional_pmfs(ref_params, n, radius=0.8)
