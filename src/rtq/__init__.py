@@ -9,7 +9,6 @@ from .model import (
     ParetoShifted,
     ServiceDist,
     TailDescriptor,
-    validate,
 )
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "ParetoShifted",
     "ServiceDist",
     "TailDescriptor",
-    "validate",
 ]
 
 __version__ = "0.1.0"

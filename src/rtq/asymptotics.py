@@ -19,8 +19,8 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import NotApplicable
-from .model import ModelParams, validate
+from .errors import AssumptionViolation, NotApplicable
+from .model import ModelParams
 
 __all__ = ["PowerTail", "tail_catalog", "catalog_to_json"]
 
@@ -49,16 +49,22 @@ class PowerTail:
 
 
 def tail_catalog(params: ModelParams) -> dict:
-    """All tail asymptotes for a validated parameter set.
+    """All tail asymptotes of a model whose type-2 law is lighter-tailed.
 
     Continuous-time entries (busy periods, equilibrium services) take a time
     argument; all others take an integer count.  Raises NotApplicable when
-    the high-priority service tail is not a power law.
+    the high-priority service tail is not a power law, and
+    AssumptionViolation when both tails are power laws with a2 <= a1: the
+    catalog assumes the type-2 tail is the lighter one, which the
+    stationary law itself does not need.
     """
-    validate(params)
-    t1 = params.dist1.tail
+    t1, t2 = params.dist1.tail, params.dist2.tail
     if not t1.is_power:
         raise NotApplicable("tail catalog requires a power-tailed type-1 service law")
+    if t2.is_power and t2.a <= t1.a:
+        raise AssumptionViolation(
+            f"power-law indices must satisfy a2 > a1, got a1={t1.a}, a2={t2.a}"
+        )
     a = t1.a
     L1 = t1.L0
     lam1, lam2, mu = params.lambda1, params.lambda2, params.mu
@@ -82,7 +88,6 @@ def tail_catalog(params: ModelParams) -> dict:
         desc="equilibrium type-1 service (time)")
     put("service_eq", lam1 / (rho * (a - 1)), a - 1,
         desc="equilibrium merged service (time)")
-    t2 = params.dist2.tail
     if t2.is_power:
         put("service2_eq", lam2 / (rho2 * (t2.a - 1)), t2.a - 1, L0=t2.L0,
             desc="equilibrium type-2 service (time)")

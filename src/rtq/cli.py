@@ -36,7 +36,7 @@ from .errors import (
     Unstable,
     WindowTooNoisy,
 )
-from .model import Erlang, Exponential, ModelParams, ParetoShifted, validate
+from .model import Erlang, Exponential, ModelParams, ParetoShifted
 from .simulator import TARGET_STATES, SimConfig, simulate
 
 __all__ = ["RunConfig", "load_config", "entry", "main"]
@@ -64,6 +64,8 @@ class RunConfig:
 
 
 def _require_keys(block: dict, allowed: set, where: str):
+    if not isinstance(block, dict):
+        raise BadParam(f"{where} must be an object, got {block!r}")
     unknown = set(block) - allowed
     if unknown:
         raise BadParam(f"unknown keys in {where}: {sorted(unknown)}")
@@ -101,7 +103,10 @@ def _parse_dist(block: dict, where: str):
             raise BadParam(f"{where}: give exactly one of rate/mean")
         if "rate" in block:
             return Exponential(_number(block, "rate", where))
-        return Exponential(1.0 / _number(block, "mean", where))
+        mean = _number(block, "mean", where)
+        if mean <= 0:
+            raise BadParam(f"{where}.mean must be positive, got {mean}")
+        return Exponential(1.0 / mean)
     if kind == "erlang":
         _require_keys(block, {"kind", "shape", "rate"}, where)
         return Erlang(_number(block, "shape", where), _number(block, "rate", where))
@@ -117,35 +122,31 @@ def _parse_dist(block: dict, where: str):
 
 
 def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
-    """Parse, validate and freeze a run configuration.  BadParam for unknown
-    keys, missing, non-numeric or infinite numbers, counts below 1 (inversion
-    n, verify n_states and samples) and windows other than ints 10 <= lo < hi."""
+    """Parse and freeze a run configuration.  BadParam for unknown keys,
+    blocks that are not objects, missing, non-numeric or infinite numbers,
+    counts below 1 (inversion n, verify n_states and samples) and windows
+    other than ints 10 <= lo < hi.  `ModelParams` checks the model itself;
+    the catalog's a2 > a1 assumption is left to `tail_catalog`."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise BadParam(f"cannot read config {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise BadParam("config root must be a JSON object")
     _require_keys(raw, {"model", "sim", "inversion", "verify", "out", "seed"}, "config")
 
     model = raw.get("model")
-    if not isinstance(model, dict):
-        raise BadParam("config needs a 'model' block")
     _require_keys(model, {"lam", "q", "mu", "dist1", "dist2"}, "model")
-    params = validate(
-        ModelParams(
-            lam=float(_number(model, "lam", "model")),
-            q=float(_number(model, "q", "model")),
-            mu=float(_number(model, "mu", "model")),
-            dist1=_parse_dist(model.get("dist1"), "model.dist1"),
-            dist2=_parse_dist(model.get("dist2"), "model.dist2"),
-        )
+    params = ModelParams(
+        lam=float(_number(model, "lam", "model")),
+        q=float(_number(model, "q", "model")),
+        mu=float(_number(model, "mu", "model")),
+        dist1=_parse_dist(model.get("dist1"), "model.dist1"),
+        dist2=_parse_dist(model.get("dist2"), "model.dist2"),
     )
 
     seed = int(_number(raw, "seed", "config", 0)) if seed_override is None else int(seed_override)
     sim_block = raw.get("sim", {})
-    _require_keys(sim_block, {"max_events", "queue_cap"}, "sim")
+    _require_keys(sim_block, {"max_events"}, "sim")
     sim = SimConfig(seed=seed, **{key: _count(sim_block, key, "sim", None) for key in sim_block})
 
     inv = raw.get("inversion", {})
@@ -280,8 +281,9 @@ def cmd_analyze(cfg: RunConfig) -> list:
 
     try:
         catalog = asymptotics.tail_catalog(cfg.params)
-    except NotApplicable:
-        # no power-law type-1 service: there is no tail catalog to write
+    except (NotApplicable, AssumptionViolation):
+        # no power-law type-1 service, or a2 <= a1: the stationary laws
+        # above exist, but there is no tail catalog to write
         catalog = None
     if catalog is not None:
         path = os.path.join(cfg.out, "catalog.json")
@@ -342,6 +344,8 @@ def _verify_target(cfg, target, pmfs, sim_res, sampler_pmfs, catalog):
 
 def cmd_verify(cfg: RunConfig) -> list:
     params = cfg.params
+    # first, so a model outside the catalog's assumptions fails before any work
+    catalog = asymptotics.tail_catalog(params)
     n_tail = max(cfg.inversion_n, 4 * cfg.verify_window[1] // 3)
     pmfs = transforms.conditional_pmfs(params, n_tail, radius=0.995)
     sim_res = simulate(params, cfg.sim)
@@ -354,7 +358,6 @@ def cmd_verify(cfg: RunConfig) -> list:
         target: verify.empirical_pmf(d, cfg.verify_n_states)
         for target, d in zip(TARGET_STATES, draws)
     }
-    catalog = asymptotics.tail_catalog(params)
     targets = {
         t: _verify_target(cfg, t, pmfs, sim_res, sampler_pmfs, catalog)
         for t in TARGET_STATES

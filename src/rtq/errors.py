@@ -34,7 +34,7 @@ class RecursionDepthExceeded(RtqError):
 
 
 class OverflowGuard(RtqError):
-    """Queue or orbit lengths outgrew the simulator's cap or the int64 row codes."""
+    """Sampled (queue, orbit) rows span too wide a range for int64 row codes."""
 
 
 class InsufficientData(RtqError):

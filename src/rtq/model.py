@@ -30,7 +30,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import AssumptionViolation, BadParam, QuadratureFailure, Unstable
+from .errors import BadParam, QuadratureFailure, Unstable
 
 __all__ = [
     "TailDescriptor",
@@ -40,7 +40,6 @@ __all__ = [
     "ParetoShifted",
     "Mixture",
     "ModelParams",
-    "validate",
 ]
 
 
@@ -482,6 +481,12 @@ class ModelParams:
     q        probability an arrival is Type-1 (queue, priority)
     mu       per-customer retrial rate from the orbit
     dist1/2  service-time laws for Type-1 / Type-2 customers
+
+    Construction checks the model: BadParam unless q is in (0, 1), lam and
+    mu are finite and positive and both laws have a finite positive mean,
+    and Unstable unless rho < 1.  The stationary law exists for every
+    model that passes; the tail catalog's a2 > a1 assumption is checked by
+    `asymptotics.tail_catalog` alone.
     """
 
     lam: float
@@ -489,6 +494,19 @@ class ModelParams:
     mu: float
     dist1: ServiceDist
     dist2: ServiceDist
+
+    def __post_init__(self):
+        if not (0.0 < self.q < 1.0):
+            raise BadParam(f"q must be in (0,1), got {self.q}")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise BadParam(f"arrival rate must be positive, got {self.lam}")
+        if not (self.mu > 0 and math.isfinite(self.mu)):
+            raise BadParam(f"retrial rate must be positive, got {self.mu}")
+        for name, d in (("dist1", self.dist1), ("dist2", self.dist2)):
+            if not (0 < d.mean < math.inf):
+                raise BadParam(f"{name} must have a finite positive mean")
+        if self.rho >= 1.0:
+            raise Unstable(f"rho = {self.rho:.6g} >= 1; the system is not stable")
 
     @property
     def p(self):
@@ -539,28 +557,3 @@ class ModelParams:
     def dist2_eq(self) -> ServiceDist:
         return self.dist2.equilibrium()
 
-
-def validate(params: ModelParams) -> ModelParams:
-    """Check ranges, stability and the tail-ordering assumption.
-
-    Returns the same (immutable) params on success so calls can be chained.
-    """
-    if not (0.0 < params.q < 1.0):
-        raise BadParam(f"q must be in (0,1), got {params.q}")
-    if not (params.lam > 0 and math.isfinite(params.lam)):
-        raise BadParam(f"arrival rate must be positive, got {params.lam}")
-    if not (params.mu > 0 and math.isfinite(params.mu)):
-        raise BadParam(f"retrial rate must be positive, got {params.mu}")
-    for name, d in (("dist1", params.dist1), ("dist2", params.dist2)):
-        if not (0 < d.mean < math.inf):
-            raise BadParam(f"{name} must have a finite positive mean")
-        if isinstance(d, ParetoShifted) and d.index <= 1:
-            raise BadParam(f"{name}: pareto index must exceed 1")
-    if params.rho >= 1.0:
-        raise Unstable(f"rho = {params.rho:.6g} >= 1; the system is not stable")
-    t1, t2 = params.dist1.tail, params.dist2.tail
-    if t1.is_power and t2.is_power and t2.a <= t1.a:
-        raise AssumptionViolation(
-            f"power-law indices must satisfy a2 > a1, got a1={t1.a}, a2={t2.a}"
-        )
-    return params

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParam, InsufficientData, OverflowGuard
-from .model import ModelParams, validate
+from .errors import BadParam, InsufficientData
+from .model import ModelParams
 
 __all__ = ["SimConfig", "SimResult", "simulate", "IDLE", "BUSY1", "BUSY2", "TARGET_STATES"]
 
@@ -58,7 +58,6 @@ TARGET_STATES = {
 class SimConfig:
     max_events: int = 1_000_000
     seed: int = 0
-    queue_cap: int = 10_000_000
 
     def __post_init__(self):
         if self.max_events < _MIN_EVENTS:
@@ -145,8 +144,7 @@ def _segment_ends(max_events: int) -> list:
 
 def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     """Run the event loop; deterministic for a fixed (params, config)."""
-    validate(params)
-    lam, q, mu, cap = params.lam, params.q, params.mu, config.queue_cap
+    lam, q, mu = params.lam, params.q, params.mu
     seed = config.seed
     gap = _draws(seed, 0, lambda rng, k: rng.exponential(1.0 / lam, k))
     uniform = _draws(seed, 1, lambda rng, k: rng.random(k))
@@ -204,10 +202,6 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
                         t_retry = inf
                     else:
                         no += 1
-                if nq + no > cap:
-                    raise OverflowGuard(
-                        f"backlog exceeded {cap} customers at t={t:.6g}"
-                    )
                 t_arrival = t + gap()
             elif kind == 1:  # service completion
                 if nq > 0:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rtq.asymptotics import PowerTail, catalog_to_json, tail_catalog
-from rtq.errors import NotApplicable
+from rtq.errors import AssumptionViolation, NotApplicable
 from rtq.model import Erlang, Exponential, ModelParams, ParetoShifted
 
 
@@ -33,6 +33,14 @@ class TestCatalogConsistency:
         light = ModelParams(1.0, 0.5, 1.0, Exponential(2.0), Exponential(4.0))
         with pytest.raises(NotApplicable):
             tail_catalog(light)
+
+    @pytest.mark.parametrize("a2", [2.0, 2.5])
+    def test_needs_a_lighter_type2_tail(self, a2):
+        # the model itself is fine: only the catalog assumes a2 > a1
+        params = ModelParams(1.0, 0.5, 1.0, ParetoShifted.from_mean(2.5, 0.6),
+                             ParetoShifted.from_mean(a2, 0.3))
+        with pytest.raises(AssumptionViolation, match="a2 > a1"):
+            tail_catalog(params)
 
     def test_orbit_factor_constants_add(self, ref_catalog):
         c = ref_catalog

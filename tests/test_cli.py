@@ -107,6 +107,7 @@ class TestConfigValidation:
             ("sim", {"max_events": 1000, "warmup_fraction": 0.1}),
             ("sim", {"max_events": 1000, "batches": 10}),
             ("sim", {"max_events": 1000, "max_time": 1000.0}),
+            ("sim", {"max_events": 1000, "queue_cap": 10}),
             ("verify", {"kappa_tol": 0.15}),
             ("verify", {"c_tol": 0.25}),
         ):
@@ -144,6 +145,7 @@ class TestConfigValidation:
         ("model", {"q": "0.5"}, "model.q"),
         ("model", {"dist2": {"kind": "exponential", "rate": None}}, "model.dist2.rate"),
         ("model", {"dist2": {"kind": "erlang", "rate": 10.0}}, "model.dist2.shape"),
+        ("model", {"dist2": {"kind": "exponential", "mean": 0}}, "model.dist2.mean"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_malformed_values_are_config_errors(self, write_config, tmp_path, capsys,
                                                 block, update, where):
@@ -155,6 +157,56 @@ class TestConfigValidation:
         assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"rtq: config error: {where}")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("block, value", [
+        ("inversion", None), ("sim", ["max_events"]), ("verify", 5), ("model", None),
+    ])
+    def test_blocks_must_be_objects(self, write_config, tmp_path, capsys, block, value):
+        path = write_config(_base_config(**{block: value}))
+        with pytest.raises(BadParam, match=f"{block} must be an object"):
+            cli.load_config(path)
+        assert cli.main(["analyze", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"rtq: config error: {block} must be an object")
+        assert not (tmp_path / "o").exists()
+
+
+class TestHeavierType2Tail:
+    """a1 = 3.5 > a2 = 2.5: the stationary laws exist, the tail catalog does not."""
+
+    @pytest.fixture
+    def heavy2_config(self, write_config):
+        cfg = _base_config()
+        cfg["model"]["dist1"] = {"kind": "pareto", "index": 3.5, "mean": 0.6}
+        cfg["model"]["dist2"] = {"kind": "pareto", "index": 2.5, "mean": 0.3}
+        return write_config(cfg)
+
+    def test_analyze_writes_everything_but_the_catalog(self, heavy2_config, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main(["analyze", "--config", heavy2_config, "--out", str(out)]) == 0
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted(
+            ["factors.csv", "runs.jsonl", *(f"pmf_{t}.csv" for t in TARGET_STATES)]
+        )
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["sample", "--target", "r1", "-n", "500"]])
+    def test_simulate_and_sample_run(self, heavy2_config, tmp_path, argv):
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--config", heavy2_config, "--out", str(out)]) == 0
+        assert (out / "runs.jsonl").exists()
+
+    def test_verify_is_a_config_error_before_any_work(self, heavy2_config, tmp_path,
+                                                      capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("verify ran a pillar before checking the catalog")
+
+        monkeypatch.setattr(transforms, "conditional_pmfs", no_work)
+        monkeypatch.setattr(cli, "simulate", no_work)
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--config", heavy2_config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "rtq: config error: power-law indices must satisfy a2 > a1")
+        assert not out.exists()
 
 
 # the exit code and stderr prefix of every rtq error class

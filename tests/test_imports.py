@@ -28,8 +28,10 @@ def test_parser_sees_both_import_forms():
 
 
 @pytest.mark.parametrize("module, banned", [
-    ("simulator", {"random", "rtq.transforms", "rtq.decomposition"}),
-    ("decomposition", {"rtq.transforms"}),
+    ("simulator", {"random", "rtq.transforms", "rtq.decomposition", "rtq.asymptotics"}),
+    ("decomposition", {"rtq.transforms", "rtq.asymptotics"}),
+    # the tail catalog's assumptions (a2 > a1) stay out of all three pillars
+    ("transforms", {"rtq.asymptotics"}),
 ])
 def test_pillar_does_not_import(module, banned):
     assert not _imports(module) & banned

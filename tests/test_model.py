@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rtq import model
-from rtq.errors import AssumptionViolation, BadParam, Unstable
+from rtq.errors import BadParam, Unstable
 from rtq.model import (
     Erlang,
     Exponential,
@@ -18,7 +18,6 @@ from rtq.model import (
     ParetoShifted,
     ServiceDist,
     _pareto_rule,
-    validate,
 )
 
 
@@ -333,28 +332,32 @@ class TestModelParams:
         assert p.psi == pytest.approx(0.45 * 0.5 / (1.0 * 0.55))
         assert p.mixed_service.mean == pytest.approx(0.45)
 
-    def test_validate_passes(self, ref_params, alt_params):
-        assert validate(ref_params) is ref_params
-        assert validate(alt_params) is alt_params
+    def test_admits_a_heavier_type2_tail(self):
+        # the stationary law needs only rho < 1; a2 > a1 is the tail
+        # catalog's assumption, not the model's
+        p = ModelParams(1.0, 0.5, 1.0, ParetoShifted.from_mean(3.5, 0.6),
+                        ParetoShifted.from_mean(2.5, 0.3))
+        assert p.rho == pytest.approx(0.45)
 
-    def test_validate_rejects_bad_split(self):
-        with pytest.raises(BadParam):
-            validate(
-                ModelParams(1.0, 0.0, 1.0, Exponential(4.0), Exponential(4.0))
-            )
+    @pytest.mark.parametrize("lam, q, mu, dist1, match", [
+        (1.0, 0.0, 1.0, Exponential(4.0), "q must be"),
+        (1.0, 1.0, 1.0, Exponential(4.0), "q must be"),
+        (1.0, 1.2, 1.0, Exponential(4.0), "q must be"),
+        (0.0, 0.5, 1.0, Exponential(4.0), "arrival rate"),
+        (np.inf, 0.5, 1.0, Exponential(4.0), "arrival rate"),
+        (np.nan, 0.5, 1.0, Exponential(4.0), "arrival rate"),
+        (1.0, 0.5, 0.0, Exponential(4.0), "retrial rate"),
+        (1.0, 0.5, np.inf, Exponential(4.0), "retrial rate"),
+        (1.0, 0.5, 1.0, ParetoShifted(1.0, 0.5), "dist1 must have a finite"),
+        (1.0, 0.5, 1.0, ParetoShifted(0.8, 0.5), "dist1 must have a finite"),
+    ], ids=["q=0", "q=1", "q=1.2", "lam=0", "lam=inf", "lam=nan", "mu=0",
+            "mu=inf", "index=1", "index=0.8"])
+    def test_rejects_out_of_range_values(self, lam, q, mu, dist1, match):
+        with pytest.raises(BadParam, match=match):
+            ModelParams(lam, q, mu, dist1, Exponential(4.0))
 
-    def test_validate_rejects_unstable(self):
-        with pytest.raises(Unstable):
-            validate(
-                ModelParams(4.0, 0.5, 1.0, Exponential(2.0), Exponential(2.0))
-            )
-
-    def test_validate_rejects_tail_ordering(self):
-        with pytest.raises(AssumptionViolation):
-            validate(
-                ModelParams(
-                    1.0, 0.5, 1.0,
-                    ParetoShifted.from_mean(2.5, 0.6),
-                    ParetoShifted.from_mean(2.0, 0.3),
-                )
-            )
+    @pytest.mark.parametrize("lam", [2.0, 2.1, 4.0])
+    def test_rejects_unstable_load(self, lam):
+        # both means 0.5, so rho = lam / 2
+        with pytest.raises(Unstable, match="not stable"):
+            ModelParams(lam, 0.5, 1.0, Exponential(2.0), Exponential(2.0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rtq import simulator
-from rtq.errors import InsufficientData, OverflowGuard, Unstable
+from rtq.errors import InsufficientData
 from rtq.model import Erlang, Exponential, ModelParams
 from rtq.simulator import BUSY1, BUSY2, IDLE, SimConfig, SimResult, simulate
 
@@ -61,15 +61,6 @@ class TestBalanceLaws:
 
 
 class TestGuards:
-    def test_rejects_unstable(self):
-        bad = ModelParams(4.0, 0.5, 1.0, Exponential(2.0), Exponential(2.0))
-        with pytest.raises(Unstable):
-            simulate(bad, SimConfig(max_events=1000))
-
-    def test_overflow_guard(self, ref_params):
-        with pytest.raises(OverflowGuard):
-            simulate(ref_params, SimConfig(max_events=5_000_000, seed=0, queue_cap=3))
-
     def test_insufficient_data(self):
         rare = ModelParams(1.0, 0.99, 1.0, Exponential(4.0), Exponential(4.0))
         res = simulate(rare, SimConfig(max_events=50_000, seed=1))
