@@ -361,3 +361,8 @@ class TestModelParams:
         # both means 0.5, so rho = lam / 2
         with pytest.raises(Unstable, match="not stable"):
             ModelParams(lam, 0.5, 1.0, Exponential(2.0), Exponential(2.0))
+
+    def test_validate_rejects_unstable(self):
+        # ModelParams validates itself: rho = 2 fails at construction
+        with pytest.raises(Unstable):
+            ModelParams(4.0, 0.5, 1.0, Exponential(2.0), Exponential(2.0))

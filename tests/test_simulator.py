@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rtq import simulator
-from rtq.errors import InsufficientData
+from rtq.errors import InsufficientData, Unstable
 from rtq.model import Erlang, Exponential, ModelParams
 from rtq.simulator import BUSY1, BUSY2, IDLE, SimConfig, SimResult, simulate
 
@@ -61,6 +61,12 @@ class TestBalanceLaws:
 
 
 class TestGuards:
+    def test_rejects_unstable(self):
+        # the check sits in ModelParams, so simulate never sees rho >= 1
+        with pytest.raises(Unstable):
+            bad = ModelParams(4.0, 0.5, 1.0, Exponential(2.0), Exponential(2.0))
+            simulate(bad, SimConfig(max_events=1000))
+
     def test_insufficient_data(self):
         rare = ModelParams(1.0, 0.99, 1.0, Exponential(4.0), Exponential(4.0))
         res = simulate(rare, SimConfig(max_events=50_000, seed=1))
