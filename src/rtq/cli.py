@@ -86,6 +86,13 @@ def _count(block: dict, key: str, where: str, default: int) -> int:
     return value
 
 
+def _positive(block: dict, key: str, where: str) -> float:
+    value = _number(block, key, where)
+    if value <= 0:
+        raise BadParam(f"{where}.{key} must be positive, got {value}")
+    return value
+
+
 def _window(block: dict, key: str, default: list) -> tuple:
     w = block.get(key, default)
     if not (type(w) is list and [type(j) for j in w] == [int, int] and 10 <= w[0] < w[1]):
@@ -102,30 +109,28 @@ def _parse_dist(block: dict, where: str):
         if ("rate" in block) == ("mean" in block):
             raise BadParam(f"{where}: give exactly one of rate/mean")
         if "rate" in block:
-            return Exponential(_number(block, "rate", where))
-        mean = _number(block, "mean", where)
-        if mean <= 0:
-            raise BadParam(f"{where}.mean must be positive, got {mean}")
-        return Exponential(1.0 / mean)
+            return Exponential(_positive(block, "rate", where))
+        return Exponential(1.0 / _positive(block, "mean", where))
     if kind == "erlang":
         _require_keys(block, {"kind", "shape", "rate"}, where)
-        return Erlang(_number(block, "shape", where), _number(block, "rate", where))
+        return Erlang(_number(block, "shape", where), _positive(block, "rate", where))
     if kind == "pareto":
         _require_keys(block, {"kind", "index", "scale", "mean"}, where)
         if ("scale" in block) == ("mean" in block):
             raise BadParam(f"{where}: give exactly one of scale/mean")
         index = _number(block, "index", where)
         if "mean" in block:
-            return ParetoShifted.from_mean(index, _number(block, "mean", where))
-        return ParetoShifted(index, _number(block, "scale", where))
+            return ParetoShifted.from_mean(index, _positive(block, "mean", where))
+        return ParetoShifted(index, _positive(block, "scale", where))
     raise BadParam(f"{where}: unknown distribution kind {kind!r}")
 
 
 def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
     """Parse and freeze a run configuration.  BadParam for unknown keys,
     blocks that are not objects, missing, non-numeric or infinite numbers,
-    counts below 1 (inversion n, verify n_states and samples) and windows
-    other than ints 10 <= lo < hi.  `ModelParams` checks the model itself;
+    law rates, means and scales that are not positive, counts below 1
+    (inversion n, verify n_states and samples) and windows other than ints
+    10 <= lo < hi.  `ModelParams` checks the model itself;
     the catalog's a2 > a1 assumption is left to `tail_catalog`."""
     try:
         with open(path) as fh:
@@ -344,8 +349,12 @@ def _verify_target(cfg, target, pmfs, sim_res, sampler_pmfs, catalog):
 
 def cmd_verify(cfg: RunConfig) -> list:
     params = cfg.params
-    # first, so a model outside the catalog's assumptions fails before any work
-    catalog = asymptotics.tail_catalog(params)
+    # first, so a model outside the catalog's assumptions fails before any
+    # work; a type-1 law that is not a power law is outside them too
+    try:
+        catalog = asymptotics.tail_catalog(params)
+    except NotApplicable as exc:
+        raise BadParam(str(exc)) from None
     n_tail = max(cfg.inversion_n, 4 * cfg.verify_window[1] // 3)
     pmfs = transforms.conditional_pmfs(params, n_tail, radius=0.995)
     sim_res = simulate(params, cfg.sim)

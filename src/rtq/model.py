@@ -4,17 +4,18 @@ A service distribution exposes the handful of functionals the rest of the
 package needs: the Laplace-Stieltjes transform (LST) on the closed right
 half-plane and its derivative, both from one kernel (`lst_and_deriv`), the
 survival function, exact samplers, the equilibrium (stationary-excess) law
-and a tail descriptor.  Exponential and Erlang laws use closed forms; the
-shifted Pareto law evaluates its LST by double-exponential quadrature on a
-ray rotated so that exp(-s t) decays without oscillating, which makes
-complex arguments (needed for generating-function inversion) cost the same
-as real ones.  The rotated integrand is written in real modulus and phase
-and summed over blocks of arguments, and one pass gives the LST and its
-derivative together.  The quadrature rule depends on the index alone: the
-LST of scale c at s is the scale-1 LST at c s, so no scale is too small or
-too large for it.  The shifted Pareto law also gives the pmf of the Poisson
-count over one service time, on the same quadrature nodes, for the
-limit-lemma checks of `verify`.
+and a tail descriptor.  Erlang laws use closed forms, and the exponential
+law is the shape-1 Erlang: one class, so the same transforms and the same
+draws, and its own equilibrium law.  The shifted Pareto law evaluates its
+LST by double-exponential quadrature on a ray rotated so that exp(-s t)
+decays without oscillating, which makes complex arguments (needed for
+generating-function inversion) cost the same as real ones.  The rotated
+integrand is written in real modulus and phase and summed over blocks of
+arguments, and one pass gives the LST and its derivative together.  The
+quadrature rule depends on the index alone: the LST of scale c at s is the
+scale-1 LST at c s, so no scale is too small or too large for it.  The
+shifted Pareto law also gives the pmf of the Poisson count over one service
+time, on the same quadrature nodes, for the limit-lemma checks of `verify`.
 
 The LST evaluators follow numpy's convention: the argument is taken as
 `np.asarray(s, dtype=complex)` and the result has its shape, so a scalar,
@@ -104,46 +105,6 @@ class ServiceDist:
         raise NotImplementedError
 
 
-class Exponential(ServiceDist):
-    kind = "exponential"
-
-    def __init__(self, rate: float):
-        if not (rate > 0 and math.isfinite(rate)):
-            raise BadParam(f"exponential rate must be positive, got {rate}")
-        self.rate = float(rate)
-
-    def __repr__(self):
-        return f"Exponential(rate={self.rate})"
-
-    @property
-    def mean(self):
-        return 1.0 / self.rate
-
-    @property
-    def moment2(self):
-        return 2.0 / self.rate**2
-
-    @property
-    def tail(self):
-        return TailDescriptor(r=self.rate, a=0.0, L0=1.0)
-
-    def lst_and_deriv(self, s):
-        den = self.rate + np.asarray(s, dtype=complex)
-        return self.rate / den, -self.rate / den**2
-
-    def survival(self, t):
-        return np.exp(-self.rate * np.asarray(t, dtype=float))
-
-    def equilibrium(self):
-        return self
-
-    def sample(self, rng, size):
-        return rng.exponential(1.0 / self.rate, size)
-
-    def sample_length_biased(self, rng, size):
-        return rng.gamma(2.0, 1.0 / self.rate, size)
-
-
 class Erlang(ServiceDist):
     kind = "erlang"
 
@@ -189,7 +150,9 @@ class Erlang(ServiceDist):
 
     def equilibrium(self):
         # classical identity: the excess of an Erlang(k) is an equal mixture
-        # of Erlang(1..k) with the same rate
+        # of Erlang(1..k) with the same rate; an exponential law is its own
+        if self.shape == 1:
+            return self
         comps = [Erlang(i, self.rate) for i in range(1, self.shape + 1)]
         return Mixture([1.0 / self.shape] * self.shape, comps)
 
@@ -198,6 +161,15 @@ class Erlang(ServiceDist):
 
     def sample_length_biased(self, rng, size):
         return rng.gamma(self.shape + 1, 1.0 / self.rate, size)
+
+
+class Exponential(Erlang):
+    """The shape-1 Erlang law: one class, so the same LSTs and draws."""
+
+    kind = "exponential"
+
+    def __init__(self, rate: float):
+        super().__init__(1, rate)
 
 
 def _log_factorials(kmax: int) -> np.ndarray:

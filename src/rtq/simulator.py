@@ -69,7 +69,6 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    config: SimConfig
     events: int
     collected_time: float
     time_in_state: np.ndarray          # (3,) time observed in each server state
@@ -225,7 +224,6 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
         events = end
 
     return SimResult(
-        config=config,
         events=events,
         collected_time=t - t_collect_start,
         time_in_state=np.array(time_in_state),

@@ -75,7 +75,6 @@ class Pmf:
 
     probs: np.ndarray
     deficit: float
-    label: str = ""
 
     def __len__(self):
         return self.probs.size
@@ -418,7 +417,7 @@ def _coeffs_from_ring(values, m, n, radius, label=""):
     total = probs.sum()
     if total > 1.0 + 1e-7:
         raise InversionError(f"{label or 'pmf'}: probabilities sum to {total:.9f} > 1")
-    return Pmf(probs=probs, deficit=max(0.0, 1.0 - total), label=label)
+    return Pmf(probs=probs, deficit=max(0.0, 1.0 - total))
 
 
 def extract_pmf(f, n: int, radius: float = 0.9, label: str = "") -> Pmf:
@@ -429,7 +428,8 @@ def extract_pmf(f, n: int, radius: float = 0.9, label: str = "") -> Pmf:
     values there fix the rest.  The result carries the unrecovered tail
     mass as `deficit`.  A radius above 1 is allowed for PGFs analytic
     beyond the unit disk (light-tailed laws), where it is the only way to
-    resolve geometrically small coefficients.
+    resolve geometrically small coefficients.  `label` names the PGF in
+    error messages.
     """
     if n < 1:
         raise InversionError("need n >= 1 coefficients")

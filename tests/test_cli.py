@@ -146,6 +146,14 @@ class TestConfigValidation:
         ("model", {"dist2": {"kind": "exponential", "rate": None}}, "model.dist2.rate"),
         ("model", {"dist2": {"kind": "erlang", "rate": 10.0}}, "model.dist2.shape"),
         ("model", {"dist2": {"kind": "exponential", "mean": 0}}, "model.dist2.mean"),
+        ("model", {"dist2": {"kind": "exponential", "rate": 0}}, "model.dist2.rate"),
+        ("model", {"dist2": {"kind": "exponential", "rate": -2.0}}, "model.dist2.rate"),
+        ("model", {"dist2": {"kind": "erlang", "shape": 2, "rate": 0}}, "model.dist2.rate"),
+        ("model", {"dist1": {"kind": "pareto", "index": 2.5, "mean": 0}}, "model.dist1.mean"),
+        ("model", {"dist1": {"kind": "pareto", "index": 2.5, "mean": -0.9}},
+         "model.dist1.mean"),
+        ("model", {"dist1": {"kind": "pareto", "index": 2.5, "scale": 0}},
+         "model.dist1.scale"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_malformed_values_are_config_errors(self, write_config, tmp_path, capsys,
                                                 block, update, where):
@@ -197,16 +205,32 @@ class TestHeavierType2Tail:
 
     def test_verify_is_a_config_error_before_any_work(self, heavy2_config, tmp_path,
                                                       capsys, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("verify ran a pillar before checking the catalog")
+        _assert_verify_refused(heavy2_config, tmp_path, capsys, monkeypatch,
+                               "power-law indices must satisfy a2 > a1")
 
-        monkeypatch.setattr(transforms, "conditional_pmfs", no_work)
-        monkeypatch.setattr(cli, "simulate", no_work)
-        out = tmp_path / "o"
-        assert cli.main(["verify", "--config", heavy2_config, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "rtq: config error: power-law indices must satisfy a2 > a1")
-        assert not out.exists()
+
+class TestLightType1Tail:
+    """Exponential type-1 service: no power tail, so no tail catalog."""
+
+    def test_verify_is_a_config_error_before_any_work(self, write_config, tmp_path,
+                                                      capsys, monkeypatch):
+        cfg = _base_config()
+        cfg["model"]["dist1"] = {"kind": "exponential", "mean": 0.6}
+        _assert_verify_refused(write_config(cfg), tmp_path, capsys, monkeypatch,
+                               "tail catalog requires a power-tailed type-1 service law")
+
+
+def _assert_verify_refused(path, tmp_path, capsys, monkeypatch, message):
+    """`rtq verify` exits 2 with `message` before any pillar runs, writing nothing."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("verify ran a pillar before checking the catalog")
+
+    monkeypatch.setattr(transforms, "conditional_pmfs", no_work)
+    monkeypatch.setattr(cli, "simulate", no_work)
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"rtq: config error: {message}")
+    assert not out.exists()
 
 
 # the exit code and stderr prefix of every rtq error class
@@ -401,6 +425,19 @@ class TestSample:
         first = drawn("a")
         assert drawn("b") == first
         assert drawn("c", "--seed", "4") != first
+
+    def test_exponential_is_the_shape1_erlang(self, write_config, tmp_path):
+        # one law written two ways draws one stream and writes one file
+        texts = []
+        for name, law in (("exp", {"kind": "exponential", "rate": 10 / 3}),
+                          ("erl", {"kind": "erlang", "shape": 1, "rate": 10 / 3})):
+            cfg = _base_config()
+            cfg["model"]["dist2"] = law
+            out = tmp_path / name
+            assert cli.main(["sample", "--config", write_config(cfg, f"{name}.json"),
+                             "--out", str(out), "--target", "r1", "-n", "3000"]) == 0
+            texts.append((out / "samples_r1.csv").read_bytes())
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("target", SCALAR_TARGETS + PAIR_TARGETS)
     def test_csv_is_the_csv_writer_text(self, write_config, tmp_path, target):

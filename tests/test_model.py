@@ -21,6 +21,13 @@ from rtq.model import (
 )
 
 
+# the methods that make up a service law
+_LAW_METHODS = {
+    "mean", "moment2", "tail", "lst_and_deriv", "survival", "equilibrium",
+    "sample", "sample_length_biased",
+}
+
+
 def _mp_lst(dist, s, deriv=False):
     mp.mp.dps = 30
     a, sc = mp.mpf(dist.index), mp.mpf(dist.scale)
@@ -46,9 +53,7 @@ class TestExponential:
 
     def test_equilibrium_is_itself(self):
         d = Exponential(2.0)
-        e = d.equilibrium()
-        assert e.mean == pytest.approx(d.mean)
-        assert complex(e.lst(1.3)) == pytest.approx(complex(d.lst(1.3)))
+        assert d.equilibrium() is d
 
     def test_tail_descriptor(self):
         t = Exponential(2.0).tail
@@ -58,6 +63,37 @@ class TestExponential:
         with pytest.raises(BadParam):
             Exponential(0.0)
 
+    def test_defines_no_law_method(self):
+        # the law is written once, in Erlang; Exponential adds a constructor
+        assert issubclass(Exponential, Erlang)
+        assert not _LAW_METHODS & set(vars(Exponential))
+
+    @pytest.mark.parametrize("rate", [10.0 / 3.0, 2.0, 0.37])
+    def test_lst_is_the_shape1_erlang_bit_for_bit(self, rate):
+        s = 1.5 * (1.0 - 0.9 * np.exp(2j * np.pi * np.arange(64) / 64))
+        val, deriv = Exponential(rate).lst_and_deriv(s)
+        erl_val, erl_deriv = Erlang(1, rate).lst_and_deriv(s)
+        np.testing.assert_array_equal(val, erl_val)
+        np.testing.assert_array_equal(deriv, erl_deriv)
+        np.testing.assert_array_equal(val, rate / (rate + s))
+        np.testing.assert_array_equal(deriv, -rate / (rate + s) ** 2)
+
+    @pytest.mark.parametrize("method", ["sample", "sample_length_biased"])
+    def test_draws_are_the_shape1_erlang_draws(self, method):
+        rate = 10.0 / 3.0
+        got = getattr(Exponential(rate), method)(np.random.default_rng(5), 1000)
+        erl = getattr(Erlang(1, rate), method)(np.random.default_rng(5), 1000)
+        np.testing.assert_array_equal(got, erl)
+
+    def test_draws_keep_the_exponential_stream(self):
+        # numpy's gamma(1) draws the bits of exponential(), so an
+        # exponential law drawn through Erlang keeps numpy's exponential stream
+        rate = 10.0 / 3.0
+        np.testing.assert_array_equal(
+            Exponential(rate).sample(np.random.default_rng(5), 100_000),
+            np.random.default_rng(5).exponential(1.0 / rate, 100_000),
+        )
+
 
 class TestErlang:
     def test_moments_and_lst(self):
@@ -66,6 +102,12 @@ class TestErlang:
         assert d.moment2 == pytest.approx(3 * 4 / 16.0)
         s = np.array([0.7, 2.5, 0.4 + 0.9j])
         np.testing.assert_allclose(d.lst(s), (4.0 / (4.0 + s)) ** 3, rtol=1e-13)
+
+    def test_shape1_equilibrium_is_itself(self):
+        # an exponential law is its own excess law, written as such: a
+        # one-component mixture would spend a draw on picking its component
+        d = Erlang(1, 10.0 / 3.0)
+        assert d.equilibrium() is d
 
     def test_equilibrium_lst_identity(self):
         d = Erlang(3, 4.0)
@@ -280,14 +322,15 @@ def test_scalar_calls_follow_numpys_convention():
 
 def test_laws_define_only_the_fused_lst():
     # lst and lst_deriv are the two halves of lst_and_deriv, written once in
-    # ServiceDist; a law that overrode one of them could drift from its kernel
+    # ServiceDist; a law that overrode one of them could drift from its
+    # kernel.  Exponential inherits its kernel from Erlang.
     laws = [
         cls for cls in vars(model).values()
         if isinstance(cls, type) and issubclass(cls, ServiceDist) and cls is not ServiceDist
     ]
     assert {cls.__name__ for cls in laws} == {"Exponential", "Erlang", "ParetoShifted", "Mixture"}
     for cls in laws:
-        assert "lst_and_deriv" in vars(cls), cls.__name__
+        assert cls.lst_and_deriv is not ServiceDist.lst_and_deriv, cls.__name__
         assert not {"lst", "lst_deriv"} & set(vars(cls)), cls.__name__
 
 
