@@ -79,11 +79,12 @@ def _number(block: dict, key: str, where: str, default=None):
     return value
 
 
-def _count(block: dict, key: str, where: str, default: int) -> int:
-    value = int(_number(block, key, where, default))
-    if value < 1:
-        raise BadParam(f"{where}.{key} must be at least 1, got {value}")
-    return value
+def _count(block: dict, key: str, where: str, default: int, least: int = 1) -> int:
+    """block[key] as an int; BadParam unless integral (1e6 counts) and >= least."""
+    value = _number(block, key, where, default)
+    if value != int(value) or value < least:
+        raise BadParam(f"{where}.{key} must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 def _positive(block: dict, key: str, where: str) -> float:
@@ -110,28 +111,35 @@ def _parse_dist(block: dict, where: str):
             raise BadParam(f"{where}: give exactly one of rate/mean")
         if "rate" in block:
             return Exponential(_positive(block, "rate", where))
-        return Exponential(1.0 / _positive(block, "mean", where))
+        mean = _positive(block, "mean", where)
+        if 1.0 / mean == math.inf:
+            raise BadParam(f"{where}.mean is too small to invert into a rate, got {mean}")
+        return Exponential(1.0 / mean)
     if kind == "erlang":
         _require_keys(block, {"kind", "shape", "rate"}, where)
-        return Erlang(_number(block, "shape", where), _positive(block, "rate", where))
+        return Erlang(_count(block, "shape", where, None), _positive(block, "rate", where))
     if kind == "pareto":
         _require_keys(block, {"kind", "index", "scale", "mean"}, where)
         if ("scale" in block) == ("mean" in block):
             raise BadParam(f"{where}: give exactly one of scale/mean")
-        index = _number(block, "index", where)
-        if "mean" in block:
-            return ParetoShifted.from_mean(index, _positive(block, "mean", where))
-        return ParetoShifted(index, _positive(block, "scale", where))
+        index = _positive(block, "index", where)
+        if "scale" in block:
+            return ParetoShifted(index, _positive(block, "scale", where))
+        if index <= 1:
+            raise BadParam(f"{where}.index must exceed 1 to prescribe a mean, got {index}")
+        return ParetoShifted.from_mean(index, _positive(block, "mean", where))
     raise BadParam(f"{where}: unknown distribution kind {kind!r}")
 
 
 def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
     """Parse and freeze a run configuration.  BadParam for unknown keys,
     blocks that are not objects, missing, non-numeric or infinite numbers,
-    law rates, means and scales that are not positive, counts below 1
-    (inversion n, verify n_states and samples) and windows other than ints
-    10 <= lo < hi.  `ModelParams` checks the model itself;
-    the catalog's a2 > a1 assumption is left to `tail_catalog`."""
+    law rates, means, scales and indices that are not positive (a Pareto
+    index given with a mean must exceed 1), counts other than integers >= 1
+    (Erlang shape, sim max_events, inversion n, verify n_states and
+    samples), a seed other than an integer >= 0 and windows other than ints
+    10 <= lo < hi.  Each names its key.  `ModelParams` checks the model
+    itself; the catalog's a2 > a1 assumption is left to `tail_catalog`."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -149,7 +157,9 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
         dist2=_parse_dist(model.get("dist2"), "model.dist2"),
     )
 
-    seed = int(_number(raw, "seed", "config", 0)) if seed_override is None else int(seed_override)
+    seed = _count(raw, "seed", "config", 0, 0) if seed_override is None else int(seed_override)
+    if seed < 0:
+        raise BadParam(f"--seed must be a non-negative integer, got {seed}")
     sim_block = raw.get("sim", {})
     _require_keys(sim_block, {"max_events"}, "sim")
     sim = SimConfig(seed=seed, **{key: _count(sim_block, key, "sim", None) for key in sim_block})
@@ -300,6 +310,7 @@ def cmd_analyze(cfg: RunConfig) -> list:
 def cmd_simulate(cfg: RunConfig) -> list:
     res = simulate(cfg.params, cfg.sim)
     stats = {
+        "cycles": len(res.cycles),
         "events": res.events,
         "collected_time": res.collected_time,
         "state_fractions": res.state_fractions().tolist(),
@@ -307,10 +318,11 @@ def cmd_simulate(cfg: RunConfig) -> list:
         "pasta_fractions": res.pasta_fractions().tolist(),
         "expected_fractions": [1 - cfg.params.rho, cfg.params.rho1, cfg.params.rho2],
     }
+    # every statistic first, so a data error leaves no artifact behind
+    pmfs = {tag: res.conditional_pmf(*target) for tag, target in TARGET_STATES.items()}
     paths = [os.path.join(cfg.out, "sim_stats.json")]
     _atomic_write(paths[0], _json_text(stats))
-    for tag, (state, coord) in TARGET_STATES.items():
-        pmf = res.conditional_pmf(state, coord)
+    for tag, pmf in pmfs.items():
         path = os.path.join(cfg.out, f"hist_{tag}.csv")
         _atomic_write(path, _csv_text(("j", "fraction"), range(pmf.size),
                                       [f"{v:.17g}" for v in pmf]))
@@ -355,9 +367,11 @@ def cmd_verify(cfg: RunConfig) -> list:
         catalog = asymptotics.tail_catalog(params)
     except NotApplicable as exc:
         raise BadParam(str(exc)) from None
+    sim_res = simulate(params, cfg.sim)
+    frac = sim_res.state_fractions()
+    err = sim_res.state_fraction_stderr()  # below 2 cycles, exit 4 before the other pillars
     n_tail = max(cfg.inversion_n, 4 * cfg.verify_window[1] // 3)
     pmfs = transforms.conditional_pmfs(params, n_tail, radius=0.995)
-    sim_res = simulate(params, cfg.sim)
     sampler = DecompositionSampler(params, seed=cfg.seed)
     nd = cfg.verify_samples
     # drawn in TARGET_STATES order: R0, then the (R11, R12) and (R21, R22) pairs
@@ -372,10 +386,9 @@ def cmd_verify(cfg: RunConfig) -> list:
         for t in TARGET_STATES
     }
 
-    frac = sim_res.state_fractions()
-    err = sim_res.state_fraction_stderr()
     expected = np.array([1 - params.rho, params.rho1, params.rho2])
     occupancy = {
+        "cycles": len(sim_res.cycles),
         "observed": frac.tolist(),
         "stderr": err.tolist(),
         "expected": expected.tolist(),

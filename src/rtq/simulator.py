@@ -15,20 +15,21 @@ laws' own `ServiceDist.sample`.  The decomposition sampler's streams have
 one-element spawn keys, (0,) by default, so for one seed the two pillars
 share no random bits.
 
-Statistics are time averages over the last 80% of the events, split into
-20 batches for crude confidence intervals, with sparse joint histograms
-of (queue, orbit) held per server state.  One loop body runs segment by
-segment: a warm-up segment whose accumulators are thrown away, then one
-segment per batch, ending at the exact event counts that split the rest
-into 20 near-equal batches.  Within a segment the time per server state
-and the server states that arrivals find add up in 3-element lists, and
-each time step adds to the (queue, orbit) dict of its server state.
+Statistics are time averages over the whole run, with sparse joint
+histograms of (queue, orbit) per server state.  The run starts empty and
+idle, and each completion that leaves the system empty returns it there: a
+regeneration point, where the cycle's time per server state is marked.  The
+completed cycles are i.i.d., so the error bars are the regenerative ratio
+estimator's CLT intervals (Crane & Iglehart 1975; Asmussen & Glynn,
+Stochastic Simulation, 2007, ch. IV), with no warm-up and no batches.  The
+trailing partial cycle counts in the averages, not in the error bars.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,6 @@ from .model import ModelParams
 __all__ = ["SimConfig", "SimResult", "simulate", "IDLE", "BUSY1", "BUSY2", "TARGET_STATES"]
 
 IDLE, BUSY1, BUSY2 = 0, 1, 2
-_WARMUP_FRACTION = 0.2  # share of the events run before statistics start
-_BATCHES = 20
-_MIN_EVENTS = 24  # fewest events that give each batch one after warm-up
 _BLOCK = 4096  # draws fetched from numpy at a time
 _STATE_NAMES = {"idle": IDLE, "busy1": BUSY1, "busy2": BUSY2}
 # each conditional law as the (server state, coordinate) it is observed in
@@ -60,11 +58,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_events < _MIN_EVENTS:
-            raise BadParam(
-                f"max_events must be at least {_MIN_EVENTS} so that each of the "
-                f"{_BATCHES} batches gets an event, got {self.max_events}"
-            )
+        if self.max_events < 1:
+            raise BadParam(f"max_events must be at least 1, got {self.max_events}")
 
 
 @dataclass
@@ -72,20 +67,28 @@ class SimResult:
     events: int
     collected_time: float
     time_in_state: np.ndarray          # (3,) time observed in each server state
-    batch_time: np.ndarray             # (_BATCHES, 3)
+    cycles: np.ndarray                 # (n, 3) per completed cycle: time in each state
     hist: list                         # per state: dict (queue, orbit) -> time
     arrivals_seen: np.ndarray          # (3,) server state found by arrivals
-    arrivals: int
 
     def state_fractions(self) -> np.ndarray:
         return self.time_in_state / self.collected_time
 
     def state_fraction_stderr(self) -> np.ndarray:
-        frac = self.batch_time / self.batch_time.sum(axis=1, keepdims=True)
-        return frac.std(axis=0, ddof=1) / math.sqrt(frac.shape[0])
+        """Regenerative ratio CLT: with Y_i the per-state times and tau_i the
+        length of cycle i, and r = sum Y / sum tau, sqrt(sum (Y_i - r tau_i)^2
+        / (n - 1)) / (mean tau sqrt(n)).  InsufficientData below 2 cycles."""
+        n = len(self.cycles)
+        if n < 2:
+            raise InsufficientData(f"{n} completed regeneration cycles; error bars need 2")
+        g = self.cycles.T @ self.cycles  # 3x3 sums of Y_is Y_it: no (n, 3) temporary
+        r = self.cycles.sum(axis=0) / self.cycles.sum()
+        ss = g.diagonal() - 2 * r * g.sum(axis=0) + r * r * g.sum()  # sum (Y_i - r tau_i)^2
+        return np.sqrt(ss * n / (n - 1)) / self.cycles.sum()
 
     def pasta_fractions(self) -> np.ndarray:
-        return self.arrivals_seen / self.arrivals
+        # the first event is an arrival, so the sum is at least 1
+        return self.arrivals_seen / self.arrivals_seen.sum()
 
     def _state_index(self, state) -> int:
         if isinstance(state, str):
@@ -104,9 +107,7 @@ class SimResult:
         s = self._state_index(state)
         occupancy = self.time_in_state[s] / self.collected_time
         if occupancy < 0.01:
-            raise InsufficientData(
-                f"state {state!r} observed {occupancy:.2%} of the time"
-            )
+            raise InsufficientData(f"state {state!r} observed {occupancy:.2%} of the time")
         pos = 0 if coord == "queue" else 1
         if coord not in ("queue", "orbit"):
             raise ValueError("coord must be 'queue' or 'orbit'")
@@ -132,15 +133,6 @@ def _draws(seed: int, stream: int, draw):
     return itertools.chain.from_iterable(blocks).__next__
 
 
-def _segment_ends(max_events: int) -> list:
-    """Event counts at which the warm-up and each batch end: event
-    warmup + j (j = 0..span-1) belongs to batch j * _BATCHES // span, so
-    batch b starts at warmup + ceil(b * span / _BATCHES)."""
-    warmup = int(_WARMUP_FRACTION * max_events)
-    span = max_events - warmup
-    return [warmup - (-b * span // _BATCHES) for b in range(_BATCHES + 1)]
-
-
 def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     """Run the event loop; deterministic for a fixed (params, config)."""
     lam, q, mu = params.lam, params.q, params.mu
@@ -160,75 +152,68 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     t_done = inf
     t_retry = inf
 
-    time_in_state = [0.0, 0.0, 0.0]
+    in_cycle = [0.0, 0.0, 0.0]  # time per server state in the current cycle
     hist = [{}, {}, {}]
     arrivals_seen = [0, 0, 0]
-    batch_time = []
-    # the warm-up segment accumulates into throwaway lists
-    tis, hists, seen = [0.0, 0.0, 0.0], [{}, {}, {}], [0, 0, 0]
-    t_collect_start = 0.0
-    events = 0
-    for segment, end in enumerate(_segment_ends(config.max_events)):
-        bt = [0.0, 0.0, 0.0]
-        for _ in range(end - events):
-            if t_done < t_arrival:
-                t_next, kind = t_done, 1
-            elif t_retry < t_arrival:
-                t_next, kind = t_retry, 2
-            else:
-                t_next, kind = t_arrival, 0
-            dt = t_next - t
-            tis[server] += dt
-            bt[server] += dt
-            bucket = hists[server]
-            key = (nq, no)
-            bucket[key] = bucket.get(key, 0.0) + dt
-            t = t_next
+    marks = array("d")  # in_cycle of each completed cycle, end to end
+    mark = marks.fromlist
+    for _ in range(config.max_events):
+        if t_done < t_arrival:
+            t_next, kind = t_done, 1
+        elif t_retry < t_arrival:
+            t_next, kind = t_retry, 2
+        else:
+            t_next, kind = t_arrival, 0
+        dt = t_next - t
+        in_cycle[server] += dt
+        bucket = hist[server]
+        key = (nq, no)
+        bucket[key] = bucket.get(key, 0.0) + dt
+        t = t_next
 
-            if kind == 0:  # arrival
-                seen[server] += 1
-                if uniform() < q:
-                    if server == IDLE:
-                        server = BUSY1
-                        t_done = t + service1()
-                        t_retry = inf
-                    else:
-                        nq += 1
-                else:
-                    if server == IDLE:
-                        server = BUSY2
-                        t_done = t + service2()
-                        t_retry = inf
-                    else:
-                        no += 1
-                t_arrival = t + gap()
-            elif kind == 1:  # service completion
-                if nq > 0:
-                    nq -= 1
+        if kind == 0:  # arrival
+            arrivals_seen[server] += 1
+            if uniform() < q:
+                if server == IDLE:
                     server = BUSY1
                     t_done = t + service1()
+                    t_retry = inf
                 else:
-                    server = IDLE
-                    t_done = inf
-                    t_retry = t + unit_exp() / (no * mu) if no > 0 else inf
-            else:  # successful retrial (only scheduled while idle)
-                no -= 1
-                server = BUSY2
-                t_done = t + service2()
-                t_retry = inf
-        if segment == 0:  # warm-up over: collect from here on
-            t_collect_start = t
-            tis, hists, seen = time_in_state, hist, arrivals_seen
-        else:
-            batch_time.append(bt)
-        events = end
+                    nq += 1
+            else:
+                if server == IDLE:
+                    server = BUSY2
+                    t_done = t + service2()
+                    t_retry = inf
+                else:
+                    no += 1
+            t_arrival = t + gap()
+        elif kind == 1:  # service completion
+            if nq > 0:
+                nq -= 1
+                server = BUSY1
+                t_done = t + service1()
+            else:
+                server = IDLE
+                t_done = inf
+                if no > 0:
+                    t_retry = t + unit_exp() / (no * mu)
+                else:  # empty and idle, as at t = 0: a regeneration point
+                    t_retry = inf
+                    mark(in_cycle)
+                    in_cycle = [0.0, 0.0, 0.0]
+        else:  # successful retrial (only scheduled while idle)
+            no -= 1
+            server = BUSY2
+            t_done = t + service2()
+            t_retry = inf
 
+    cycles = np.frombuffer(marks).reshape(-1, 3)
     return SimResult(
-        events=events,
-        collected_time=t - t_collect_start,
-        time_in_state=np.array(time_in_state),
-        batch_time=np.array(batch_time),
+        events=config.max_events,
+        collected_time=t,
+        time_in_state=cycles.sum(axis=0) + in_cycle,
+        cycles=cycles,
         hist=hist,
         arrivals_seen=np.array(arrivals_seen, dtype=np.int64),
-        arrivals=max(sum(arrivals_seen), 1),
     )

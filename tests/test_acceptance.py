@@ -35,7 +35,7 @@ def test_criterion_01_server_state_occupancies(capfd, ref_params, big_sim):
         capfd, 1, ok,
         f"occupancies {np.round(frac, 5)} vs {target} "
         f"within 95% CI half-widths {np.round(half_width, 5)} "
-        f"({big_sim.events} events)",
+        f"({big_sim.events} events, {len(big_sim.cycles)} regeneration cycles)",
     )
 
 

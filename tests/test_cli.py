@@ -154,6 +154,16 @@ class TestConfigValidation:
          "model.dist1.mean"),
         ("model", {"dist1": {"kind": "pareto", "index": 2.5, "scale": 0}},
          "model.dist1.scale"),
+        ("model", {"dist2": {"kind": "erlang", "shape": 0, "rate": 10.0}}, "model.dist2.shape"),
+        ("model", {"dist2": {"kind": "erlang", "shape": 1.5, "rate": 10.0}},
+         "model.dist2.shape"),
+        ("model", {"dist1": {"kind": "pareto", "index": 0.5, "mean": 0.6}}, "model.dist1.index"),
+        ("model", {"dist1": {"kind": "pareto", "index": -1.0, "scale": 0.9}},
+         "model.dist1.index"),
+        ("model", {"dist2": {"kind": "exponential", "mean": 1e-310}}, "model.dist2.mean"),
+        ("inversion", {"n": 150.9}, "inversion.n"),
+        ("sim", {"max_events": 0}, "sim.max_events"),
+        ("sim", {"max_events": 1000.5}, "sim.max_events"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_malformed_values_are_config_errors(self, write_config, tmp_path, capsys,
                                                 block, update, where):
@@ -165,6 +175,28 @@ class TestConfigValidation:
         assert cli.main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith(f"rtq: config error: {where}")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_is_a_config_error(self, write_config, tmp_path, capsys, seed):
+        path = write_config(_base_config(seed=seed))
+        with pytest.raises(BadParam, match="config.seed"):
+            cli.load_config(path)
+        assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("rtq: config error: config.seed")
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_is_a_config_error(self, write_config, tmp_path, capsys):
+        path = write_config(_base_config())
+        assert cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o"),
+                         "--seed", "-3"]) == 2
+        assert capsys.readouterr().err.startswith("rtq: config error: --seed")
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_floats_are_counts(self, write_config):
+        cfg = cli.load_config(write_config(_base_config(
+            seed=4.0, sim={"max_events": 1e4}, inversion={"n": 60.0})))
+        assert (cfg.seed, cfg.sim.max_events, cfg.inversion_n) == (4, 10_000, 60)
+        assert type(cfg.seed) is type(cfg.sim.max_events) is type(cfg.inversion_n) is int
 
     @pytest.mark.parametrize("block, value", [
         ("inversion", None), ("sim", ["max_events"]), ("verify", 5), ("model", None),
@@ -384,16 +416,36 @@ class TestSimulate:
         assert float(sum(float(r[1]) for r in rows)) == pytest.approx(1.0, abs=1e-9)
 
     def test_fewest_events(self, write_config, tmp_path, capsys):
-        # 24 events leave 20 after warm-up: one per batch
-        cfg = _base_config(sim={"max_events": 23})
-        assert cli.main(["simulate", "--config", write_config(cfg),
-                         "--out", str(tmp_path / "a")]) == 2
-        assert "max_events" in capsys.readouterr().err
-        cfg = _base_config(sim={"max_events": 24})
+        # one event completes no regeneration cycle, so there are no error bars
+        cfg = _base_config(sim={"max_events": 1})
+        out = tmp_path / "a"
+        assert cli.main(["simulate", "--config", write_config(cfg), "--out", str(out)]) == 4
+        assert "0 completed regeneration cycles" in capsys.readouterr().err
+        assert not out.exists()
+        cfg = _base_config(sim={"max_events": 200})
         out = tmp_path / "b"
         assert cli.main(["simulate", "--config", write_config(cfg), "--out", str(out)]) == 0
         stats = json.loads((out / "sim_stats.json").read_text())
+        assert stats["cycles"] >= 2 and stats["events"] == 200
         assert np.all(np.isfinite(stats["state_fraction_stderr"]))
+
+    def test_verify_without_error_bars_writes_nothing(self, write_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = _base_config(sim={"max_events": 1})
+        assert cli.main(["verify", "--config", write_config(cfg), "--out", str(out)]) == 4
+        assert "0 completed regeneration cycles" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rare_state_writes_nothing(self, write_config, tmp_path, capsys):
+        # type-2 services hold the server 0.26% of the time: R21 and R22 have
+        # no histogram, so no artifact is written
+        cfg = _base_config(sim={"max_events": 50_000}, seed=1)
+        cfg["model"].update(q=0.99, dist1={"kind": "pareto", "index": 2.5, "mean": 0.25},
+                            dist2={"kind": "exponential", "rate": 4.0})
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", write_config(cfg), "--out", str(out)]) == 4
+        assert "'busy2' observed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSample:
@@ -525,6 +577,7 @@ class TestVerify:
         report = json.loads((out / "verify_report.json").read_text(),
                             parse_constant=_reject_constant)
         assert report["occupancy"]["within_ci"] in (True, False)
+        assert report["occupancy"]["cycles"] > 1000
         assert sorted(report["targets"]) == ["R0", "R11", "R12", "R21", "R22"]
         for target, body in report["targets"].items():
             assert body["tv"], target

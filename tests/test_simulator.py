@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from rtq import simulator
-from rtq.errors import InsufficientData, Unstable
+from rtq.errors import BadParam, InsufficientData, Unstable
 from rtq.model import Erlang, Exponential, ModelParams
 from rtq.simulator import BUSY1, BUSY2, IDLE, SimConfig, SimResult, simulate
+
+
+def _erlang_params():
+    return ModelParams(1.0, 0.5, 1.0, Exponential(2.0), Erlang(3, 6.0))
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +28,7 @@ class TestBalanceLaws:
 
     def test_erlang_service_occupancies(self):
         # type-2 services come from Erlang.sample: mean 0.5, so rho2 = 0.25
-        p = ModelParams(1.0, 0.5, 1.0, Exponential(2.0), Erlang(3, 6.0))
+        p = _erlang_params()
         res = simulate(p, SimConfig(max_events=200_000, seed=9))
         err = np.abs(res.state_fractions() - [1.0 - p.rho, p.rho1, p.rho2])
         assert np.all(err <= 4.0 * res.state_fraction_stderr())
@@ -81,17 +84,54 @@ class TestGuards:
             quick_sim.conditional_pmf(IDLE, "buffer")
 
 
-class TestSegments:
-    @pytest.mark.parametrize("n", [24, 25, 37, 99, 100, 101, 1234, 54_321])
-    def test_ends_split_events_into_batches(self, n):
-        # event e >= warmup belongs to batch (e - warmup) * 20 // (n - warmup)
-        warmup = int(0.2 * n)
-        ends = simulator._segment_ends(n)
-        assert ends[0] == warmup and ends[-1] == n
-        batch = [(e - warmup) * 20 // (n - warmup) for e in range(warmup, n)]
-        for b in range(20):
-            assert batch[ends[b] - warmup : ends[b + 1] - warmup] == [b] * (ends[b + 1] - ends[b])
-            assert ends[b + 1] > ends[b]
+class TestRegenerativeErrors:
+    def test_cycles_split_the_run(self, quick_sim):
+        # every completed cycle starts and ends empty and idle, so the
+        # cycles cover the run up to the last regeneration
+        cycles = quick_sim.cycles
+        assert cycles.shape[1] == 3 and len(cycles) > 1000
+        assert np.all(cycles[:, IDLE] > 0) and np.all(cycles >= 0)
+        assert np.all(cycles.sum(axis=0) <= quick_sim.time_in_state * (1 + 1e-12))
+
+    @pytest.mark.parametrize("model", ["ref", "erlang"])
+    def test_stderr_matches_spread_across_seeds(self, ref_params, model):
+        # 40 independent runs: the spread of their state fractions is what
+        # each run's stderr claims to estimate
+        p = ref_params if model == "ref" else _erlang_params()
+        runs = [simulate(p, SimConfig(max_events=20_000, seed=s)) for s in range(40)]
+        spread = np.std([r.state_fractions() for r in runs], axis=0, ddof=1)
+        claimed = np.mean([r.state_fraction_stderr() for r in runs], axis=0)
+        assert np.all((0.7 <= spread / claimed) & (spread / claimed <= 1.4)), spread / claimed
+
+    def test_stderr_is_the_ratio_clt(self):
+        cycles = np.array([[1.0, 1.0, 0.0], [2.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        res = SimResult(events=9, collected_time=6.5, time_in_state=np.array([4.5, 1.0, 1.0]),
+                        cycles=cycles, hist=[{}, {}, {}],
+                        arrivals_seen=np.array([3, 1, 1]))
+        tau = [2.0, 3.0, 1.0]
+        r = [4.0 / 6, 1.0 / 6, 1.0 / 6]
+        want = [
+            (sum((c[s] - r[s] * t) ** 2 for c, t in zip(cycles, tau)) / 2) ** 0.5
+            / (2.0 * 3 ** 0.5)
+            for s in range(3)
+        ]
+        np.testing.assert_allclose(res.state_fraction_stderr(), want, rtol=1e-12)
+
+    def test_fewer_than_two_cycles(self, ref_params):
+        res = simulate(ref_params, SimConfig(max_events=1))
+        assert res.events == 1 and len(res.cycles) == 0
+        np.testing.assert_array_equal(res.pasta_fractions(), [1.0, 0.0, 0.0])
+        with pytest.raises(InsufficientData):
+            res.state_fraction_stderr()
+        res = SimResult(events=4, collected_time=2.0, time_in_state=np.array([1.0, 1.0, 0.0]),
+                        cycles=np.array([[1.0, 1.0, 0.0]]), hist=[{}, {}, {}],
+                        arrivals_seen=np.array([1, 0, 0]))
+        with pytest.raises(InsufficientData, match="1 completed"):
+            res.state_fraction_stderr()
+
+    def test_rejects_no_events(self):
+        with pytest.raises(BadParam):
+            SimConfig(max_events=0)
 
 
 class TestDeterminism:
@@ -100,6 +140,7 @@ class TestDeterminism:
         a, b = simulate(ref_params, cfg), simulate(ref_params, cfg)
         assert a.collected_time == b.collected_time
         np.testing.assert_array_equal(a.time_in_state, b.time_in_state)
+        np.testing.assert_array_equal(a.cycles, b.cycles)
         assert a.hist == b.hist
 
     def test_seed_changes_run(self, ref_params):
