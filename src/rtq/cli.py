@@ -123,10 +123,10 @@ def _parse_dist(block: dict, where: str):
         if ("scale" in block) == ("mean" in block):
             raise BadParam(f"{where}: give exactly one of scale/mean")
         index = _positive(block, "index", where)
+        if index <= 1:
+            raise BadParam(f"{where}.index must exceed 1 for a finite mean, got {index}")
         if "scale" in block:
             return ParetoShifted(index, _positive(block, "scale", where))
-        if index <= 1:
-            raise BadParam(f"{where}.index must exceed 1 to prescribe a mean, got {index}")
         return ParetoShifted.from_mean(index, _positive(block, "mean", where))
     raise BadParam(f"{where}: unknown distribution kind {kind!r}")
 
@@ -135,7 +135,7 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
     """Parse and freeze a run configuration.  BadParam for unknown keys,
     blocks that are not objects, missing, non-numeric or infinite numbers,
     law rates, means, scales and indices that are not positive (a Pareto
-    index given with a mean must exceed 1), counts other than integers >= 1
+    index must exceed 1, for a finite mean), counts other than integers >= 1
     (Erlang shape, sim max_events, inversion n, verify n_states and
     samples), a seed other than an integer >= 0 and windows other than ints
     10 <= lo < hi.  Each names its key.  `ModelParams` checks the model

@@ -6,16 +6,14 @@ half-plane and its derivative, both from one kernel (`lst_and_deriv`), the
 survival function, exact samplers, the equilibrium (stationary-excess) law
 and a tail descriptor.  Erlang laws use closed forms, and the exponential
 law is the shape-1 Erlang: one class, so the same transforms and the same
-draws, and its own equilibrium law.  The shifted Pareto law evaluates its
-LST by double-exponential quadrature on a ray rotated so that exp(-s t)
-decays without oscillating, which makes complex arguments (needed for
-generating-function inversion) cost the same as real ones.  The rotated
-integrand is written in real modulus and phase and summed over blocks of
-arguments, and one pass gives the LST and its derivative together.  The
-quadrature rule depends on the index alone: the LST of scale c at s is the
-scale-1 LST at c s, so no scale is too small or too large for it.  The
-shifted Pareto law also gives the pmf of the Poisson count over one service
-time, on the same quadrature nodes, for the limit-lemma checks of `verify`.
+draws, and its own equilibrium law.  The shifted Pareto law has its LST in
+closed form: for survival (1 + t)**(-b) it is b e^s E_{b+1}(s), with E_p the
+generalized exponential integral (DLMF 8.19) summed by its power series near
+0 and by its continued fraction beyond; the orders b + 1 and b give the
+derivative.  Any index b > 0 is covered, and a law of scale c takes the
+scale-1 LST at c s, so no scale is too small or too large.  The shifted
+Pareto law also gives the pmf of the Poisson count over one service time, by
+exp-sinh quadrature, for the limit-lemma checks of `verify`.
 
 The LST evaluators follow numpy's convention: the argument is taken as
 `np.asarray(s, dtype=complex)` and the result has its shape, so a scalar,
@@ -27,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
-from .errors import BadParam, QuadratureFailure, Unstable
+from .errors import BadParam, Unstable
 
 __all__ = [
     "TailDescriptor",
@@ -183,13 +181,6 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.log(np.exp(a - top).sum(axis=-1)) + top[..., 0]
 
 
-# quadrature levels tried in order: (step, half-width) of the exp-sinh rule
-_ESH_LEVELS = [(0.08, 4.6), (0.05, 5.0), (0.032, 5.4), (0.02, 5.8)]
-# LST arguments per kernel block; a block's (points x nodes) float64
-# temporaries, about 400 kB each, then stay near a core's cache size
-_LST_BLOCK = 256
-
-
 def _expsinh_rule(step, half_width):
     u = np.arange(-half_width, half_width + step / 2, step)
     t = np.exp(0.5 * np.pi * np.sinh(u))
@@ -198,78 +189,76 @@ def _expsinh_rule(step, half_width):
     return t[keep], w[keep]
 
 
-def _unit_pareto_lst(index, s_arr, rule):
-    """(lst, lst_deriv) of ParetoShifted(index, 1) at every s of s_arr from
-    one exp-sinh pass.
+# 1/Gamma(1 + z) = 1 + sum_k _RECIP_GAMMA[k - 1] z^k to round-off for |z| <= 1:
+# the coefficients c_2..c_26 of Abramowitz & Stegun 6.1.34, to 17 decimals
+_RECIP_GAMMA = np.array([
+    0.5772156649015329, -0.6558780715202539, -0.04200263503409524, 0.16653861138229148,
+    -0.04219773455554433, -0.00962197152787697, 0.0072189432466631, -0.00116516759185907,
+    -0.00021524167411495, 0.00012805028238812, -2.013485478079e-05, -1.25049348214e-06,
+    1.13302723198e-06, -2.056338417e-07, 6.1160951e-09, 5.00200764e-09, -1.18127457e-09,
+    1.0434267e-10, 7.78226e-12, -3.69681e-12, 5.1004e-13, -2.058e-14, -5.35e-15, 1.23e-15,
+    -1.2e-16,
+])
+# |x| up to which E_p(x) is summed by its power series, and by its continued
+# fraction beyond: at 2.0 the alternating series loses 1e-13 to cancellation,
+# and at 1.0 more of the inversion's points would go to the deep fraction
+_SERIES_RADIUS = 1.4
+# enough terms for |x| <= 1.4, where (-x)^k / k! < 1e-28 from k = 30 on
+_SERIES_TERMS = 30
+# continued-fraction depth at |x| = 1.4, twice what a relative 1e-15 needs
+# there; the depth needed falls about like 1/|x|, and 10 more levels cover
+# large |x| (checked for orders 0.02 to 21 and |x| from 1.4 to 1e5)
+_FRACTION_DEPTH = 250
 
-    With s = |s| e^{i theta} the ray is rotated to t e^{-i theta}, so
-    exp(-s t) = exp(-|s| t) decays without oscillating; the density is
-    analytic off (-inf, -1].  With c = cos theta and sn = sin theta the
-    rotated integrand is, in real arithmetic,
-        index exp(-|s| t - (index+1)/2 log(1 + 2 c t + t^2))
-            * exp(i (index+1) atan2(sn t, 1 + c t)),
-    which the rule sums against w for the LST and against w t for the
-    derivative, times e^{-i theta} and -e^{-2 i theta} after the sum.
-    With T = tan(phase / 2), cos(phase) = (1 - T^2) / (1 + T^2) and
-    sin(phase) = 2 T / (1 + T^2): numpy's float64 tan costs a fraction of
-    its cos and sin together.
+
+def _exp_en_series(orders, x):
+    """e^x E_p(x) for each order p > 0 of `orders` at the points x,
+    0 < |x| <= _SERIES_RADIUS, from the power series of DLMF 8.19.
+
+    With n = max(round(p - 1), 0), eps = p - 1 - n and
+    G = Gamma(1 - eps) / prod_{j=1..n} (1 + eps/j),
+        E_p(x) = (-x)^n/n! (1 - G x^eps)/eps - sum_{k != n} (-x)^k / (k! (k + 1 - p)),
+    which joins the series' terms Gamma(1 - p) x^(p - 1) and k = n: both grow
+    like 1/eps and cancel.  The quotient is G ((1/G - 1)/eps - expm1(eps ln x)/eps),
+    with (1/G - 1)/eps from series in eps and ln x for the second part at
+    eps = 0, so near-integer orders keep full accuracy and integer ones need
+    no branch.  The sums over k run by Horner's rule, every order at once.
     """
-    t, w = rule
-    a1 = index + 1.0
-    t2 = t * t
-    # columns: weights of the LST and of its derivative's integrand
-    weights = index * np.stack([w, w * t], axis=1)
-    flat = s_arr.reshape(-1)
-    mod = np.abs(flat)
-    theta = np.angle(flat)
-    c, sn = np.cos(theta), np.sin(theta)
-    re = np.empty((flat.size, 2))
-    im = np.empty((flat.size, 2))
-    for lo in range(0, flat.size, _LST_BLOCK):
-        blk = slice(lo, lo + _LST_BLOCK)
-        # exp underflows to 0.0 below -745.2, so the nodes (sorted by t)
-        # with |s| t > 746 for the whole block add nothing; skip them
-        k = np.searchsorted(mod[blk].min() * t, 746.0)
-        ct = np.multiply.outer(c[blk], t[:k])
-        half = np.arctan2(np.multiply.outer(sn[blk], t[:k]), 1.0 + ct)
-        half *= 0.5 * a1
-        tan = np.tan(half)
-        mag = np.log1p(2.0 * ct + t2[:k])
-        mag *= -0.5 * a1
-        mag -= np.multiply.outer(mod[blk], t[:k])
-        np.exp(mag, out=mag)
-        tan2 = tan * tan
-        mag /= 1.0 + tan2
-        re[blk] = (mag - mag * tan2) @ weights[:k]
-        im[blk] = (mag * tan) @ weights[:k]  # half the imaginary part
-    rot = np.exp(-1j * theta)
-    val = (re[:, 0] + 2j * im[:, 0]) * rot
-    val[flat == 0] = 1.0
-    deriv = (re[:, 1] + 2j * im[:, 1]) * (-rot * rot)
-    return val.reshape(s_arr.shape), deriv.reshape(s_arr.shape)
+    log_x = np.log(x)
+    lead = np.empty((len(orders), x.size), dtype=complex)
+    coefs = np.zeros((len(orders), _SERIES_TERMS, 1))  # of (-x)^k, k != n
+    for row, p in enumerate(orders):
+        n = max(round(p - 1.0), 0)
+        eps = p - 1.0 - n
+        # 1/G = (1 + eps D) P with 1/Gamma(1 - eps) = 1 + eps D, so (1/G - 1)/eps
+        # = D P + Q with Q = (P - 1)/eps, built up without dividing by eps
+        P, Q = 1.0, 0.0
+        for j in range(1, n + 1):
+            Q += P / j
+            P *= 1.0 + eps / j
+        D = -np.polyval(_RECIP_GAMMA[::-1], -eps)
+        power = np.expm1(eps * log_x) / eps if eps else log_x
+        lead[row] = (-x) ** n / math.factorial(n) * (D * P + Q - power) / ((1.0 + eps * D) * P)
+        coefs[row, :, 0] = [0.0 if k == n else 1.0 / (math.factorial(k) * (p - 1.0 - k))
+                            for k in range(_SERIES_TERMS)]
+    poly = np.zeros_like(lead)
+    for k in reversed(range(_SERIES_TERMS)):
+        poly = coefs[:, k] - poly * x
+    return np.exp(x) * (lead + poly)
 
 
-@cache
-def _pareto_rule(index):
-    """(nodes, weights) of the coarsest exp-sinh level that agrees with the
-    next finer one to ~1e-12 on a probe grid, for ParetoShifted(index, 1).
-
-    A scale c law needs no rule of its own: its LST at s is the scale-1 LST
-    at c s, and its derivative gains a factor c.
-    """
-    probe = np.array(
-        [1e-3, 0.1, 1.0, 10.0, 50.0, 0.005 + 0.9j, 0.01 - 2j, 2 + 1j, 1e-4 + 0.3j]
-    )
-    prev = None
-    for step, hw in _ESH_LEVELS:
-        rule = _expsinh_rule(step, hw)
-        vals = _unit_pareto_lst(index, probe, rule)[0]
-        if prev is not None and np.max(np.abs(vals - prev)) < 1e-12:
-            return rule
-        prev = vals
-    raise QuadratureFailure(
-        f"LST quadrature for pareto index {index} did not stabilise at 1e-12"
-    )
+def _exp_en_fraction(orders, x):
+    """e^x E_p(x) for each order p > 0 of `orders` at the points x,
+    |x| > _SERIES_RADIUS, from the continued fraction of DLMF 8.19
+        1/(x + p - 1 p/(x + p + 2 - 2 (p + 1)/(x + p + 4 - ...))),
+    evaluated bottom-up from the depth the smallest |x| needs."""
+    depth = int(_FRACTION_DEPTH * _SERIES_RADIUS / np.abs(x).min()) + 10
+    p = np.array(orders)[:, None]
+    i = np.arange(depth, 0, -1.0)[:, None, None]  # levels, bottom first
+    f = x + (p + 2.0 * depth)
+    for b_prev, a_i in zip(p + 2.0 * (i - 1), i * (p + (i - 1))):
+        f = x + b_prev - a_i / f
+    return 1.0 / f
 
 
 class ParetoShifted(ServiceDist):
@@ -323,10 +312,20 @@ class ParetoShifted(ServiceDist):
         return arr
 
     def lst_and_deriv(self, s):
-        c = self.scale
+        # the scale-1 law's LST at x = scale s is b e^x E_{b+1}(x), b = index,
+        # and as E_p' = -E_{p-1} its derivative is b e^x (E_{b+1} - E_b)(x);
+        # s = 0 gives 1 and -mean exactly (-inf for an index <= 1)
+        b, c = self.index, self.scale
         arr = self._clamp_halfplane(np.asarray(s, dtype=complex))
-        val, deriv = _unit_pareto_lst(self.index, c * arr, _pareto_rule(self.index))
-        return val[()], (c * deriv)[()]
+        x = c * arr.reshape(-1)
+        val, deriv = np.ones_like(x), np.full_like(x, -self.mean)
+        far = np.abs(x) > _SERIES_RADIUS
+        for pts, exp_en in ((~far & (x != 0), _exp_en_series), (far, _exp_en_fraction)):
+            if pts.any():
+                f_up, f_b = exp_en((b + 1.0, b), x[pts])
+                val[pts] = b * f_up
+                deriv[pts] = c * b * (f_up - f_b)
+        return val.reshape(arr.shape)[()], deriv.reshape(arr.shape)[()]
 
     def survival(self, t):
         return (1 + np.asarray(t, dtype=float) / self.scale) ** (-self.index)
@@ -357,9 +356,9 @@ class ParetoShifted(ServiceDist):
         return out
 
     def poisson_mixture_pmf(self, lam: float, kmax: int) -> np.ndarray:
-        """b_k = E[(lam T)^k exp(-lam T) / k!] for k = 0..kmax: the law of
-        the number of Poisson(lam) arrivals during one service time."""
-        t, w = _pareto_rule(self.index)
+        """b_k = E[(lam T)^k exp(-lam T) / k!] for k = 0..kmax, by exp-sinh
+        quadrature: the law of the number of Poisson(lam) arrivals in a service."""
+        t, w = _expsinh_rule(0.05, 5.0)  # a fixed rule of 201 nodes
         t, w = self.scale * t, self.scale * w
         logwf = np.log(w) + np.log(self._density(t))
         loglt = np.log(lam * t)

@@ -164,6 +164,7 @@ class TestConfigValidation:
         ("inversion", {"n": 150.9}, "inversion.n"),
         ("sim", {"max_events": 0}, "sim.max_events"),
         ("sim", {"max_events": 1000.5}, "sim.max_events"),
+        ("model", {"dist1": {"kind": "pareto", "index": 0.8, "scale": 0.5}}, "model.dist1.index"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_malformed_values_are_config_errors(self, write_config, tmp_path, capsys,
                                                 block, update, where):

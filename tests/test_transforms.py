@@ -342,13 +342,13 @@ class TestConditionalPmfs:
         # the half ring and the Newton active set keep the Pareto LST work of
         # the deep inversion near half of what a full-ring pass needs
         points = []
-        unit_lst = model._unit_pareto_lst
+        kernel = model.ParetoShifted.lst_and_deriv
 
-        def counted(index, s_arr, rule):
-            points.append(np.size(s_arr))
-            return unit_lst(index, s_arr, rule)
+        def counted(self, s):
+            points.append(np.size(s))
+            return kernel(self, s)
 
-        monkeypatch.setattr(model, "_unit_pareto_lst", counted)
+        monkeypatch.setattr(model.ParetoShifted, "lst_and_deriv", counted)
         T.conditional_pmfs(ref_params, 2000, radius=0.995)
         assert 0 < sum(points) <= 55_000
 
@@ -364,8 +364,8 @@ class TestConditionalPmfs:
         assert r0.deficit < 1e-5
 
     def test_type1_index_one_and_a_half(self):
-        # the type-1 equilibrium law has index 0.5, whose LST needs the
-        # finest exp-sinh level
+        # the type-1 equilibrium law has index 0.5 and an infinite mean, so
+        # its LST derivative is infinite at 0
         p = ModelParams(lam=1.0, q=0.5, mu=1.0,
                         dist1=ParetoShifted.from_mean(1.5, 0.6),
                         dist2=Exponential(10.0 / 3.0))
