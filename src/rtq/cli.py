@@ -359,6 +359,18 @@ def _verify_target(cfg, target, pmfs, sim_res, sampler_pmfs, catalog):
     return verify.compare(target, sources, cfg.verify_n_states, window, entry)
 
 
+def _sampler_pmfs(cfg: RunConfig) -> dict:
+    """Empirical pmfs of the five laws from verify.samples draws of r0, r1
+    and r2, in that order; each draw array is freed once counted."""
+    sampler = DecompositionSampler(cfg.params, seed=cfg.seed)
+    out = {}
+    for target, tags in (("r0", ("R0",)), ("r1", ("R11", "R12")), ("r2", ("R21", "R22"))):
+        drawn = sampler.sample(target, cfg.verify_samples)
+        for tag, d in zip(tags, drawn if isinstance(drawn, tuple) else (drawn,)):
+            out[tag] = verify.empirical_pmf(d, cfg.verify_n_states)
+    return out
+
+
 def cmd_verify(cfg: RunConfig) -> list:
     params = cfg.params
     # first, so a model outside the catalog's assumptions fails before any
@@ -367,20 +379,17 @@ def cmd_verify(cfg: RunConfig) -> list:
         catalog = asymptotics.tail_catalog(params)
     except NotApplicable as exc:
         raise BadParam(str(exc)) from None
+    # the simulator forks its replicas, so it runs before any sampler thread
+    # exists: forking a process with live threads can deadlock
     sim_res = simulate(params, cfg.sim)
     frac = sim_res.state_fractions()
     err = sim_res.state_fraction_stderr()  # below 2 cycles, exit 4 before the other pillars
     n_tail = max(cfg.inversion_n, 4 * cfg.verify_window[1] // 3)
     pmfs = transforms.conditional_pmfs(params, n_tail, radius=0.995)
-    sampler = DecompositionSampler(params, seed=cfg.seed)
-    nd = cfg.verify_samples
-    # drawn in TARGET_STATES order: R0, then the (R11, R12) and (R21, R22) pairs
-    draws = (sampler.sample_r0(nd), *sampler.sample_r1_pair(nd),
-             *sampler.sample_r2_pair(nd))
-    sampler_pmfs = {
-        target: verify.empirical_pmf(d, cfg.verify_n_states)
-        for target, d in zip(TARGET_STATES, draws)
-    }
+    # before the sampler, so their peak memory does not sit on what the
+    # sampler's threads keep
+    lemmas = verify.check_appendix_lemmas()
+    sampler_pmfs = _sampler_pmfs(cfg)
     targets = {
         t: _verify_target(cfg, t, pmfs, sim_res, sampler_pmfs, catalog)
         for t in TARGET_STATES
@@ -397,7 +406,7 @@ def cmd_verify(cfg: RunConfig) -> list:
     body = {
         "occupancy": occupancy,
         "targets": targets,
-        "lemmas": verify.check_appendix_lemmas(),
+        "lemmas": lemmas,
         "tolerances": {"kappa": _KAPPA_TOL, "c": _C_TOL,
                        "note": "windowed trend checks, not limits"},
     }

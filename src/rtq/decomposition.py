@@ -14,12 +14,22 @@ evaluators.
 
 All samplers are vectorised; a million draws of any target is seconds, not
 minutes.
+
+Streams: `sample` splits n draws into blocks of _BLOCK, and block i draws
+from its own PCG64 stream, spawn key (stream, k + i) of the seed, where k
+counts the blocks the sampler has drawn before.  Threads draw the blocks
+(numpy releases the GIL) and they join in block order, so draws never depend
+on the core count.  Primitives called directly draw from the sampler's `rng`,
+key (stream,); the simulator's keys have three elements.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
+from . import parallel
 from .errors import RecursionDepthExceeded
 from .model import ModelParams, ServiceDist
 
@@ -27,12 +37,22 @@ __all__ = ["make_rng", "DecompositionSampler", "PAIR_TARGETS", "SCALAR_TARGETS"]
 
 SCALAR_TARGETS = ("xg", "ka", "kb", "kc", "k", "r0")
 PAIR_TARGETS = ("h1", "h2", "m1", "m2", "s1", "s2", "r1", "r2")
+# each target as the sampler method and the leading arguments that draw it
+_CALLS = {
+    **{t: (f"sample_{t}",) for t in SCALAR_TARGETS},
+    "h1": ("sample_h_pair", 1), "h2": ("sample_h_pair", 2),
+    "s1": ("sample_s_pair", 1), "s2": ("sample_s_pair", 2),
+    "m1": ("sample_m1_pair",), "m2": ("sample_m2_pair",),
+    "r1": ("sample_r1_pair",), "r2": ("sample_r2_pair",),
+}
+_BLOCK = 1 << 16  # draws per block of `sample`, each on a stream of its own
 
 
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent generator for (seed, stream); streams never overlap."""
+def make_rng(seed: int, *key: int) -> np.random.Generator:
+    """Independent generator for a seed and a spawn key; distinct keys never
+    overlap."""
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key))
     )
 
 
@@ -47,12 +67,15 @@ def _group_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
 class DecompositionSampler:
     """Draws from the factor laws of a fixed parameter set.
 
-    The sampler holds no state beyond its random stream, so building one is
-    free; draws depend only on (params, seed, stream) and the call order.
+    The sampler holds no state beyond its random stream and the count of
+    blocks `sample` has drawn, so building one is free; draws depend only on
+    (params, seed, stream) and the call order.
     """
 
     def __init__(self, params: ModelParams, seed: int = 0, stream: int = 0):
         self.params = params
+        self.seed, self.stream = seed, stream
+        self.blocks = 0
         self.rng = make_rng(seed, stream)
 
     # ------------------------------------------------------------------
@@ -220,23 +243,27 @@ class DecompositionSampler:
     # dispatch
 
     def sample(self, target: str, n: int):
-        """Draw n values of a named factor; pair targets return a tuple."""
-        target = target.lower()
-        if target in SCALAR_TARGETS:
-            return getattr(self, f"sample_{target}")(n)
-        pairs = {
-            "h1": lambda: self.sample_h_pair(1, n),
-            "h2": lambda: self.sample_h_pair(2, n),
-            "s1": lambda: self.sample_s_pair(1, n),
-            "s2": lambda: self.sample_s_pair(2, n),
-            "m1": lambda: self.sample_m1_pair(n),
-            "m2": lambda: self.sample_m2_pair(n),
-            "r1": lambda: self.sample_r1_pair(n),
-            "r2": lambda: self.sample_r2_pair(n),
-        }
-        if target in pairs:
-            return pairs[target]()
-        raise ValueError(
-            f"unknown target {target!r}; choose from "
-            f"{', '.join(SCALAR_TARGETS + PAIR_TARGETS)}"
-        )
+        """Draw n values of a named factor; pair targets return a tuple.
+
+        The draws come in blocks of _BLOCK, block i from stream
+        (stream, k + i) with k the blocks drawn so far, on a thread pool.
+        """
+        call = _CALLS.get(target.lower())
+        if call is None:
+            raise ValueError(
+                f"unknown target {target!r}; choose from "
+                f"{', '.join(SCALAR_TARGETS + PAIR_TARGETS)}"
+            )
+        method, *args = call
+        sizes = [min(_BLOCK, n - start) for start in range(0, max(n, 1), _BLOCK)]
+        first, self.blocks = self.blocks, self.blocks + len(sizes)
+
+        def block(i):
+            sub = copy.copy(self)
+            sub.rng = make_rng(self.seed, self.stream, first + i)
+            return getattr(sub, method)(*args, sizes[i])
+
+        parts = parallel.run(block, range(len(sizes)))
+        if isinstance(parts[0], tuple):
+            return tuple(np.concatenate(col) for col in zip(*parts))
+        return np.concatenate(parts)

@@ -8,12 +8,13 @@ clocks are exponential except the service draws, so the three pending
 events (arrival, service completion, effective retrial) can be redrawn
 memorylessly whenever the state changes.
 
-Every draw comes from numpy: inter-arrival times, class picks, retrial
-clocks and each class's service times have a PCG64 stream of their own,
-spawn keys (1, 0) to (1, 4) of the seed, and services are drawn by the
-laws' own `ServiceDist.sample`.  The decomposition sampler's streams have
-one-element spawn keys, (0,) by default, so for one seed the two pillars
-share no random bits.
+Every draw comes from numpy.  A run is _REPLICAS replicas that split the
+event budget, each in a forked worker (the loop holds the GIL), and replica
+r's inter-arrival times, class picks, retrial clocks and each class's
+service times have PCG64 streams of their own, spawn keys (1, r, 0) to
+(1, r, 4) of the seed; services are drawn by the laws' own
+`ServiceDist.sample`.  The sampler's keys have one or two elements, so for
+one seed the two pillars share no random bits.
 
 Statistics are time averages over the whole run, with sparse joint
 histograms of (queue, orbit) per server state.  The run starts empty and
@@ -22,7 +23,10 @@ regeneration point, where the cycle's time per server state is marked.  The
 completed cycles are i.i.d., so the error bars are the regenerative ratio
 estimator's CLT intervals (Crane & Iglehart 1975; Asmussen & Glynn,
 Stochastic Simulation, 2007, ch. IV), with no warm-up and no batches.  The
-trailing partial cycle counts in the averages, not in the error bars.
+replicas pool their times, histograms, arrival counts and cycles; each
+one's trailing partial cycle counts in the averages, not in the error bars.
+With few long replicas the bias of pooling, O(replicas / events), stays far
+below the error bars (Glynn & Heidelberger, ACM TOMACS 1, 1991).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import BadParam, InsufficientData
 from .model import ModelParams
 
@@ -41,6 +46,7 @@ __all__ = ["SimConfig", "SimResult", "simulate", "IDLE", "BUSY1", "BUSY2", "TARG
 
 IDLE, BUSY1, BUSY2 = 0, 1, 2
 _BLOCK = 4096  # draws fetched from numpy at a time
+_REPLICAS = 2  # few long replicas keep the O(replicas / events) pooling bias negligible
 _STATE_NAMES = {"idle": IDLE, "busy1": BUSY1, "busy2": BUSY2}
 # each conditional law as the (server state, coordinate) it is observed in
 TARGET_STATES = {
@@ -123,25 +129,27 @@ class SimResult:
         return {k: w / tot for k, w in self.hist[s].items()}
 
 
-def _draws(seed: int, stream: int, draw):
+def _draws(seed: int, key: tuple, draw):
     """Callable returning the next float of draw(rng, _BLOCK), one at a time,
-    where rng is the simulator's numpy stream `stream` of `seed`."""
+    where rng is the numpy stream of `seed` with spawn key `key`."""
     rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1, stream)))
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key))
     )
     blocks = (draw(rng, _BLOCK).tolist() for _ in itertools.repeat(None))
     return itertools.chain.from_iterable(blocks).__next__
 
 
-def simulate(params: ModelParams, config: SimConfig) -> SimResult:
-    """Run the event loop; deterministic for a fixed (params, config)."""
+def _replica(job):
+    """Replica r of a run: `events` events from empty and idle.  Returns its
+    end time, time per server state, completed cycles, histograms keyed
+    nq << 32 | no, and the server states its arrivals found."""
+    params, seed, r, events = job
     lam, q, mu = params.lam, params.q, params.mu
-    seed = config.seed
-    gap = _draws(seed, 0, lambda rng, k: rng.exponential(1.0 / lam, k))
-    uniform = _draws(seed, 1, lambda rng, k: rng.random(k))
-    unit_exp = _draws(seed, 2, lambda rng, k: rng.standard_exponential(k))
-    service1 = _draws(seed, 3, params.dist1.sample)
-    service2 = _draws(seed, 4, params.dist2.sample)
+    gap = _draws(seed, (1, r, 0), lambda rng, k: rng.exponential(1.0 / lam, k))
+    uniform = _draws(seed, (1, r, 1), lambda rng, k: rng.random(k))
+    unit_exp = _draws(seed, (1, r, 2), lambda rng, k: rng.standard_exponential(k))
+    service1 = _draws(seed, (1, r, 3), params.dist1.sample)
+    service2 = _draws(seed, (1, r, 4), params.dist2.sample)
     inf = math.inf
 
     t = 0.0
@@ -152,68 +160,93 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     t_done = inf
     t_retry = inf
 
-    in_cycle = [0.0, 0.0, 0.0]  # time per server state in the current cycle
-    hist = [{}, {}, {}]
-    arrivals_seen = [0, 0, 0]
-    marks = array("d")  # in_cycle of each completed cycle, end to end
-    mark = marks.fromlist
-    for _ in range(config.max_events):
-        if t_done < t_arrival:
-            t_next, kind = t_done, 1
-        elif t_retry < t_arrival:
-            t_next, kind = t_retry, 2
-        else:
-            t_next, kind = t_arrival, 0
-        dt = t_next - t
-        in_cycle[server] += dt
-        bucket = hist[server]
-        key = (nq, no)
-        bucket[key] = bucket.get(key, 0.0) + dt
-        t = t_next
-
-        if kind == 0:  # arrival
-            arrivals_seen[server] += 1
-            if uniform() < q:
-                if server == IDLE:
-                    server = BUSY1
-                    t_done = t + service1()
-                    t_retry = inf
-                else:
-                    nq += 1
+    c0 = c1 = c2 = 0.0  # time per server state in the current cycle
+    h0, h1, h2 = {}, {}, {}  # keyed nq << 32 | no, which is no while idle
+    seen = [0, 0, 0]  # arrivals that found each server state
+    marks = array("d")  # (c0, c1, c2) of each completed cycle, end to end
+    mark = marks.extend
+    for _ in range(events):
+        if t_done < t_arrival:  # service completion
+            dt = t_done - t
+            t = t_done
+            key = nq << 32 | no
+            if server == BUSY1:
+                c1 += dt
+                h1[key] = h1.get(key, 0.0) + dt
             else:
-                if server == IDLE:
-                    server = BUSY2
-                    t_done = t + service2()
-                    t_retry = inf
-                else:
-                    no += 1
-            t_arrival = t + gap()
-        elif kind == 1:  # service completion
-            if nq > 0:
+                c2 += dt
+                h2[key] = h2.get(key, 0.0) + dt
+            if nq:
                 nq -= 1
                 server = BUSY1
                 t_done = t + service1()
             else:
                 server = IDLE
                 t_done = inf
-                if no > 0:
+                if no:
                     t_retry = t + unit_exp() / (no * mu)
                 else:  # empty and idle, as at t = 0: a regeneration point
-                    t_retry = inf
-                    mark(in_cycle)
-                    in_cycle = [0.0, 0.0, 0.0]
-        else:  # successful retrial (only scheduled while idle)
+                    mark((c0, c1, c2))
+                    c0 = c1 = c2 = 0.0
+        elif t_retry < t_arrival:  # successful retrial (only scheduled while idle)
+            dt = t_retry - t
+            t = t_retry
+            c0 += dt
+            h0[no] = h0.get(no, 0.0) + dt
             no -= 1
             server = BUSY2
             t_done = t + service2()
             t_retry = inf
+        else:  # arrival
+            dt = t_arrival - t
+            t = t_arrival
+            seen[server] += 1
+            if server == IDLE:
+                c0 += dt
+                h0[no] = h0.get(no, 0.0) + dt
+                if uniform() < q:
+                    server = BUSY1
+                    t_done = t + service1()
+                else:
+                    server = BUSY2
+                    t_done = t + service2()
+                t_retry = inf
+            else:
+                key = nq << 32 | no
+                if server == BUSY1:
+                    c1 += dt
+                    h1[key] = h1.get(key, 0.0) + dt
+                else:
+                    c2 += dt
+                    h2[key] = h2.get(key, 0.0) + dt
+                if uniform() < q:
+                    nq += 1
+                else:
+                    no += 1
+            t_arrival = t + gap()
+    return t, (c0, c1, c2), np.frombuffer(marks).reshape(-1, 3), (h0, h1, h2), seen
 
-    cycles = np.frombuffer(marks).reshape(-1, 3)
+
+def simulate(params: ModelParams, config: SimConfig) -> SimResult:
+    """Run the replicas and pool them; deterministic for a fixed (params,
+    config)."""
+    replicas = min(_REPLICAS, config.max_events)
+    share, extra = divmod(config.max_events, replicas)
+    jobs = [(params, config.seed, r, share + (r < extra)) for r in range(replicas)]
+    ends, partials, cycles, hists, seen = zip(*parallel.run(_replica, jobs, processes=True))
+    cycles = np.concatenate(cycles)
+    hist = []
+    for s in range(3):
+        pooled = {}
+        for h in hists:
+            for key, w in h[s].items():
+                pooled[key] = pooled.get(key, 0.0) + w
+        hist.append({(key >> 32, key & 0xFFFFFFFF): w for key, w in pooled.items()})
     return SimResult(
         events=config.max_events,
-        collected_time=t,
-        time_in_state=cycles.sum(axis=0) + in_cycle,
+        collected_time=sum(ends),
+        time_in_state=cycles.sum(axis=0) + np.sum(partials, axis=0),
         cycles=cycles,
         hist=hist,
-        arrivals_seen=np.array(arrivals_seen, dtype=np.int64),
+        arrivals_seen=np.sum(seen, axis=0, dtype=np.int64),
     )

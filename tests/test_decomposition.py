@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from rtq import parallel, simulator
 from rtq import transforms as T
 from rtq import verify
 from rtq.decomposition import (
+    _BLOCK,
     PAIR_TARGETS,
     SCALAR_TARGETS,
     DecompositionSampler,
@@ -185,3 +187,59 @@ class TestDispatchAndSeeding:
         b = make_rng(3, 1).random(8)
         assert not np.allclose(a, b)
         np.testing.assert_array_equal(a, make_rng(3, 0).random(8))
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_block_edges(self, ref_params, n):
+        ds = DecompositionSampler(ref_params, seed=5)
+        assert ds.sample("xg", n).shape == (n,)
+        a, b = ds.sample("s1", n)
+        assert a.shape == b.shape == (n,)
+        blocks = -(-n // _BLOCK)
+        assert ds.blocks == 2 * blocks
+
+    def test_successive_calls_use_new_blocks(self, ref_params):
+        ds = DecompositionSampler(ref_params, seed=5)
+        a, b = ds.sample("xg", 1000), ds.sample("xg", 1000)
+        assert ds.blocks == 2 and not np.array_equal(a, b)
+        np.testing.assert_array_equal(a, DecompositionSampler(ref_params, seed=5).sample("xg", 1000))
+
+    def test_block_i_draws_from_its_own_stream(self, ref_params):
+        # block 1 of a fresh sampler is the primitive on spawn key (stream, 1)
+        drawn = DecompositionSampler(ref_params, seed=6, stream=2).sample("r0", _BLOCK + 7)
+        block = DecompositionSampler(ref_params, seed=6, stream=2)
+        block.rng = make_rng(6, 2, 1)
+        np.testing.assert_array_equal(drawn[_BLOCK:], block.sample_r0(7))
+
+    @pytest.mark.parametrize("target", ["r0", "r1"])
+    def test_worker_count_does_not_change_draws(self, ref_params, monkeypatch, target):
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(parallel, "workers", lambda jobs, cores=cores: min(jobs, cores))
+            drawn = DecompositionSampler(ref_params, seed=8).sample(target, 2 * _BLOCK + 1)
+            runs.append(drawn if isinstance(drawn, tuple) else (drawn,))
+        for one, two in zip(*runs):
+            np.testing.assert_array_equal(one, two)
+
+    def test_sampler_and_simulator_keys_differ(self, ref_params, monkeypatch):
+        # every stream either pillar opens, recorded in-process
+        keys = {"sampler": set(), "simulator": set()}
+        pillar = "sampler"
+
+        class Recorded(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                keys[pillar].add(tuple(self.spawn_key))
+
+        monkeypatch.setattr(np.random, "SeedSequence", Recorded)
+        monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, 1))
+        for stream in (0, 1):
+            ds = DecompositionSampler(ref_params, seed=3, stream=stream)
+            ds.sample("r2", _BLOCK + 1)
+            ds.sample("xg", 10)
+        pillar = "simulator"
+        simulator.simulate(ref_params, simulator.SimConfig(max_events=3, seed=3))
+        assert keys["sampler"] >= {(0,), (1,), (0, 0), (0, 1), (0, 2), (1, 2)}
+        assert keys["simulator"] == {(1, r, k) for r in (0, 1) for k in range(5)}
+        assert not keys["sampler"] & keys["simulator"]

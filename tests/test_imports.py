@@ -1,6 +1,8 @@
 """The three pillars stay independent in code: checked on the import graph."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,3 +59,14 @@ def test_no_module_imports_a_private_name(module):
         and not name.endswith("__")
     }
     assert not private
+
+
+def test_cli_import_loads_no_pool():
+    # the pools are imported where they are used: at module level they
+    # would add to the start-up of every command
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = ("import sys, rtq.cli; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

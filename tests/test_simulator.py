@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rtq import parallel, simulator
 from rtq.errors import BadParam, InsufficientData, Unstable
 from rtq.model import Erlang, Exponential, ModelParams
 from rtq.simulator import BUSY1, BUSY2, IDLE, SimConfig, SimResult, simulate
@@ -142,6 +143,33 @@ class TestDeterminism:
         np.testing.assert_array_equal(a.time_in_state, b.time_in_state)
         np.testing.assert_array_equal(a.cycles, b.cycles)
         assert a.hist == b.hist
+
+    def test_worker_count_does_not_change_the_run(self, ref_params, monkeypatch):
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(parallel, "workers", lambda jobs, cores=cores: min(jobs, cores))
+            runs.append(simulate(ref_params, SimConfig(max_events=50_001, seed=3)))
+        a, b = runs
+        assert a.collected_time == b.collected_time and a.hist == b.hist
+        np.testing.assert_array_equal(a.time_in_state, b.time_in_state)
+        np.testing.assert_array_equal(a.cycles, b.cycles)
+        np.testing.assert_array_equal(a.arrivals_seen, b.arrivals_seen)
+
+    @pytest.mark.parametrize("events, split", [(1, [1]), (3, [2, 1]), (10, [5, 5])])
+    def test_replicas_split_the_events(self, ref_params, monkeypatch, events, split):
+        budgets = []
+        replica = simulator._replica
+
+        def recorded(job):
+            budgets.append(job[3])
+            return replica(job)
+
+        monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, 1))
+        monkeypatch.setattr(simulator, "_replica", recorded)
+        res = simulate(ref_params, SimConfig(max_events=events, seed=2))
+        assert budgets == split and res.events == events
+        # each replica starts empty and idle, so its first event is an arrival there
+        assert res.arrivals_seen[IDLE] >= len(split)
 
     def test_seed_changes_run(self, ref_params):
         a = simulate(ref_params, SimConfig(max_events=50_000, seed=3))
