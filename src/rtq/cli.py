@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration problem, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -188,8 +189,11 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
 # persistence helpers
 
 
-def _atomic_write(path: str, data: str):
-    """Write `data` to `path` through a temp file in the same directory.
+@contextlib.contextmanager
+def _atomic_file(path: str):
+    """A text file to write `path` through: a temp file in the same
+    directory, renamed to `path` when the block ends and removed when it
+    raises, so a reader never sees a partial file.
 
     The temp file is created with mode 0666 less the umask, the mode a plain
     open(path, "w") gives, and keeps it through the rename.
@@ -200,7 +204,7 @@ def _atomic_write(path: str, data: str):
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -208,19 +212,26 @@ def _atomic_write(path: str, data: str):
         raise
 
 
+def _atomic_write(path: str, data: str):
+    """Write `data` to `path` through `_atomic_file`."""
+    with _atomic_file(path) as fh:
+        fh.write(data)
+
+
 def _csv_text(header, *columns) -> str:
     """CSV text of a header and equal-length columns of the small files.
 
     For `analyze` and `simulate`, whose cells are ints, formatted floats or
     bare words: no field needs quoting, so joined strings are the bytes
-    csv.writer would write.  Integer draws go through `_int_csv_text`.
+    csv.writer would write.  Integer draws go through `_int_csv_rows`.
     """
     row = ",".join(["{}"] * len(header))
     return "\n".join([",".join(header), *map(row.format, *columns)]) + "\n"
 
 
-def _int_csv_text(header, *columns) -> str:
-    """CSV text of one or two equal-length int64 columns, as csv.writer writes it.
+def _int_csv_rows(*columns) -> str:
+    """CSV rows of one or two equal-length int64 columns, as csv.writer
+    writes them, without a header.
 
     Each distinct row is formatted once and the text joins the looked-up
     strings, so the cost is a sort plus one string per distinct row, not one
@@ -237,14 +248,14 @@ def _int_csv_text(header, *columns) -> str:
         q_span, width = int(q.max()) - q0, int(o.max()) - o0 + 1
         if q_span * width + width - 1 > _INT64_MAX:
             raise OverflowGuard(
-                f"cannot encode {','.join(header)} rows as int64 codes: "
+                f"cannot encode queue,orbit rows as int64 codes: "
                 f"column spans {q_span} and {width - 1}"
             )
         uniq, inverse = np.unique((q - q0) * width + (o - o0), return_inverse=True)
         hi, lo = np.divmod(uniq, width)
         cells = [f"{a},{b}" for a, b in zip((hi + q0).tolist(), (lo + o0).tolist())]
     rows = np.array(cells, dtype=object)[inverse].tolist()
-    return "\n".join([",".join(header), *rows]) + "\n"
+    return "\n".join(rows) + "\n"
 
 
 def _json_text(obj) -> str:
@@ -331,14 +342,21 @@ def cmd_simulate(cfg: RunConfig) -> list:
 
 
 def cmd_sample(cfg: RunConfig, target: str, n: int) -> list:
+    """Write n draws of `target` as CSV, block by block as the sampler
+    hands them over, so memory is bounded by the blocks in flight, not n."""
+    name = target.lower()
+    if name not in SCALAR_TARGETS + PAIR_TARGETS:  # before the file is opened
+        raise BadParam(f"unknown target {target!r}; choose from "
+                       f"{', '.join(SCALAR_TARGETS + PAIR_TARGETS)}")
     sampler = DecompositionSampler(cfg.params, seed=cfg.seed)
-    drawn = sampler.sample(target, n)
-    path = os.path.join(cfg.out, f"samples_{target.lower()}.csv")
-    if isinstance(drawn, tuple):
-        text = _int_csv_text(("queue", "orbit"), *drawn)
-    else:
-        text = _int_csv_text(("value",), drawn)
-    _atomic_write(path, text)
+    path = os.path.join(cfg.out, f"samples_{name}.csv")
+    with _atomic_file(path) as fh:
+        if name in PAIR_TARGETS:
+            fh.write("queue,orbit\n")
+            sampler.sample_into(target, n, lambda pair: fh.write(_int_csv_rows(*pair)))
+        else:
+            fh.write("value\n")
+            sampler.sample_into(target, n, lambda col: fh.write(_int_csv_rows(col)))
     return [path]
 
 
@@ -361,13 +379,20 @@ def _verify_target(cfg, target, pmfs, sim_res, sampler_pmfs, catalog):
 
 def _sampler_pmfs(cfg: RunConfig) -> dict:
     """Empirical pmfs of the five laws from verify.samples draws of r0, r1
-    and r2, in that order; each draw array is freed once counted."""
+    and r2, in that order: the bincounts of 0..n_states are added up block
+    by block as the sampler hands the blocks over, and no draws are kept."""
     sampler = DecompositionSampler(cfg.params, seed=cfg.seed)
+    size = cfg.verify_n_states + 1
     out = {}
     for target, tags in (("r0", ("R0",)), ("r1", ("R11", "R12")), ("r2", ("R21", "R22"))):
-        drawn = sampler.sample(target, cfg.verify_samples)
-        for tag, d in zip(tags, drawn if isinstance(drawn, tuple) else (drawn,)):
-            out[tag] = verify.empirical_pmf(d, cfg.verify_n_states)
+        counts = np.zeros((len(tags), size), dtype=np.int64)
+
+        def add(drawn, counts=counts):
+            for row, d in zip(counts, drawn if isinstance(drawn, tuple) else (drawn,)):
+                row += np.bincount(d, minlength=size)[:size]
+
+        sampler.sample_into(target, cfg.verify_samples, add)
+        out.update(zip(tags, counts / cfg.verify_samples))
     return out
 
 
@@ -386,8 +411,9 @@ def cmd_verify(cfg: RunConfig) -> list:
     err = sim_res.state_fraction_stderr()  # below 2 cycles, exit 4 before the other pillars
     n_tail = max(cfg.inversion_n, 4 * cfg.verify_window[1] // 3)
     pmfs = transforms.conditional_pmfs(params, n_tail, radius=0.995)
-    # before the sampler, so their peak memory does not sit on what the
-    # sampler's threads keep
+    # before the sampler, so their peak memory does not sit on the RSS that
+    # the sampler's threads keep (a malloc arena each) after their blocks
+    # are freed; the blocks in flight are few, however many samples
     lemmas = verify.check_appendix_lemmas()
     sampler_pmfs = _sampler_pmfs(cfg)
     targets = {

@@ -12,19 +12,21 @@ correctness check in the package, so the samplers here are exact in
 distribution: no tables, no truncation, and no call into the analytic
 evaluators.
 
-All samplers are vectorised; a million draws of any target is seconds, not
-minutes.
+All samplers are vectorised over their n draws.
 
-Streams: `sample` splits n draws into blocks of _BLOCK, and block i draws
-from its own PCG64 stream, spawn key (stream, k + i) of the seed, where k
-counts the blocks the sampler has drawn before.  Threads draw the blocks
-(numpy releases the GIL) and they join in block order, so draws never depend
-on the core count.  Primitives called directly draw from the sampler's `rng`,
-key (stream,); the simulator's keys have three elements.
+Streams: `sample_into` splits n draws into blocks of _BLOCK, and block i
+draws from its own PCG64 stream, spawn key (stream, k + i) of the seed,
+where k counts the blocks the sampler has drawn before.  Threads draw the
+blocks (numpy releases the GIL), a few per worker ahead of the caller, and
+the caller receives them one at a time in block order, so draws never depend
+on the core count and the memory they take does not grow with n.  `sample`
+joins the blocks into one array.  Primitives called directly draw from the
+sampler's `rng`, key (stream,); the simulator's keys have three elements.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
 
 import numpy as np
@@ -242,11 +244,14 @@ class DecompositionSampler:
     # ------------------------------------------------------------------
     # dispatch
 
-    def sample(self, target: str, n: int):
-        """Draw n values of a named factor; pair targets return a tuple.
+    def sample_into(self, target: str, n: int, write) -> None:
+        """Draw n values of a named factor and pass them to `write` one
+        block at a time, in block order; a pair target's block is a tuple.
 
         The draws come in blocks of _BLOCK, block i from stream
-        (stream, k + i) with k the blocks drawn so far, on a thread pool.
+        (stream, k + i) with k the blocks drawn so far, on a thread pool
+        that runs a few blocks ahead of `write`.  When a block or `write`
+        raises, the blocks not yet started are never drawn.
         """
         call = _CALLS.get(target.lower())
         if call is None:
@@ -263,7 +268,15 @@ class DecompositionSampler:
             sub.rng = make_rng(self.seed, self.stream, first + i)
             return getattr(sub, method)(*args, sizes[i])
 
-        parts = parallel.run(block, range(len(sizes)))
+        with contextlib.closing(parallel.imap(block, range(len(sizes)))) as blocks:
+            for drawn in blocks:
+                write(drawn)
+
+    def sample(self, target: str, n: int):
+        """Draw n values of a named factor; pair targets return a tuple.
+        The blocks of `sample_into`, joined."""
+        parts = []
+        self.sample_into(target, n, parts.append)
         if isinstance(parts[0], tuple):
             return tuple(np.concatenate(col) for col in zip(*parts))
         return np.concatenate(parts)

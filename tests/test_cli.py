@@ -7,15 +7,16 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rtq import cli, errors, transforms
-from rtq.decomposition import PAIR_TARGETS, SCALAR_TARGETS, DecompositionSampler
-from rtq.errors import BadParam, OverflowGuard
+from rtq import cli, errors, parallel, transforms
+from rtq.decomposition import _BLOCK, PAIR_TARGETS, SCALAR_TARGETS, DecompositionSampler
+from rtq.errors import BadParam, OverflowGuard, RecursionDepthExceeded
 from rtq.simulator import TARGET_STATES, simulate
 
 
@@ -508,6 +509,65 @@ class TestSample:
                 expect = _csv_writer_text(("value",), [(v,) for v in drawn.tolist()])
             assert (out / f"samples_{target}.csv").read_text() == expect
 
+    @pytest.mark.parametrize("target", ["r0", "r1"])
+    def test_streamed_csv_across_block_edges(self, write_config, tmp_path, monkeypatch,
+                                             target):
+        # three blocks, the last of one draw, written as they come
+        path, n = write_config(_base_config()), 2 * _BLOCK + 1
+        texts = []
+        for cores in (1, 2):
+            monkeypatch.setattr(parallel, "workers", lambda jobs, cores=cores: min(jobs, cores))
+            out = tmp_path / f"cores{cores}"
+            assert cli.main(["sample", "--config", path, "--out", str(out),
+                             "--target", target, "-n", str(n)]) == 0
+            texts.append((out / f"samples_{target}.csv").read_text())
+        cfg = cli.load_config(path)
+        drawn = DecompositionSampler(cfg.params, seed=cfg.seed).sample(target, n)
+        if isinstance(drawn, tuple):
+            expect = _csv_writer_text(("queue", "orbit"),
+                                      zip(drawn[0].tolist(), drawn[1].tolist()))
+        else:
+            expect = _csv_writer_text(("value",), [(v,) for v in drawn.tolist()])
+        assert texts == [expect, expect]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_failure_mid_stream_leaves_nothing(self, write_config, tmp_path, monkeypatch,
+                                               capsys, cores):
+        # block 1 raises: the command fails, no file is left behind, and no
+        # block beyond the pool's window of 2 per worker is ever drawn
+        started = []
+
+        def r0_block(self, n):
+            block = self.rng.bit_generator.seed_seq.spawn_key[-1]
+            started.append(block)
+            if block == 1:
+                raise RecursionDepthExceeded("block 1 fails")
+            return np.zeros(n, dtype=np.int64)
+
+        monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, cores))
+        monkeypatch.setattr(DecompositionSampler, "sample_r0", r0_block)
+        out = tmp_path / "out"
+        assert cli.main(["sample", "--config", write_config(_base_config()),
+                         "--out", str(out), "--target", "r0",
+                         "-n", str(12 * _BLOCK)]) == 3
+        assert "block 1 fails" in capsys.readouterr().err
+        assert not list(out.glob("samples_*")) and not list(out.glob(".tmp-*"))
+        assert 1 in started and max(started) <= 2 * cores
+
+    def test_memory_does_not_grow_with_n(self, write_config, tmp_path):
+        # numpy reports its buffers to tracemalloc, so a path that holds
+        # every draw, or every row's text, at once shows here
+        cfg = cli.load_config(write_config(_base_config()), out_override=str(tmp_path))
+        peaks = []
+        for blocks in (2, 8):
+            tracemalloc.start()
+            try:
+                cli.cmd_sample(cfg, "r1", blocks * _BLOCK)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
+
     def test_requires_target(self, write_config, tmp_path):
         assert cli.main(["sample", "--config", write_config(_base_config()),
                          "--out", str(tmp_path / "o")]) == 2
@@ -544,7 +604,8 @@ _I64 = np.iinfo(np.int64)
 def test_int_writer_is_the_csv_writer_text(columns):
     header = ("value",) if len(columns) == 1 else ("queue", "orbit")
     arrays = [np.array(c, dtype=np.int64) for c in columns]
-    assert cli._int_csv_text(header, *arrays) == _csv_writer_text(header, zip(*columns))
+    text = ",".join(header) + "\n" + cli._int_csv_rows(*arrays)
+    assert text == _csv_writer_text(header, zip(*columns))
 
 
 @pytest.mark.parametrize("columns", [
@@ -556,7 +617,7 @@ def test_int_writer_is_the_csv_writer_text(columns):
 def test_int_writer_raises_when_pair_codes_overflow(columns):
     arrays = [np.array(c, dtype=np.int64) for c in columns]
     with pytest.raises(OverflowGuard):
-        cli._int_csv_text(("queue", "orbit"), *arrays)
+        cli._int_csv_rows(*arrays)
 
 
 def _reject_constant(token):

@@ -212,6 +212,33 @@ class TestBlocks:
         block.rng = make_rng(6, 2, 1)
         np.testing.assert_array_equal(drawn[_BLOCK:], block.sample_r0(7))
 
+    def test_sample_into_hands_over_blocks_in_order(self, ref_params):
+        blocks = []
+        DecompositionSampler(ref_params, seed=5).sample_into("s1", 2 * _BLOCK + 1,
+                                                              blocks.append)
+        assert [b[0].size for b in blocks] == [_BLOCK, _BLOCK, 1]
+        joined = DecompositionSampler(ref_params, seed=5).sample("s1", 2 * _BLOCK + 1)
+        for col, whole in zip(zip(*blocks), joined):
+            np.testing.assert_array_equal(np.concatenate(col), whole)
+
+    def test_a_failing_write_stops_the_draws(self, ref_params, monkeypatch):
+        # the pool runs at most 2 blocks per worker ahead of the one written
+        started = []
+        draw = DecompositionSampler.sample_xg
+
+        def recorded(self, n):
+            started.append(self.rng.bit_generator.seed_seq.spawn_key[-1])
+            return draw(self, n)
+
+        def write(block):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, 2))
+        monkeypatch.setattr(DecompositionSampler, "sample_xg", recorded)
+        with pytest.raises(OSError, match="disk full"):
+            DecompositionSampler(ref_params, seed=5).sample_into("xg", 10 * _BLOCK, write)
+        assert 0 in started and max(started) <= 4
+
     @pytest.mark.parametrize("target", ["r0", "r1"])
     def test_worker_count_does_not_change_draws(self, ref_params, monkeypatch, target):
         runs = []
