@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, asymptotics, transforms, verify
+from . import __version__, asymptotics, parallel, transforms, verify
 from .decomposition import PAIR_TARGETS, SCALAR_TARGETS, DecompositionSampler
 from .errors import (
     AssumptionViolation,
@@ -396,6 +396,14 @@ def _sampler_pmfs(cfg: RunConfig) -> dict:
     return out
 
 
+def _other_pillars(cfg: RunConfig):
+    """What `verify` computes beside the simulator: the inversion pmfs, the
+    lemma checks and the sampler pmfs."""
+    n_tail = max(cfg.inversion_n, 4 * cfg.verify_window[1] // 3)
+    pmfs = transforms.conditional_pmfs(cfg.params, n_tail, radius=0.995)
+    return pmfs, verify.check_appendix_lemmas(), _sampler_pmfs(cfg)
+
+
 def cmd_verify(cfg: RunConfig) -> list:
     params = cfg.params
     # first, so a model outside the catalog's assumptions fails before any
@@ -404,18 +412,14 @@ def cmd_verify(cfg: RunConfig) -> list:
         catalog = asymptotics.tail_catalog(params)
     except NotApplicable as exc:
         raise BadParam(str(exc)) from None
-    # the simulator forks its replicas, so it runs before any sampler thread
-    # exists: forking a process with live threads can deadlock
-    sim_res = simulate(params, cfg.sim)
+    # the simulator in a forked child, beside the other pillars here; the
+    # sampler's threads start only once the child is forked
+    (pmfs, lemmas, sampler_pmfs), sim_res = parallel.fork_run(
+        lambda pillar: pillar(),
+        [lambda: _other_pillars(cfg), lambda: simulate(params, cfg.sim)],
+    )
     frac = sim_res.state_fractions()
-    err = sim_res.state_fraction_stderr()  # below 2 cycles, exit 4 before the other pillars
-    n_tail = max(cfg.inversion_n, 4 * cfg.verify_window[1] // 3)
-    pmfs = transforms.conditional_pmfs(params, n_tail, radius=0.995)
-    # before the sampler, so their peak memory does not sit on the RSS that
-    # the sampler's threads keep (a malloc arena each) after their blocks
-    # are freed; the blocks in flight are few, however many samples
-    lemmas = verify.check_appendix_lemmas()
-    sampler_pmfs = _sampler_pmfs(cfg)
+    err = sim_res.state_fraction_stderr()  # below 2 cycles, exit 4 before writing anything
     targets = {
         t: _verify_target(cfg, t, pmfs, sim_res, sampler_pmfs, catalog)
         for t in TARGET_STATES

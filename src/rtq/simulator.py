@@ -9,12 +9,13 @@ events (arrival, service completion, effective retrial) can be redrawn
 memorylessly whenever the state changes.
 
 Every draw comes from numpy.  A run is _REPLICAS replicas that split the
-event budget, each in a forked worker (the loop holds the GIL), and replica
-r's inter-arrival times, class picks, retrial clocks and each class's
-service times have PCG64 streams of their own, spawn keys (1, r, 0) to
-(1, r, 4) of the seed; services are drawn by the laws' own
-`ServiceDist.sample`.  The sampler's keys have one or two elements, so for
-one seed the two pillars share no random bits.
+event budget, replica 0 in the caller and replica 1 in a forked child
+through `parallel.fork_run` (the loop holds the GIL).  Replica r's
+inter-arrival times, class picks, retrial clocks and each class's service
+times have PCG64 streams of their own, spawn keys (1, r, 0) to (1, r, 4) of
+the seed; services are drawn by the laws' own `ServiceDist.sample`.  The
+sampler's keys have one or two elements, so for one seed the two pillars
+share no random bits.
 
 Statistics are time averages over the whole run, with sparse joint
 histograms of (queue, orbit) per server state.  The run starts empty and
@@ -233,7 +234,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     replicas = min(_REPLICAS, config.max_events)
     share, extra = divmod(config.max_events, replicas)
     jobs = [(params, config.seed, r, share + (r < extra)) for r in range(replicas)]
-    ends, partials, cycles, hists, seen = zip(*parallel.run(_replica, jobs, processes=True))
+    ends, partials, cycles, hists, seen = zip(*parallel.fork_run(_replica, jobs))
     cycles = np.concatenate(cycles)
     hist = []
     for s in range(3):

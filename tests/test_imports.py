@@ -1,6 +1,7 @@
 """The three pillars stay independent in code: checked on the import graph."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -70,3 +71,31 @@ def test_cli_import_loads_no_pool():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_simulate_and_verify_load_no_process_pool(tmp_path):
+    # both fork their Monte-Carlo jobs directly: neither multiprocessing nor
+    # the process pool of concurrent.futures is ever imported
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"lam": 1.0, "q": 0.5, "mu": 1.0,
+                  "dist1": {"kind": "pareto", "index": 2.5, "mean": 0.6},
+                  "dist2": {"kind": "exponential", "mean": 0.3}},
+        "sim": {"max_events": 20_000},
+        "inversion": {"n": 160, "radius": 0.99},
+        "verify": {"window": [30, 120], "light_window": [30, 100],
+                   "n_states": 40, "samples": 20_000},
+    }))
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = (
+        "import sys\n"
+        "from rtq import cli, parallel\n"
+        "parallel.workers = lambda jobs: min(jobs, 2)  # fork on a one-CPU host too\n"
+        "for command in ('simulate', 'verify'):\n"
+        f"    assert cli.main([command, '--config', {str(config)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"

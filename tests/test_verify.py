@@ -147,6 +147,15 @@ class TestStructuralLemmas:
     def test_checks_are_deterministic(self):
         assert verify.check_appendix_lemmas() == verify.check_appendix_lemmas()
 
+    def test_poisson_count_reads_only_the_terms_it_needs(self):
+        # the check reads the survival up to j = 1000; the pmf's terms past
+        # it change no bit of the statistic
+        dist = ParetoShifted(2.5, 1.0)
+        surv = 1.0 - np.cumsum(dist.poisson_mixture_pmf(1.0, 4096))
+        j = np.arange(100, 1001)
+        statistic = float(np.mean(surv[j] / dist.survival(j / 1.0)))
+        assert verify._lemma_poisson_count()["statistic"] == statistic
+
     @pytest.mark.parametrize("dist, t", [
         (ParetoShifted(2.5, 1.0), [0.5, 1.0, 5.0, 40.0, 60.0, 90.0, 140.0]),
         (Exponential(2.0), [0.1, 0.5, 1.0, 3.0, 5.0]),
