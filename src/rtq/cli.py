@@ -379,21 +379,22 @@ def _verify_target(cfg, target, pmfs, sim_res, sampler_pmfs, catalog):
 
 def _sampler_pmfs(cfg: RunConfig) -> dict:
     """Empirical pmfs of the five laws from verify.samples draws of r0, r1
-    and r2, in that order: the bincounts of 0..n_states are added up block
-    by block as the sampler hands the blocks over, and no draws are kept."""
+    and r2, drawn through one pool: the bincounts of 0..n_states are added
+    up block by block as the sampler hands the blocks over, and no draws
+    are kept."""
     sampler = DecompositionSampler(cfg.params, seed=cfg.seed)
     size = cfg.verify_n_states + 1
-    out = {}
-    for target, tags in (("r0", ("R0",)), ("r1", ("R11", "R12")), ("r2", ("R21", "R22"))):
-        counts = np.zeros((len(tags), size), dtype=np.int64)
+    laws = {"r0": ("R0",), "r1": ("R11", "R12"), "r2": ("R21", "R22")}
+    counts = {t: np.zeros((len(tags), size), dtype=np.int64) for t, tags in laws.items()}
 
-        def add(drawn, counts=counts):
-            for row, d in zip(counts, drawn if isinstance(drawn, tuple) else (drawn,)):
-                row += np.bincount(d, minlength=size)[:size]
+    def add(drawn, rows):
+        for row, d in zip(rows, drawn if isinstance(drawn, tuple) else (drawn,)):
+            row += np.bincount(d, minlength=size)[:size]
 
-        sampler.sample_into(target, cfg.verify_samples, add)
-        out.update(zip(tags, counts / cfg.verify_samples))
-    return out
+    sampler.sample_into(tuple(laws), cfg.verify_samples,
+                        tuple(lambda drawn, rows=counts[t]: add(drawn, rows) for t in laws))
+    return {tag: row / cfg.verify_samples
+            for t, tags in laws.items() for tag, row in zip(tags, counts[t])}
 
 
 def _other_pillars(cfg: RunConfig):

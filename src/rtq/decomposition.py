@@ -1,27 +1,38 @@
 """Exact stochastic representations of the conditional-distribution factors.
 
-Every factor of the stationary generating functions has a constructive
-probabilistic form: the high-priority busy period is a branching tree of
-services, the batch size X_g is one customer or the low-priority arrivals
-over a busy period, Ka/Kb/Kc are mixtures, batched Poisson sums and
-geometric compounds of those pieces, the idle-orbit count is a thinned
-compound Poisson sum of K draws, and the difference-quotient factors H mark
-a uniform point inside a length-biased service.  Sampling these and
-comparing against the analytic generating functions is the strongest
-correctness check in the package, so the samplers here are exact in
-distribution: no tables, no truncation, and no call into the analytic
-evaluators.
+All of them rest on one primitive, Theta(tau): the length of a type-1 busy
+period whose root lasts tau.  `theta` grows a forest of such trees one
+generation at a time, with one Poisson(lam1 x the generation's total
+service) draw per tree.  With X_g the orbit input of an arrival, itself
+(low priority) or the low-priority arrivals over a busy period (high),
+Poisson superposition makes two identities exact in law:
+- the X_g of the Poisson(lam tau) arrivals during tau sum to
+  Poisson(lam2 Theta(tau));
+- Theta(a) + Theta(b) has the law of Theta(a + b).
+So a factor is one forest over its root durations and one Poisson per
+coordinate.  A (queue, orbit) pair also has a direct time d, whose arrivals
+join the queue or the orbit one by one by type: it is (Poisson(lam1 d),
+Poisson(lam2 (d + Theta(root)))).  With G(r) a Geometric(1 - r) - 1 count
+and T1e, T2e, Te the equilibrium type-1, type-2 and merged services:
+- Ka: G(rho1) T1e, summed;  Kb: one Te;  K = Ka + Kb + Kc;
+- Kc: G(vartheta) stages, each a Ka root and a T2e, summed;
+- H: V uniform in a length-biased service T*, V direct and T* - V root;
+- S: an equilibrium service, all direct;  M1: G(rho1) type-1 H, summed;
+- M2: with probability vartheta a type-2 H and a Ka and a Kc root, else 0;
+- R1 = M2 + M1 + S1 and R2 = S2 + Ka + Kc, each with an R0 in the orbit.
+R0, the orbit given an idle server, is Poisson(psi) candidate K draws, each
+kept with probability 1/(K+1) and then contributing K+1.  The samplers are
+exact in distribution and vectorised over their n draws, with no tables, no
+truncation and no call into the analytic evaluators.
 
-All samplers are vectorised over their n draws.
-
-Streams: `sample_into` splits n draws into blocks of _BLOCK, and block i
-draws from its own PCG64 stream, spawn key (stream, k + i) of the seed,
-where k counts the blocks the sampler has drawn before.  Threads draw the
-blocks (numpy releases the GIL), a few per worker ahead of the caller, and
-the caller receives them one at a time in block order, so draws never depend
-on the core count and the memory they take does not grow with n.  `sample`
-joins the blocks into one array.  Primitives called directly draw from the
-sampler's `rng`, key (stream,); the simulator's keys have three elements.
+Streams: `sample_into` splits n draws into blocks of _BLOCK; block i draws
+from its own PCG64 stream, spawn key (stream, k + i) of the seed, with k the
+blocks the sampler drew before, and targets drawn through one pool take the
+keys that calls in turn would.  Threads draw the blocks (numpy releases the
+GIL) a few per worker ahead of the caller, which receives them in block
+order, so draws never depend on the core count and their memory does not
+grow with n.  Primitives called directly draw from the sampler's `rng`, key
+(stream,); the simulator's keys have three elements.
 """
 
 from __future__ import annotations
@@ -59,11 +70,11 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _group_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sums of consecutive runs of `values`, in their dtype; run i has length
+    """Sums of consecutive runs of float `values`; run i has length
     counts[i].  Empty draws need no branch: numpy's size-0 draws leave the
     generator's state unchanged, and an empty run sums to 0."""
     owner = np.repeat(np.arange(counts.size), counts)
-    return np.bincount(owner, weights=values, minlength=counts.size).astype(values.dtype)
+    return np.bincount(owner, weights=values, minlength=counts.size)
 
 
 class DecompositionSampler:
@@ -80,46 +91,37 @@ class DecompositionSampler:
         self.blocks = 0
         self.rng = make_rng(seed, stream)
 
-    # ------------------------------------------------------------------
     # primitives
-
-    def busy_durations(
-        self, n: int, max_nodes: int | None = None, root: ServiceDist | None = None
-    ) -> np.ndarray:
-        """Lengths of n independent high-priority busy periods.
-
-        Each period is the total service time of a branching tree: the root
-        customer's service (drawn from `root`, by default the type-1 law),
-        plus one subtree per priority arrival during any service in the tree.
+    def theta(self, roots: np.ndarray, mean: float, max_nodes: int | None = None) -> np.ndarray:
+        """Theta: lengths of type-1 busy periods whose roots last `roots`.
         By default the trees may hold 30 times their mean total of services,
-        and at least a million; a tree has 1 + lam1 E[root] / (1 - rho1)
-        services on average, a mean taken as 1 when E[root] is infinite.
-        """
+        and at least a million, a guard fixed before any draw: a tree has
+        1 + lam1 `mean` / (1 - rho1) services on average, with `mean` the law
+        mean of a root, taken as 1 service when infinite."""
         p = self.params
-        rng = self.rng
-        root = p.dist1 if root is None else root
         if max_nodes is None:
-            per_tree = 1.0 + p.lambda1 * root.mean / (1.0 - p.rho1)
-            if not np.isfinite(per_tree):
-                per_tree = 1.0
-            max_nodes = max(1_000_000, int(30 * n * per_tree))
-        svc = root.sample(rng, n)
-        total = svc.copy()
-        owner = np.arange(n)
-        used = n
-        while owner.size:
-            kids = rng.poisson(p.lambda1 * svc)
-            used += int(kids.sum())
+            per_tree = 1.0 + p.lambda1 * mean / (1.0 - p.rho1) if mean < np.inf else 1.0
+            max_nodes = max(1_000_000, int(30 * roots.size * per_tree))
+        total = np.array(roots, dtype=float)
+        alive = np.flatnonzero(total)
+        svc, used = total[alive], float(total.size)
+        while alive.size:
+            kids = self.rng.poisson(p.lambda1 * svc)
+            used += kids.sum(dtype=float)  # a float sum cannot wrap around
             if used > max_nodes:
-                raise RecursionDepthExceeded(
-                    f"busy-period trees exceeded {max_nodes} services"
-                )
-            owner = np.repeat(owner, kids)
-            if owner.size == 0:
-                break
-            svc = p.dist1.sample(rng, owner.size)
-            total += np.bincount(owner, weights=svc, minlength=n)
+                raise RecursionDepthExceeded(f"busy-period trees exceeded {max_nodes} services")
+            on = kids > 0
+            alive, kids = alive[on], kids[on]
+            svc = _group_sums(kids, p.dist1.sample(self.rng, int(kids.sum())))
+            total[alive] += svc
         return total
+
+    def busy_durations(self, n: int, max_nodes: int | None = None,
+                       root: ServiceDist | None = None) -> np.ndarray:
+        """Lengths of n independent high-priority busy periods: Theta of n
+        root services drawn from `root`, by default the type-1 law."""
+        root = self.params.dist1 if root is None else root
+        return self.theta(root.sample(self.rng, n), root.mean, max_nodes)
 
     def sample_xg(self, n: int) -> np.ndarray:
         """Orbit input of one effective arrival: itself (low priority) or
@@ -130,147 +132,143 @@ class DecompositionSampler:
         out[hi] = self.rng.poisson(p.lambda2 * self.busy_durations(int(hi.sum())))
         return out
 
-    def _sum_xg(self, counts: np.ndarray) -> np.ndarray:
-        """Independent sums of X_g, one sum per entry of `counts`."""
-        return _group_sums(counts, self.sample_xg(int(counts.sum())))
+    def _orbit(self, roots, mean, direct=0.0) -> np.ndarray:
+        """The low-priority arrivals during `direct` and the orbit input over `roots`."""
+        return self.rng.poisson(self.params.lambda2 * (direct + self.theta(roots, mean)))
 
-    # ------------------------------------------------------------------
-    # the orbit factors
+    def _pair(self, direct, roots, mean):
+        """(queue, orbit) of a direct time and a root duration."""
+        return self.rng.poisson(self.params.lambda1 * direct), self._orbit(roots, mean, direct)
 
-    def sample_ka(self, n: int) -> np.ndarray:
-        """Zero with probability 1 - rho1, else the low-priority arrivals
-        over an equilibrium busy period: a Geometric(1 - rho1) >= 1 number
-        of busy periods, each started by an equilibrium type-1 service."""
+    # the pieces: root durations with their law mean, and direct times
+    def _ka_root(self, n: int):
         p = self.params
-        out = np.zeros(n, dtype=np.int64)
-        on = np.flatnonzero(self.rng.random(n) < p.rho1)
-        stages = self.rng.geometric(1.0 - p.rho1, on.size)
-        busy = self.busy_durations(int(stages.sum()), root=p.dist1_eq)
-        out[on] = self.rng.poisson(p.lambda2 * _group_sums(stages, busy))
-        return out
+        stages = self.rng.geometric(1.0 - p.rho1, n) - 1
+        svc = p.dist1_eq.sample(self.rng, int(stages.sum()))
+        return _group_sums(stages, svc), p.rho1 / (1.0 - p.rho1) * p.dist1_eq.mean
 
-    def sample_kb(self, n: int) -> np.ndarray:
-        """Batched Poisson: effective arrivals over an equilibrium-biased
-        service of the merged stream, each contributing an X_g."""
+    def _kc_root(self, n: int):
+        p, vt = self.params, self.params.vartheta
+        stages = self.rng.geometric(1.0 - vt, n) - 1
+        m = int(stages.sum())
+        ka, ka_mean = self._ka_root(m)
+        step = ka + p.dist2_eq.sample(self.rng, m)
+        return _group_sums(stages, step), vt / (1.0 - vt) * (ka_mean + p.dist2_eq.mean)
+
+    def _ka_kc_root(self, n: int):
+        (a, a_mean), (c, c_mean) = self._ka_root(n), self._kc_root(n)
+        return a + c, a_mean + c_mean
+
+    def _h(self, which: int, n: int):
+        """(direct, root, mean) of H; E[T* - V] = E[T*] / 2, the equilibrium mean."""
         p = self.params
-        t = p.mixed_service_eq.sample(self.rng, n)
-        return self._sum_xg(self.rng.poisson(p.lam * t))
-
-    def _xc(self, n: int) -> np.ndarray:
-        # one geometric-stage increment: a Ka plus the orbit input of the
-        # arrivals over an equilibrium low-priority service
-        p = self.params
-        t = p.dist2_eq.sample(self.rng, n)
-        return self.sample_ka(n) + self._sum_xg(self.rng.poisson(p.lam * t))
-
-    def sample_kc(self, n: int) -> np.ndarray:
-        stages = self.rng.geometric(1.0 - self.params.vartheta, n) - 1
-        return _group_sums(stages, self._xc(int(stages.sum())))
-
-    def sample_k(self, n: int) -> np.ndarray:
-        return self.sample_ka(n) + self.sample_kb(n) + self.sample_kc(n)
-
-    def sample_r0(self, n: int) -> np.ndarray:
-        """Orbit size given an idle server, exp(-psi int_z^1 K): Poisson(psi)
-        candidate K draws, each kept with probability 1/(K+1) and then
-        contributing K+1 (a thinned Poisson process)."""
-        counts = self.rng.poisson(self.params.psi, n)
-        cand = self.sample_k(int(counts.sum()))
-        keep = self.rng.random(cand.size) * (cand + 1.0) < 1.0
-        return _group_sums(counts, np.where(keep, cand + 1, 0))
-
-    # ------------------------------------------------------------------
-    # bivariate (queue, orbit) factors
-
-    def sample_split(self, counts: np.ndarray, c: float):
-        """Independently mark each of `counts` items with probability c."""
-        first = self.rng.binomial(counts, c)
-        return first.astype(np.int64), (counts - first).astype(np.int64)
-
-    def sample_h_pair(self, which: int, n: int):
-        """One step of the difference-quotient factor H for type `which`.
-
-        Mark a uniform point V inside a length-biased type-`which` service
-        T*: the arrivals before V go to queue/orbit by type, the arrivals
-        after V contribute whole X_g batches to the orbit.
-        """
-        p = self.params
-        dist = p.dist1 if which == 1 else p.dist2
+        dist, eq = (p.dist1, p.dist1_eq) if which == 1 else (p.dist2, p.dist2_eq)
         t = dist.sample_length_biased(self.rng, n)
         v = t * self.rng.random(n)
-        n1 = self.rng.poisson(p.lambda1 * v)
-        n2 = self.rng.poisson(p.lambda2 * v) + self._sum_xg(self.rng.poisson(p.lam * (t - v)))
-        return n1, n2
+        return v, t - v, eq.mean
+
+    def _m1(self, n: int):
+        rho1 = self.params.rho1
+        stages = self.rng.geometric(1.0 - rho1, n) - 1
+        v, root, mean = self._h(1, int(stages.sum()))
+        return _group_sums(stages, v), _group_sums(stages, root), rho1 / (1.0 - rho1) * mean
+
+    def _m2(self, n: int):
+        vt = self.params.vartheta
+        on = np.flatnonzero(self.rng.random(n) < vt)
+        v, h_root, h_mean = self._h(2, on.size)
+        k_root, k_mean = self._ka_kc_root(on.size)
+        direct, root = np.zeros(n), np.zeros(n)
+        direct[on], root[on] = v, h_root + k_root
+        return direct, root, vt * (h_mean + k_mean)
+
+    def _s(self, which: int, n: int) -> np.ndarray:
+        return (self.params.dist1_eq if which == 1 else self.params.dist2_eq).sample(self.rng, n)
+
+    # the orbit factors
+    def sample_ka(self, n: int) -> np.ndarray:
+        """The low-priority arrivals over an equilibrium busy period, or 0."""
+        return self._orbit(*self._ka_root(n))
+
+    def sample_kb(self, n: int) -> np.ndarray:
+        """The orbit input over an equilibrium service of the merged stream."""
+        eq = self.params.mixed_service_eq
+        return self._orbit(eq.sample(self.rng, n), eq.mean)
+
+    def sample_kc(self, n: int) -> np.ndarray:
+        return self._orbit(*self._kc_root(n))
+
+    def sample_k(self, n: int) -> np.ndarray:
+        root, mean = self._ka_kc_root(n)
+        eq = self.params.mixed_service_eq
+        return self._orbit(root + eq.sample(self.rng, n), mean + eq.mean)
+
+    def sample_r0(self, n: int) -> np.ndarray:
+        """Orbit size given an idle server, exp(-psi int_z^1 K); the
+        Poisson(n psi) candidates go to uniform draws, Poisson(psi) each."""
+        owner = self.rng.integers(0, n, self.rng.poisson(self.params.psi * n))
+        cand = self.sample_k(owner.size)
+        keep = self.rng.random(cand.size) * (cand + 1.0) < 1.0
+        return np.bincount(owner, np.where(keep, cand + 1.0, 0.0), n).astype(np.int64)
+
+    # bivariate (queue, orbit) factors
+    def sample_h_pair(self, which: int, n: int):
+        """One step of the difference-quotient factor H for type `which`."""
+        return self._pair(*self._h(which, n))
 
     def sample_s_pair(self, which: int, n: int):
         """Arrivals during an equilibrium type-`which` service, by type."""
-        p = self.params
-        dist = p.dist1_eq if which == 1 else p.dist2_eq
-        k = self.rng.poisson(p.lam * dist.sample(self.rng, n))
-        return self.sample_split(k, p.q)
+        t = self._s(which, n)
+        return self.rng.poisson(self.params.lambda1 * t), self.rng.poisson(self.params.lambda2 * t)
 
     def sample_m1_pair(self, n: int):
-        """Geometric compound of H factors for the high-priority class."""
-        stages = self.rng.geometric(1.0 - self.params.rho1, n) - 1
-        h1, h2 = self.sample_h_pair(1, int(stages.sum()))
-        return _group_sums(stages, h1), _group_sums(stages, h2)
+        return self._pair(*self._m1(n))
 
     def sample_m2_pair(self, n: int):
-        """With probability vartheta an H factor for the low-priority class
-        plus an extra Ka and Kc in the orbit; otherwise nothing."""
-        vt = self.params.vartheta
-        on = self.rng.random(n) < vt
-        m = int(on.sum())
-        h1, h2 = self.sample_h_pair(2, m)
-        q_out = np.zeros(n, dtype=np.int64)
-        o_out = np.zeros(n, dtype=np.int64)
-        q_out[on] = h1
-        o_out[on] = h2 + self.sample_ka(m) + self.sample_kc(m)
-        return q_out, o_out
+        return self._pair(*self._m2(n))
 
     def sample_r1_pair(self, n: int):
         """(queue, orbit) given a high-priority service in progress."""
-        q1, o1 = self.sample_m2_pair(n)
-        q2, o2 = self.sample_m1_pair(n)
-        q3, o3 = self.sample_s_pair(1, n)
-        return q1 + q2 + q3, o1 + o2 + o3 + self.sample_r0(n)
+        (d2, r2, m2), (d1, r1, m1) = self._m2(n), self._m1(n)
+        q, o = self._pair(d2 + d1 + self._s(1, n), r2 + r1, m2 + m1)
+        return q, o + self.sample_r0(n)
 
     def sample_r2_pair(self, n: int):
         """(queue, orbit) given a low-priority service in progress."""
-        q1, o1 = self.sample_s_pair(2, n)
-        o1 = o1 + self.sample_ka(n) + self.sample_kc(n) + self.sample_r0(n)
-        return q1, o1
+        q, o = self._pair(self._s(2, n), *self._ka_kc_root(n))
+        return q, o + self.sample_r0(n)
 
-    # ------------------------------------------------------------------
     # dispatch
-
-    def sample_into(self, target: str, n: int, write) -> None:
+    def sample_into(self, target, n: int, write) -> None:
         """Draw n values of a named factor and pass them to `write` one
         block at a time, in block order; a pair target's block is a tuple.
 
         The draws come in blocks of _BLOCK, block i from stream
         (stream, k + i) with k the blocks drawn so far, on a thread pool
         that runs a few blocks ahead of `write`.  When a block or `write`
-        raises, the blocks not yet started are never drawn.
+        raises, the blocks not yet started are never drawn.  With a tuple
+        of names and one of as many callables, one pool draws n of each, on
+        the streams that calls in turn would use, and hands each block to its
+        target's callable.
         """
-        call = _CALLS.get(target.lower())
-        if call is None:
-            raise ValueError(
-                f"unknown target {target!r}; choose from "
-                f"{', '.join(SCALAR_TARGETS + PAIR_TARGETS)}"
-            )
-        method, *args = call
+        names, writers = (target, write) if isinstance(target, tuple) else ((target,), (write,))
+        calls = [_CALLS.get(name.lower()) for name in names]
+        if None in calls:
+            raise ValueError(f"unknown target {names[calls.index(None)]!r}; choose from "
+                             f"{', '.join(SCALAR_TARGETS + PAIR_TARGETS)}")
         sizes = [min(_BLOCK, n - start) for start in range(0, max(n, 1), _BLOCK)]
-        first, self.blocks = self.blocks, self.blocks + len(sizes)
+        jobs = [(call, put, size) for call, put in zip(calls, writers) for size in sizes]
+        first, self.blocks = self.blocks, self.blocks + len(jobs)
 
         def block(i):
+            (method, *args), _, size = jobs[i]
             sub = copy.copy(self)
             sub.rng = make_rng(self.seed, self.stream, first + i)
-            return getattr(sub, method)(*args, sizes[i])
+            return getattr(sub, method)(*args, size)
 
-        with contextlib.closing(parallel.imap(block, range(len(sizes)))) as blocks:
-            for drawn in blocks:
-                write(drawn)
+        with contextlib.closing(parallel.imap(block, range(len(jobs)))) as blocks:
+            for (_, put, _), drawn in zip(jobs, blocks):
+                put(drawn)
 
     def sample(self, target: str, n: int):
         """Draw n values of a named factor; pair targets return a tuple.

@@ -626,6 +626,19 @@ def _reject_constant(token):
 
 
 class TestVerify:
+    def test_sampler_pmfs_are_the_targets_drawn_in_turn(self, write_config, monkeypatch):
+        # one pool draws r0, r1 and r2 on the streams that calls in turn use;
+        # 70,001 draws end each target's blocks with a short one
+        monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, 2))
+        cfg = cli.load_config(write_config(_base_config(
+            verify={"n_states": 40, "samples": 70_001})))
+        pmfs = cli._sampler_pmfs(cfg)
+        ds = DecompositionSampler(cfg.params, seed=cfg.seed)
+        drawn = (ds.sample("r0", 70_001), *ds.sample("r1", 70_001), *ds.sample("r2", 70_001))
+        assert list(pmfs) == ["R0", "R11", "R12", "R21", "R22"]
+        for tag, d in zip(pmfs, drawn):
+            np.testing.assert_array_equal(pmfs[tag], np.bincount(d, minlength=41)[:41] / 70_001)
+
     def test_small_end_to_end(self, write_config, tmp_path):
         out = tmp_path / "out"
         cfg = _base_config(

@@ -83,11 +83,40 @@ class TestBusyPeriods:
         draws = DecompositionSampler(params, seed=3).sample("ka", 10_000)
         assert verify.tv_distance(draws, _factor_pmf(params, "ka"), 40) < 0.02
 
+    def test_infinite_mean_root_raises_before_it_grows(self):
+        # type-1 index 1.5: K's roots have no mean, so the guard, fixed before
+        # any draw, counts one service per tree, and r0's trees exceed it
+        params = ModelParams(lam=1.0, q=0.5, mu=1.0,
+                             dist1=ParetoShifted.from_mean(1.5, 0.6),
+                             dist2=Exponential(10.0 / 3.0))
+        with pytest.raises(RecursionDepthExceeded):
+            DecompositionSampler(params, seed=0).sample("r0", 50_000)
+
     def test_orbit_input_mean(self, ref_params, sampler):
         # each effective arrival feeds p/(1-rho1) customers to the orbit
         x = sampler.sample_xg(300_000)
         expect = ref_params.p / (1.0 - ref_params.rho1)
         assert x.mean() == pytest.approx(expect, abs=0.01)
+
+
+class TestTheta:
+    """Theta(tau), a busy period whose root lasts tau, at tau = 2."""
+
+    @pytest.mark.parametrize("model", ["ref_params", "alt_params"])
+    def test_orbit_input_over_a_fixed_time(self, request, model):
+        # the X_g of the Poisson(lam tau) arrivals during tau sum to
+        # Poisson(lam2 Theta(tau)), whose PGF is exp(-lam tau (1 - g(z)))
+        params = request.getfixturevalue(model)
+        ds = DecompositionSampler(params, seed=79)
+        draws = ds.rng.poisson(params.lambda2 * ds.theta(np.full(200_000, 2.0), 2.0))
+        pmf = T.extract_pmf(lambda z: np.exp(-params.lam * 2.0 * (1.0 - T.eval_g(params, z))),
+                            60, radius=0.9)
+        assert verify.tv_distance(draws, pmf, 40) < 0.01
+
+    def test_mean(self, ref_params):
+        d = DecompositionSampler(ref_params, seed=80).theta(np.full(200_000, 2.0), 2.0)
+        assert d.mean() == pytest.approx(2.0 / (1.0 - ref_params.rho1), rel=0.01)
+        assert np.all(d >= 2.0)
 
 
 class TestScalarFactors:
@@ -104,12 +133,6 @@ class TestScalarFactors:
 
 
 class TestPairFactors:
-    def test_split_preserves_total(self, sampler):
-        counts = np.arange(0, 50, dtype=np.int64)
-        a, b = sampler.sample_split(counts, 0.3)
-        np.testing.assert_array_equal(a + b, counts)
-        assert np.all(a >= 0) and np.all(b >= 0)
-
     def test_equilibrium_service_marginals(self, ref_params, sampler):
         q, o = sampler.sample_s_pair(2, 200_000)
         p = ref_params
@@ -174,6 +197,12 @@ class TestDispatchAndSeeding:
     def test_unknown_target(self, ref_params):
         with pytest.raises(ValueError, match="unknown target"):
             DecompositionSampler(ref_params, seed=0).sample("r3", 10)
+
+    def test_unknown_target_among_several_draws_nothing(self, ref_params):
+        ds = DecompositionSampler(ref_params, seed=0)
+        with pytest.raises(ValueError, match="unknown target 'r3'"):
+            ds.sample_into(("r0", "r3"), 10, (print, print))
+        assert ds.blocks == 0
 
     def test_determinism(self, ref_params):
         a = DecompositionSampler(ref_params, seed=9).sample("r0", 500)
