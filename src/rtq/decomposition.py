@@ -222,9 +222,11 @@ class DecompositionSampler:
         return self.rng.poisson(self.params.lambda1 * t), self.rng.poisson(self.params.lambda2 * t)
 
     def sample_m1_pair(self, n: int):
+        """Geometric compound of H factors for the high-priority class."""
         return self._pair(*self._m1(n))
 
     def sample_m2_pair(self, n: int):
+        """With probability vartheta a low-priority H with a Ka and a Kc."""
         return self._pair(*self._m2(n))
 
     def sample_r1_pair(self, n: int):
