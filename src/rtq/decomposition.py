@@ -43,7 +43,7 @@ import copy
 import numpy as np
 
 from . import parallel
-from .errors import RecursionDepthExceeded
+from .errors import OverflowGuard, RecursionDepthExceeded
 from .model import ModelParams, ServiceDist
 
 __all__ = ["make_rng", "DecompositionSampler", "PAIR_TARGETS", "SCALAR_TARGETS"]
@@ -59,6 +59,8 @@ _CALLS = {
     "r1": ("sample_r1_pair",), "r2": ("sample_r2_pair",),
 }
 _BLOCK = 1 << 16  # draws per block of `sample`, each on a stream of its own
+_INT64_MAX = np.iinfo(np.int64).max
+_POISSON_MAX = _INT64_MAX - 10 * np.sqrt(_INT64_MAX)  # numpy's largest Poisson mean
 
 
 def make_rng(seed: int, *key: int) -> np.random.Generator:
@@ -75,6 +77,14 @@ def _group_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     generator's state unchanged, and an empty run sums to 0."""
     owner = np.repeat(np.arange(counts.size), counts)
     return np.bincount(owner, weights=values, minlength=counts.size)
+
+
+def _poisson(rng: np.random.Generator, lam):
+    """rng.poisson(lam), or OverflowGuard before the draw when a mean is not
+    finite or is above the largest that numpy draws."""
+    if np.size(lam) and not np.max(lam) <= _POISSON_MAX:  # NaN fails the test too
+        raise OverflowGuard(f"a Poisson mean of {np.max(lam):.3g} is beyond {_POISSON_MAX:.3g}")
+    return rng.poisson(lam)
 
 
 class DecompositionSampler:
@@ -106,7 +116,11 @@ class DecompositionSampler:
         alive = np.flatnonzero(total)
         svc, used = total[alive], float(total.size)
         while alive.size:
-            kids = self.rng.poisson(p.lambda1 * svc)
+            # a Poisson of mean over 2 max_nodes is at most max_nodes with
+            # probability under e^(-0.3 max_nodes): raise before drawing it
+            if p.lambda1 * svc.sum() > 2 * max_nodes:
+                raise RecursionDepthExceeded(f"busy-period trees exceeded {max_nodes} services")
+            kids = _poisson(self.rng, p.lambda1 * svc)
             used += kids.sum(dtype=float)  # a float sum cannot wrap around
             if used > max_nodes:
                 raise RecursionDepthExceeded(f"busy-period trees exceeded {max_nodes} services")
@@ -129,16 +143,16 @@ class DecompositionSampler:
         p = self.params
         out = np.ones(n, dtype=np.int64)
         hi = self.rng.random(n) < p.q
-        out[hi] = self.rng.poisson(p.lambda2 * self.busy_durations(int(hi.sum())))
+        out[hi] = _poisson(self.rng, p.lambda2 * self.busy_durations(int(hi.sum())))
         return out
 
     def _orbit(self, roots, mean, direct=0.0) -> np.ndarray:
         """The low-priority arrivals during `direct` and the orbit input over `roots`."""
-        return self.rng.poisson(self.params.lambda2 * (direct + self.theta(roots, mean)))
+        return _poisson(self.rng, self.params.lambda2 * (direct + self.theta(roots, mean)))
 
     def _pair(self, direct, roots, mean):
         """(queue, orbit) of a direct time and a root duration."""
-        return self.rng.poisson(self.params.lambda1 * direct), self._orbit(roots, mean, direct)
+        return _poisson(self.rng, self.params.lambda1 * direct), self._orbit(roots, mean, direct)
 
     # the pieces: root durations with their law mean, and direct times
     def _ka_root(self, n: int):
@@ -206,7 +220,7 @@ class DecompositionSampler:
     def sample_r0(self, n: int) -> np.ndarray:
         """Orbit size given an idle server, exp(-psi int_z^1 K); the
         Poisson(n psi) candidates go to uniform draws, Poisson(psi) each."""
-        owner = self.rng.integers(0, n, self.rng.poisson(self.params.psi * n))
+        owner = self.rng.integers(0, n, _poisson(self.rng, self.params.psi * n))
         cand = self.sample_k(owner.size)
         keep = self.rng.random(cand.size) * (cand + 1.0) < 1.0
         return np.bincount(owner, np.where(keep, cand + 1.0, 0.0), n).astype(np.int64)
@@ -219,7 +233,8 @@ class DecompositionSampler:
     def sample_s_pair(self, which: int, n: int):
         """Arrivals during an equilibrium type-`which` service, by type."""
         t = self._s(which, n)
-        return self.rng.poisson(self.params.lambda1 * t), self.rng.poisson(self.params.lambda2 * t)
+        p = self.params
+        return _poisson(self.rng, p.lambda1 * t), _poisson(self.rng, p.lambda2 * t)
 
     def sample_m1_pair(self, n: int):
         """Geometric compound of H factors for the high-priority class."""

@@ -34,7 +34,9 @@ class RecursionDepthExceeded(RtqError):
 
 
 class OverflowGuard(RtqError):
-    """Sampled (queue, orbit) rows span too wide a range for int64 row codes."""
+    """A count outgrows int64: sampled (queue, orbit) rows span too wide a
+    range for int64 row codes, or a sampler Poisson mean is not finite or is
+    above numpy's largest, about 9.2e18."""
 
 
 class InsufficientData(RtqError):

@@ -12,29 +12,23 @@ used: at module level it would add to every `import rtq.cli`.
 `fork_run` runs a few long jobs at once, one per process: it forks one
 child per job after the first, runs the first in the caller, and takes each
 child's result, or its exception with its type, back pickled over a pipe.
-A child of the caller leads a process group of its own, which the
-processes it forks in turn join.  When a job fails the caller sends the
-group SIGTERM, on which each child stops and reaps its own children before
-it exits, so a failing run leaves no process behind, not even an
-unreaped one.
+A child runs any `fork_run` of its own in-process, so there is one level of
+children, and a failing run SIGKILLs and reaps every child still running:
+no process outlives it, not even an unreaped one.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import os
 import pickle
 import signal
 import sys
-import time
 from collections import deque
 
 __all__ = ["workers", "imap", "fork_run"]
 
-_held = set()  # pipe ends of fork_run this process holds; a new child closes them
-_forked = False  # set in a fork_run child, whose own children join its group
-_GRACE = 2.0  # seconds a stopped child has to exit before it is killed
+_forked = False  # set in a fork_run child, which runs any jobs of its own in-process
 
 
 def workers(jobs: int) -> int:
@@ -74,18 +68,18 @@ def imap(fn, jobs):
 def fork_run(fn, jobs) -> list:
     """[fn(job) for job in jobs], job 0 in the caller and each other job in
     a forked child, all forked before job 0 starts; in-process when one
-    worker is all there is.
+    worker is all there is, or in a fork_run child.
 
     A job that raises has its exception re-raised in the caller with its
     type, and a child that ends without a result raises ChildProcessError;
-    either way, and when job 0 raises, every child still running is stopped
-    with the processes it forked, and reaped.  `fn` and the jobs reach the
-    children by the fork, so closures work; results and exceptions go back
-    pickled.  Forking a process with live threads can deadlock the child,
-    so the caller starts its threads only in job 0.
+    either way, and when job 0 raises, every child still running is killed
+    and reaped.  `fn` and the jobs reach the children by the fork, so
+    closures work; results and exceptions go back pickled.  Forking a
+    process with live threads can deadlock the child, so the caller starts
+    its threads only in job 0.
     """
     jobs = list(jobs)
-    if workers(len(jobs)) <= 1:
+    if _forked or workers(len(jobs)) <= 1:
         return [fn(job) for job in jobs]
     children = deque()
     try:
@@ -100,9 +94,9 @@ def fork_run(fn, jobs) -> list:
         return results
     finally:
         for _, pid, fd in children:
-            _held.discard(fd)
             os.close(fd)
-            _stop(pid)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _fork(fn, job):
@@ -120,14 +114,8 @@ def _fork(fn, job):
         raise
     if pid == 0:  # the child: never returns
         try:
-            if not _forked:
-                os.setpgid(0, 0)
-            signal.signal(signal.SIGTERM, _terminated)
-            for fd in _held | {rfd}:  # so that only its writer keeps a pipe open
-                os.close(fd)
-            _held.clear()
-            _held.add(wfd)
             _forked = True
+            os.close(rfd)  # so that its write fails, not blocks, once the readers are gone
             try:
                 payload = pickle.dumps((True, fn(job)), pickle.HIGHEST_PROTOCOL)
             except BaseException as exc:
@@ -139,10 +127,6 @@ def _fork(fn, job):
         finally:
             os._exit(0)
     os.close(wfd)
-    if not _forked:  # in the caller too, so a kill straight after the fork finds the group
-        with contextlib.suppress(OSError):
-            os.setpgid(pid, pid)
-    _held.add(rfd)
     return pid, rfd
 
 
@@ -155,46 +139,17 @@ def _pickled_error(exc) -> bytes:
 
 def _collect(job: int, pid: int, fd: int):
     """(ok, value) that child `pid` sent for job `job`; the child is reaped
-    whatever happens."""
+    whatever happens, and killed first when the read got nothing."""
     data = b""
     try:
         with os.fdopen(fd, "rb") as fh:
-            _held.discard(fd)
             data = fh.read()
     finally:
-        if not data:  # it died before sending: what it forked may still run
-            _signal(pid, signal.SIGKILL)
+        if not data:
+            os.kill(pid, signal.SIGKILL)
         _, status = os.waitpid(pid, 0)
     if data:
         return pickle.loads(data)
     code = os.waitstatus_to_exitcode(status)
     how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
     return False, ChildProcessError(f"job {job} ended without a result ({how})")
-
-
-def _terminated(signum, frame):
-    # unwinds a child's job through fork_run, which stops its own children
-    raise SystemExit(f"stopped by signal {signum}")
-
-
-def _signal(pid: int, signum: int):
-    """Send `signum` to child `pid` and what it forked: to its whole group
-    when it leads one, which only the caller's children do."""
-    with contextlib.suppress(ProcessLookupError):
-        if _forked:
-            os.kill(pid, signum)
-        else:
-            os.killpg(pid, signum)
-
-
-def _stop(pid: int):
-    """Stop child `pid` with SIGTERM, or SIGKILL when it has not exited
-    within _GRACE seconds, and reap it."""
-    _signal(pid, signal.SIGTERM)
-    deadline = time.monotonic() + _GRACE
-    while os.waitpid(pid, os.WNOHANG)[0] == 0:
-        if time.monotonic() > deadline:
-            _signal(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            return
-        time.sleep(0.001)

@@ -9,13 +9,15 @@ events (arrival, service completion, effective retrial) can be redrawn
 memorylessly whenever the state changes.
 
 Every draw comes from numpy.  A run is _REPLICAS replicas that split the
-event budget, replica 0 in the caller and replica 1 in a forked child
-through `parallel.fork_run` (the loop holds the GIL).  Replica r's
-inter-arrival times, class picks, retrial clocks and each class's service
-times have PCG64 streams of their own, spawn keys (1, r, 0) to (1, r, 4) of
-the seed; services are drawn by the laws' own `ServiceDist.sample`.  The
-sampler's keys have one or two elements, so for one seed the two pillars
-share no random bits.
+event budget: `jobs` gives them as independent callables and `pool` joins
+their results, so a caller may run them beside work of its own, as `rtq
+verify` does.  `simulate` runs replica 0 in the caller and replica 1 in a
+forked child through `parallel.fork_run` (the loop holds the GIL).
+Replica r's inter-arrival times, class picks, retrial clocks and each
+class's service times have PCG64 streams of their own, spawn keys (1, r, 0)
+to (1, r, 4) of the seed; services are drawn by the laws' own
+`ServiceDist.sample`.  The sampler's keys have one or two elements, so for
+one seed the two pillars share no random bits.
 
 Statistics are time averages over the whole run, with sparse joint
 histograms of (queue, orbit) per server state.  The run starts empty and
@@ -32,6 +34,7 @@ below the error bars (Glynn & Heidelberger, ACM TOMACS 1, 1991).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
@@ -43,7 +46,8 @@ from . import parallel
 from .errors import BadParam, InsufficientData
 from .model import ModelParams
 
-__all__ = ["SimConfig", "SimResult", "simulate", "IDLE", "BUSY1", "BUSY2", "TARGET_STATES"]
+__all__ = ["SimConfig", "SimResult", "simulate", "jobs", "pool",
+           "IDLE", "BUSY1", "BUSY2", "TARGET_STATES"]
 
 IDLE, BUSY1, BUSY2 = 0, 1, 2
 _BLOCK = 4096  # draws fetched from numpy at a time
@@ -228,13 +232,18 @@ def _replica(job):
     return t, (c0, c1, c2), np.frombuffer(marks).reshape(-1, 3), (h0, h1, h2), seen
 
 
-def simulate(params: ModelParams, config: SimConfig) -> SimResult:
-    """Run the replicas and pool them; deterministic for a fixed (params,
-    config)."""
+def jobs(params: ModelParams, config: SimConfig) -> list:
+    """The run's independent replica jobs: callables, each returning its
+    replica's raw result, to run in any process and hand to `pool`."""
     replicas = min(_REPLICAS, config.max_events)
     share, extra = divmod(config.max_events, replicas)
-    jobs = [(params, config.seed, r, share + (r < extra)) for r in range(replicas)]
-    ends, partials, cycles, hists, seen = zip(*parallel.fork_run(_replica, jobs))
+    return [functools.partial(_replica, (params, config.seed, r, share + (r < extra)))
+            for r in range(replicas)]
+
+
+def pool(config: SimConfig, results) -> SimResult:
+    """The run pooled from its replicas' raw results, in job order."""
+    ends, partials, cycles, hists, seen = zip(*results)
     cycles = np.concatenate(cycles)
     hist = []
     for s in range(3):
@@ -251,3 +260,9 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
         hist=hist,
         arrivals_seen=np.sum(seen, axis=0, dtype=np.int64),
     )
+
+
+def simulate(params: ModelParams, config: SimConfig) -> SimResult:
+    """Run the replicas, each but the first in a forked child, and pool
+    them; deterministic for a fixed (params, config)."""
+    return pool(config, parallel.fork_run(lambda job: job(), jobs(params, config)))

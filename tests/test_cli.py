@@ -467,6 +467,17 @@ class TestSample:
         header, rows = _read_csv(out / "samples_s2.csv")
         assert header == ["queue", "orbit"] and len(rows) == 100
 
+    def test_a_poisson_mean_beyond_numpy_is_a_numeric_error(self, write_config, tmp_path,
+                                                              capsys):
+        # type-1 index 1.05: ka's forest would need a Poisson of mean above
+        # about 9.2e18, which numpy refuses with a ValueError
+        cfg = _base_config()
+        cfg["model"]["dist1"]["index"] = 1.05
+        assert cli.main(["sample", "--config", write_config(cfg), "--out",
+                         str(tmp_path / "out"), "--target", "ka", "-n", "1000"]) == 3
+        assert capsys.readouterr().err.startswith("rtq: numeric error: ")
+        assert not (tmp_path / "out" / "samples_ka.csv").exists()
+
     def test_deterministic_per_seed(self, write_config, tmp_path):
         path = write_config(_base_config())
 

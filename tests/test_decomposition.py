@@ -13,7 +13,7 @@ from rtq.decomposition import (
     DecompositionSampler,
     make_rng,
 )
-from rtq.errors import RecursionDepthExceeded
+from rtq.errors import OverflowGuard, RecursionDepthExceeded
 from rtq.model import Erlang, Exponential, ModelParams, ParetoShifted
 
 
@@ -91,6 +91,22 @@ class TestBusyPeriods:
                              dist2=Exponential(10.0 / 3.0))
         with pytest.raises(RecursionDepthExceeded):
             DecompositionSampler(params, seed=0).sample("r0", 50_000)
+
+    @pytest.mark.parametrize("target", SCALAR_TARGETS + PAIR_TARGETS)
+    def test_poisson_means_beyond_numpy_raise_typed_errors(self, target):
+        # type-1 index 1.05: an equilibrium root of index 0.05 makes Poisson
+        # means numpy refuses to draw; every target but xg, h2 and s2 meets
+        # one at these seeds, and each raises an rtq error, not ValueError
+        params = ModelParams(lam=1.0, q=0.5, mu=1.0,
+                             dist1=ParetoShifted.from_mean(1.05, 0.6),
+                             dist2=Exponential(10.0 / 3.0))
+        raised = 0
+        for seed in range(5):
+            try:
+                DecompositionSampler(params, seed=seed).sample(target, 1000)
+            except (RecursionDepthExceeded, OverflowGuard):
+                raised += 1
+        assert raised == (0 if target in ("xg", "h2", "s2") else 5)
 
     def test_orbit_input_mean(self, ref_params, sampler):
         # each effective arrival feeds p/(1-rho1) customers to the orbit

@@ -1,22 +1,24 @@
 """`parallel.fork_run`: results in job order, errors with their type, and no
 process left behind when a job fails."""
 
-import ctypes
+import glob
 import json
 import os
 import signal
+import threading
 import time
 
+import numpy as np
 import pytest
 
-from rtq import cli, errors, parallel
+from rtq import cli, errors, parallel, simulator
 from rtq.decomposition import DecompositionSampler
 
 
 @pytest.fixture(autouse=True)
 def time_limit():
     """Fail a test that hangs, 30 s in, instead of hanging the suite; the
-    error unwinds through fork_run, which stops its children."""
+    error unwinds through fork_run, which kills and reaps its children."""
     def expired(signum, frame):
         raise TimeoutError("test ran past 30 s")
 
@@ -35,35 +37,28 @@ def two_workers(monkeypatch):
     monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, 2))
 
 
-def _in_group(pgid: int) -> list:
-    """Pids of every process of group `pgid`, zombies included, read from
-    /proc."""
-    pids = []
-    for entry in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            with open(f"/proc/{entry}/stat") as fh:
-                group = fh.read().rsplit(")", 1)[1].split()[2]
-        except OSError:  # reaped meanwhile
-            continue
-        if int(group) == pgid:
-            pids.append(int(entry))
+def _children() -> set:
+    """Pids of this process's children, running or unreaped (Linux /proc)."""
+    pids = set()
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path) as fh:
+            pids.update(map(int, fh.read().split()))
     return pids
 
 
-@pytest.fixture
-def subreaper():
-    """This process adopts its orphaned descendants while the test runs
-    (Linux), so the test can reap them."""
-    prctl = ctypes.CDLL(None, use_errno=True).prctl
-    prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
-    prctl.restype = ctypes.c_int
-    if prctl(_PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) != 0:
-        pytest.skip("no child subreaper")
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After each test, no child of this process is running or unreaped; what
+    a failing test left is killed and reaped, so the next one starts clean."""
+    before = _children()
     yield
-    prctl(_PR_SET_CHILD_SUBREAPER, 0, 0, 0, 0)
-
-
-_PR_SET_CHILD_SUBREAPER = 36
+    left = {pid: "unreaped" if os.waitpid(pid, os.WNOHANG)[0] else "running"
+            for pid in _children() - before}
+    for pid, state in left.items():
+        if state == "running":
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    assert not left, f"children left behind: {left}"
 
 
 def _forks_recorded(monkeypatch) -> list:
@@ -131,33 +126,6 @@ def test_a_child_that_dies_without_a_result(two_workers, death, message):
         parallel.fork_run(job, range(2))
 
 
-def test_a_dead_child_takes_its_own_children_along(two_workers, monkeypatch, tmp_path,
-                                                  subreaper):
-    # the child forks a grandchild that would run for a minute, then is
-    # killed: the caller neither waits for the grandchild, which holds no
-    # copy of the caller's pipe, nor leaves it running
-    children = _forks_recorded(monkeypatch)
-    ready = tmp_path / "grandchild"
-
-    def grandchild_job(i):
-        if i == 1:
-            ready.touch()
-            time.sleep(60)
-        while not ready.exists():
-            time.sleep(0.005)
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    start = time.monotonic()
-    with pytest.raises(ChildProcessError, match="killed by signal 9"):
-        parallel.fork_run(lambda i: i if i == 0 else parallel.fork_run(grandchild_job, range(2)),
-                          range(2))
-    # the orphaned grandchild is this process's to reap, killed already
-    _, status = os.waitpid(-children[0], 0)
-    assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
-    assert time.monotonic() - start < 10
-    assert not _in_group(children[0])
-
-
 def test_a_failing_caller_job_kills_and_reaps_the_children(two_workers, monkeypatch):
     children = _forks_recorded(monkeypatch)
 
@@ -170,7 +138,49 @@ def test_a_failing_caller_job_kills_and_reaps_the_children(two_workers, monkeypa
     with pytest.raises(errors.NoConvergence):
         parallel.fork_run(job, range(3))
     assert time.monotonic() - start < 10
-    assert len(children) == 2 and not any(map(_in_group, children))
+    assert len(children) == 2 and not _children() & set(children)
+
+
+def test_an_interrupted_collect_kills_and_reaps_the_child(two_workers, monkeypatch):
+    # job 0 is done and the caller waits on the child's pipe when a signal
+    # handler raises: the child still running is killed and reaped
+    children = _forks_recorded(monkeypatch)
+
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    def job(i):
+        if i == 0:  # a thread only once the child is forked
+            threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGUSR1)).start()
+            return i
+        time.sleep(60)
+
+    previous = signal.signal(signal.SIGUSR1, interrupt)
+    start = time.monotonic()
+    try:
+        with pytest.raises(Interrupted):
+            parallel.fork_run(job, range(2))
+    finally:
+        signal.signal(signal.SIGUSR1, previous)
+    assert time.monotonic() - start < 10
+    assert len(children) == 1 and not _children() & set(children)
+
+
+def test_a_fork_run_in_a_child_forks_nothing(two_workers, monkeypatch):
+    forks = _forks_recorded(monkeypatch)
+
+    def job(i):
+        if i == 0:
+            return None
+        inner = parallel.fork_run(lambda j: os.getpid(), range(3))
+        return os.getpid(), inner, list(forks)  # the forks this child recorded
+
+    _, (child, inner, child_forks) = parallel.fork_run(job, range(2))
+    assert inner == [child] * 3 and child_forks == []
+    assert forks == [child]
 
 
 _VERIFY = {
@@ -192,7 +202,7 @@ def _verify(tmp_path, out="out", **overrides) -> int:
 
 
 def test_verify_report_does_not_depend_on_the_worker_count(monkeypatch, tmp_path):
-    # one worker runs every pillar in this process, two fork the simulator
+    # one worker runs every pillar in this process, two fork the replicas
     for cores in (1, 2):
         monkeypatch.setattr(parallel, "workers", lambda jobs, cores=cores: min(jobs, cores))
         assert _verify(tmp_path, out=f"cores{cores}") == 0
@@ -200,15 +210,40 @@ def test_verify_report_does_not_depend_on_the_worker_count(monkeypatch, tmp_path
     assert (tmp_path / "cores1" / report).read_bytes() == (tmp_path / "cores2" / report).read_bytes()
 
 
+@pytest.mark.parametrize("cores", [1, 2])
+def test_verify_pools_the_run_that_simulate_gives(monkeypatch, tmp_path, cores):
+    # verify runs the replica jobs beside its other pillars and pools them
+    # itself: the pooled run is simulate's, exactly
+    monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, cores))
+    pooled, pool = [], simulator.pool
+
+    def recorded(*args):
+        pooled.append(pool(*args))
+        return pooled[-1]
+
+    monkeypatch.setattr(simulator, "pool", recorded)
+    assert _verify(tmp_path) == 0
+    cfg = cli.load_config(str(tmp_path / "config.json"))
+    ours, theirs = pooled[0], simulator.simulate(cfg.params, cfg.sim)
+    assert len(pooled) == 2 and ours.events == theirs.events == 40_000
+    assert ours.collected_time == theirs.collected_time
+    for field in ("time_in_state", "cycles", "arrivals_seen"):
+        assert np.array_equal(getattr(ours, field), getattr(theirs, field)), field
+    assert ours.hist == theirs.hist
+
+
 @pytest.mark.parametrize("error", [errors.BadParam, errors.RecursionDepthExceeded,
                                    errors.InsufficientData])
 def test_a_simulator_error_keeps_verify_exit_code(two_workers, monkeypatch, tmp_path,
                                                   capsys, error):
-    # the simulator runs in a forked child: its error reaches main with its type
-    def failing(params, config):
+    # the replicas run in forked children: their error reaches main with its type
+    caller = os.getpid()
+
+    def failing(job):
+        assert os.getpid() != caller, "a replica ran in the caller"
         raise error("planted")
 
-    monkeypatch.setattr(cli, "simulate", failing)
+    monkeypatch.setattr(simulator, "_replica", failing)
     code = {errors.BadParam: 2, errors.RecursionDepthExceeded: 3,
             errors.InsufficientData: 4}[error]
     assert _verify(tmp_path) == code
@@ -217,15 +252,12 @@ def test_a_simulator_error_keeps_verify_exit_code(two_workers, monkeypatch, tmp_
 
 
 def test_a_failing_verify_leaves_no_process(two_workers, monkeypatch, tmp_path, capsys):
-    # the sampler fails in the caller while the simulator child and its
-    # replica-1 grandchild are still simulating 2e7 events
+    # the sampler fails in the caller while both replica children are still
+    # simulating 2e7 events
     children = _forks_recorded(monkeypatch)
     raised = []
 
     def failing_sampler(self, n):
-        deadline = time.monotonic() + 5
-        while len(_in_group(children[0])) < 2 and time.monotonic() < deadline:
-            time.sleep(0.005)  # until the grandchild runs too
         raised.append(time.monotonic())
         raise errors.RecursionDepthExceeded("sampler fails")
 
@@ -233,5 +265,5 @@ def test_a_failing_verify_leaves_no_process(two_workers, monkeypatch, tmp_path, 
     assert _verify(tmp_path, sim={"max_events": 20_000_000}) == 3
     assert time.monotonic() - raised[0] < 2  # far less than the 2e7 events take
     assert "sampler fails" in capsys.readouterr().err
-    assert len(children) == 1 and not _in_group(children[0])
+    assert len(children) == 2 and not _children() & set(children)
     assert not (tmp_path / "out").exists()
