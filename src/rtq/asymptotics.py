@@ -15,14 +15,13 @@ only up to little-o and refuses pointwise evaluation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 
 from .errors import AssumptionViolation, NotApplicable
 from .model import ModelParams
 
-__all__ = ["PowerTail", "tail_catalog", "catalog_to_json"]
+__all__ = ["PowerTail", "tail_catalog"]
 
 
 @dataclass(frozen=True)
@@ -160,11 +159,3 @@ def tail_catalog(params: ModelParams) -> dict:
     put("r22", kac_c, a - 1, desc="orbit given a type-2 service")
 
     return cat
-
-
-def catalog_to_json(catalog: dict) -> str:
-    return json.dumps(
-        {name: entry.to_dict() for name, entry in catalog.items()},
-        indent=2,
-        sort_keys=True,
-    )

@@ -42,7 +42,7 @@ from .simulator import TARGET_STATES, SimConfig, simulate
 
 __all__ = ["RunConfig", "load_config", "entry", "main"]
 
-_CONFIG_ERRORS = (BadParam, Unstable, AssumptionViolation, ValueError)
+_CONFIG_ERRORS = (BadParam, Unstable, AssumptionViolation)
 _DATA_ERRORS = (InsufficientData, WindowTooNoisy)
 # tail-fit tolerances echoed into verify_report.json next to the fits
 _KAPPA_TOL, _C_TOL = 0.15, 0.25
@@ -142,9 +142,9 @@ def load_config(path: str, seed_override=None, out_override=None) -> RunConfig:
     10 <= lo < hi.  Each names its key.  `ModelParams` checks the model
     itself; the catalog's a2 > a1 assumption is left to `tail_catalog`."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BadParam(f"cannot read config {path}: {exc}") from None
     _require_keys(raw, {"model", "sim", "inversion", "verify", "out", "seed"}, "config")
 
@@ -313,7 +313,7 @@ def cmd_analyze(cfg: RunConfig) -> list:
         catalog = None
     if catalog is not None:
         path = os.path.join(cfg.out, "catalog.json")
-        _atomic_write(path, asymptotics.catalog_to_json(catalog) + "\n")
+        _atomic_write(path, _json_text({name: e.to_dict() for name, e in catalog.items()}))
         paths.append(path)
     return paths
 
@@ -416,7 +416,7 @@ def cmd_verify(cfg: RunConfig) -> list:
     # the simulator's replicas in forked children, beside the other pillars
     # here; the sampler's threads start only once the children are forked
     (pmfs, lemmas, sampler_pmfs), *replicas = parallel.fork_run(
-        lambda job: job(), [lambda: _other_pillars(cfg), *simulator.jobs(params, cfg.sim)])
+        [lambda: _other_pillars(cfg), *simulator.jobs(params, cfg.sim)])
     sim_res = simulator.pool(cfg.sim, replicas)
     frac = sim_res.state_fractions()
     err = sim_res.state_fraction_stderr()  # below 2 cycles, exit 4 before writing anything

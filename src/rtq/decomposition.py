@@ -26,13 +26,13 @@ exact in distribution and vectorised over their n draws, with no tables, no
 truncation and no call into the analytic evaluators.
 
 Streams: `sample_into` splits n draws into blocks of _BLOCK; block i draws
-from its own PCG64 stream, spawn key (stream, k + i) of the seed, with k the
-blocks the sampler drew before, and targets drawn through one pool take the
-keys that calls in turn would.  Threads draw the blocks (numpy releases the
-GIL) a few per worker ahead of the caller, which receives them in block
-order, so draws never depend on the core count and their memory does not
-grow with n.  Primitives called directly draw from the sampler's `rng`, key
-(stream,); the simulator's keys have three elements.
+from its own stream, block k + i of the `parallel.make_rng` key layout, with
+k the blocks the sampler drew before, and targets drawn through one pool
+take the keys that calls in turn would.  Threads draw the blocks (numpy
+releases the GIL) a few per worker ahead of the caller, which receives them
+in block order, so draws never depend on the core count and their memory
+does not grow with n.  Primitives called directly draw from the sampler's
+`rng`, the layout's stream key.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ import numpy as np
 
 from . import parallel
 from .errors import OverflowGuard, RecursionDepthExceeded
-from .model import ModelParams, ServiceDist
+from .model import ModelParams
 
-__all__ = ["make_rng", "DecompositionSampler", "PAIR_TARGETS", "SCALAR_TARGETS"]
+__all__ = ["DecompositionSampler", "PAIR_TARGETS", "SCALAR_TARGETS"]
 
 SCALAR_TARGETS = ("xg", "ka", "kb", "kc", "k", "r0")
 PAIR_TARGETS = ("h1", "h2", "m1", "m2", "s1", "s2", "r1", "r2")
@@ -61,14 +61,6 @@ _CALLS = {
 _BLOCK = 1 << 16  # draws per block of `sample`, each on a stream of its own
 _INT64_MAX = np.iinfo(np.int64).max
 _POISSON_MAX = _INT64_MAX - 10 * np.sqrt(_INT64_MAX)  # numpy's largest Poisson mean
-
-
-def make_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for a seed and a spawn key; distinct keys never
-    overlap."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    )
 
 
 def _group_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -99,7 +91,7 @@ class DecompositionSampler:
         self.params = params
         self.seed, self.stream = seed, stream
         self.blocks = 0
-        self.rng = make_rng(seed, stream)
+        self.rng = parallel.make_rng(seed, stream)
 
     # primitives
     def theta(self, roots: np.ndarray, mean: float, max_nodes: int | None = None) -> np.ndarray:
@@ -130,11 +122,10 @@ class DecompositionSampler:
             total[alive] += svc
         return total
 
-    def busy_durations(self, n: int, max_nodes: int | None = None,
-                       root: ServiceDist | None = None) -> np.ndarray:
+    def busy_durations(self, n: int, max_nodes: int | None = None) -> np.ndarray:
         """Lengths of n independent high-priority busy periods: Theta of n
-        root services drawn from `root`, by default the type-1 law."""
-        root = self.params.dist1 if root is None else root
+        type-1 root services."""
+        root = self.params.dist1
         return self.theta(root.sample(self.rng, n), root.mean, max_nodes)
 
     def sample_xg(self, n: int) -> np.ndarray:
@@ -280,7 +271,7 @@ class DecompositionSampler:
         def block(i):
             (method, *args), _, size = jobs[i]
             sub = copy.copy(self)
-            sub.rng = make_rng(self.seed, self.stream, first + i)
+            sub.rng = parallel.make_rng(self.seed, self.stream, first + i)
             return getattr(sub, method)(*args, size)
 
         with contextlib.closing(parallel.imap(block, range(len(jobs)))) as blocks:

@@ -3,6 +3,15 @@ releases the GIL, forked processes for pure-Python loops, and neither when
 one worker is all there is.  Each job draws only on random streams of its
 own, so the worker count never changes a result.
 
+`make_rng(seed, *key)` builds every numpy generator of the package: PCG64
+on the seed's SeedSequence with spawn key `key`.  Distinct keys never
+overlap, and the two Monte-Carlo pillars divide the keys of a seed:
+- the sampler draws on (stream,) when a primitive is called directly, and
+  on (stream, block) for the blocks of `sample_into`;
+- the simulator draws on (1, replica, clock), one key per clock of each
+  replica.
+The key lengths differ, so for one seed the pillars share no random bits.
+
 `imap` runs jobs on a thread pool and hands the results back in job order
 while it runs at most two jobs per worker ahead of the one the caller holds,
 so the results alive at once are bounded by the worker count, not by the
@@ -26,9 +35,18 @@ import signal
 import sys
 from collections import deque
 
-__all__ = ["workers", "imap", "fork_run"]
+import numpy as np
+
+__all__ = ["make_rng", "workers", "imap", "fork_run"]
 
 _forked = False  # set in a fork_run child, which runs any jobs of its own in-process
+
+
+def make_rng(seed: int, *key: int) -> np.random.Generator:
+    """The generator of a seed and a spawn key; distinct keys never overlap."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    )
 
 
 def workers(jobs: int) -> int:
@@ -65,27 +83,27 @@ def imap(fn, jobs):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def fork_run(fn, jobs) -> list:
-    """[fn(job) for job in jobs], job 0 in the caller and each other job in
-    a forked child, all forked before job 0 starts; in-process when one
+def fork_run(jobs) -> list:
+    """[job() for job in jobs], job 0 in the caller and each other job in a
+    forked child, all forked before job 0 starts; in-process when one
     worker is all there is, or in a fork_run child.
 
     A job that raises has its exception re-raised in the caller with its
     type, and a child that ends without a result raises ChildProcessError;
     either way, and when job 0 raises, every child still running is killed
-    and reaped.  `fn` and the jobs reach the children by the fork, so
-    closures work; results and exceptions go back pickled.  Forking a
-    process with live threads can deadlock the child, so the caller starts
-    its threads only in job 0.
+    and reaped.  The jobs reach the children by the fork, so closures work;
+    results and exceptions go back pickled.  Forking a process with live
+    threads can deadlock the child, so the caller starts its threads only
+    in job 0.
     """
     jobs = list(jobs)
     if _forked or workers(len(jobs)) <= 1:
-        return [fn(job) for job in jobs]
+        return [job() for job in jobs]
     children = deque()
     try:
         for i, job in enumerate(jobs[1:], start=1):
-            children.append((i, *_fork(fn, job)))
-        results = [fn(jobs[0])]
+            children.append((i, *_fork(job)))
+        results = [jobs[0]()]
         while children:
             ok, value = _collect(*children.popleft())
             if not ok:
@@ -99,8 +117,8 @@ def fork_run(fn, jobs) -> list:
             os.waitpid(pid, 0)
 
 
-def _fork(fn, job):
-    """(pid, read end of its pipe) of a child that runs fn(job), sends back
+def _fork(job):
+    """(pid, read end of its pipe) of a child that runs job(), sends back
     (True, result) or (False, exception) pickled, and exits."""
     global _forked
     sys.stdout.flush()  # or the child's exit would write the caller's buffer twice
@@ -117,7 +135,7 @@ def _fork(fn, job):
             _forked = True
             os.close(rfd)  # so that its write fails, not blocks, once the readers are gone
             try:
-                payload = pickle.dumps((True, fn(job)), pickle.HIGHEST_PROTOCOL)
+                payload = pickle.dumps((True, job()), pickle.HIGHEST_PROTOCOL)
             except BaseException as exc:
                 payload = _pickled_error(exc)
             with os.fdopen(wfd, "wb") as fh:

@@ -4,9 +4,10 @@ An independent check on everything analytic: the event loop knows nothing
 about transforms, only the dynamics.  High-priority arrivals queue behind
 the server, low-priority arrivals join a retrial orbit and re-attempt at
 rate mu each; an attempt succeeds only if it finds the server idle.  All
-clocks are exponential except the service draws, so the three pending
-events (arrival, service completion, effective retrial) can be redrawn
-memorylessly whenever the state changes.
+clocks are exponential except the service draws, so two pending events
+suffice: the next arrival and the server's next event, a completion while
+it is busy and an effective retrial while it is idle, redrawn memorylessly
+whenever the state changes.
 
 Every draw comes from numpy.  A run is _REPLICAS replicas that split the
 event budget: `jobs` gives them as independent callables and `pool` joins
@@ -14,10 +15,9 @@ their results, so a caller may run them beside work of its own, as `rtq
 verify` does.  `simulate` runs replica 0 in the caller and replica 1 in a
 forked child through `parallel.fork_run` (the loop holds the GIL).
 Replica r's inter-arrival times, class picks, retrial clocks and each
-class's service times have PCG64 streams of their own, spawn keys (1, r, 0)
-to (1, r, 4) of the seed; services are drawn by the laws' own
-`ServiceDist.sample`.  The sampler's keys have one or two elements, so for
-one seed the two pillars share no random bits.
+class's service times have streams of their own, clocks 0 to 4 of the
+`parallel.make_rng` key layout; services are drawn by the laws' own
+`ServiceDist.sample`.
 
 Statistics are time averages over the whole run, with sparse joint
 histograms of (queue, orbit) per server state.  The run starts empty and
@@ -136,10 +136,8 @@ class SimResult:
 
 def _draws(seed: int, key: tuple, draw):
     """Callable returning the next float of draw(rng, _BLOCK), one at a time,
-    where rng is the numpy stream of `seed` with spawn key `key`."""
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    )
+    where rng is `parallel.make_rng(seed, *key)`."""
+    rng = parallel.make_rng(seed, *key)
     blocks = (draw(rng, _BLOCK).tolist() for _ in itertools.repeat(None))
     return itertools.chain.from_iterable(blocks).__next__
 
@@ -162,8 +160,7 @@ def _replica(job):
     nq = 0          # high-priority customers waiting (not in service)
     no = 0          # orbit size
     t_arrival = gap()
-    t_done = inf
-    t_retry = inf
+    t_server = inf  # busy: completion; idle: retrial, or inf with the orbit empty
 
     c0 = c1 = c2 = 0.0  # time per server state in the current cycle
     h0, h1, h2 = {}, {}, {}  # keyed nq << 32 | no, which is no while idle
@@ -171,64 +168,54 @@ def _replica(job):
     marks = array("d")  # (c0, c1, c2) of each completed cycle, end to end
     mark = marks.extend
     for _ in range(events):
-        if t_done < t_arrival:  # service completion
-            dt = t_done - t
-            t = t_done
-            key = nq << 32 | no
-            if server == BUSY1:
-                c1 += dt
-                h1[key] = h1.get(key, 0.0) + dt
-            else:
-                c2 += dt
-                h2[key] = h2.get(key, 0.0) + dt
-            if nq:
-                nq -= 1
-                server = BUSY1
-                t_done = t + service1()
-            else:
-                server = IDLE
-                t_done = inf
-                if no:
-                    t_retry = t + unit_exp() / (no * mu)
-                else:  # empty and idle, as at t = 0: a regeneration point
-                    mark((c0, c1, c2))
-                    c0 = c1 = c2 = 0.0
-        elif t_retry < t_arrival:  # successful retrial (only scheduled while idle)
-            dt = t_retry - t
-            t = t_retry
-            c0 += dt
-            h0[no] = h0.get(no, 0.0) + dt
-            no -= 1
-            server = BUSY2
-            t_done = t + service2()
-            t_retry = inf
-        else:  # arrival
+        if t_server < t_arrival:
+            arrival = False
+            dt = t_server - t
+            t = t_server
+        else:  # a tie goes to the arrival
+            arrival = True
             dt = t_arrival - t
             t = t_arrival
+        key = nq << 32 | no  # the state this event ends
+        if server == IDLE:
+            c0 += dt
+            h0[key] = h0.get(key, 0.0) + dt
+        elif server == BUSY1:
+            c1 += dt
+            h1[key] = h1.get(key, 0.0) + dt
+        else:
+            c2 += dt
+            h2[key] = h2.get(key, 0.0) + dt
+        if arrival:
             seen[server] += 1
-            if server == IDLE:
-                c0 += dt
-                h0[no] = h0.get(no, 0.0) + dt
+            if server == IDLE:  # into service, a retrial pending or not
                 if uniform() < q:
                     server = BUSY1
-                    t_done = t + service1()
+                    t_server = t + service1()
                 else:
                     server = BUSY2
-                    t_done = t + service2()
-                t_retry = inf
+                    t_server = t + service2()
+            elif uniform() < q:
+                nq += 1
             else:
-                key = nq << 32 | no
-                if server == BUSY1:
-                    c1 += dt
-                    h1[key] = h1.get(key, 0.0) + dt
-                else:
-                    c2 += dt
-                    h2[key] = h2.get(key, 0.0) + dt
-                if uniform() < q:
-                    nq += 1
-                else:
-                    no += 1
+                no += 1
             t_arrival = t + gap()
+        elif server == IDLE:  # successful retrial
+            no -= 1
+            server = BUSY2
+            t_server = t + service2()
+        elif nq:  # completion, the queue's head next
+            nq -= 1
+            server = BUSY1
+            t_server = t + service1()
+        else:  # completion, to an idle server
+            server = IDLE
+            if no:
+                t_server = t + unit_exp() / (no * mu)
+            else:  # empty and idle, as at t = 0: a regeneration point
+                t_server = inf
+                mark((c0, c1, c2))
+                c0 = c1 = c2 = 0.0
     return t, (c0, c1, c2), np.frombuffer(marks).reshape(-1, 3), (h0, h1, h2), seen
 
 
@@ -265,4 +252,4 @@ def pool(config: SimConfig, results) -> SimResult:
 def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     """Run the replicas, each but the first in a forked child, and pool
     them; deterministic for a fixed (params, config)."""
-    return pool(config, parallel.fork_run(lambda job: job(), jobs(params, config)))
+    return pool(config, parallel.fork_run(jobs(params, config)))

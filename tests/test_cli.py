@@ -72,6 +72,12 @@ class TestConfigValidation:
     def test_missing_file(self, tmp_path):
         assert cli.main(["analyze", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"out": "é"}'.encode("latin-1"))
+        assert cli.main(["analyze", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"rtq: config error: cannot read config {path}")
+
     def test_python_m_runs_main(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "rtq.cli", "analyze",
@@ -301,6 +307,19 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == code
         assert capsys.readouterr().err == f"rtq: {prefix}: planted\n"
         assert not (tmp_path / "o" / "runs.jsonl").exists()
+
+    def test_a_value_error_in_a_command_is_no_config_error(self, write_config, tmp_path,
+                                                            capsys, monkeypatch):
+        # only the config's own checks report a config error: a ValueError
+        # from inside a command escapes as the bug it is
+        def failing(*args, **kwargs):
+            raise ValueError("planted")
+
+        monkeypatch.setattr(transforms, "conditional_pmfs", failing)
+        with pytest.raises(ValueError, match="planted"):
+            cli.main(["analyze", "--config", write_config(_base_config()),
+                      "--out", str(tmp_path / "o")])
+        assert "config error" not in capsys.readouterr().err
 
     def test_hopeless_roundoff_is_a_numeric_error(self, write_config, tmp_path, capsys):
         cfg = _base_config(inversion={"n": 150, "radius": 0.3})

@@ -11,7 +11,6 @@ from rtq.decomposition import (
     PAIR_TARGETS,
     SCALAR_TARGETS,
     DecompositionSampler,
-    make_rng,
 )
 from rtq.errors import OverflowGuard, RecursionDepthExceeded
 from rtq.model import Erlang, Exponential, ModelParams, ParetoShifted
@@ -228,10 +227,10 @@ class TestDispatchAndSeeding:
         assert not np.array_equal(a, c)
 
     def test_stream_independence(self):
-        a = make_rng(3, 0).random(8)
-        b = make_rng(3, 1).random(8)
+        a = parallel.make_rng(3, 0).random(8)
+        b = parallel.make_rng(3, 1).random(8)
         assert not np.allclose(a, b)
-        np.testing.assert_array_equal(a, make_rng(3, 0).random(8))
+        np.testing.assert_array_equal(a, parallel.make_rng(3, 0).random(8))
 
 
 class TestBlocks:
@@ -254,7 +253,7 @@ class TestBlocks:
         # block 1 of a fresh sampler is the primitive on spawn key (stream, 1)
         drawn = DecompositionSampler(ref_params, seed=6, stream=2).sample("r0", _BLOCK + 7)
         block = DecompositionSampler(ref_params, seed=6, stream=2)
-        block.rng = make_rng(6, 2, 1)
+        block.rng = parallel.make_rng(6, 2, 1)
         np.testing.assert_array_equal(drawn[_BLOCK:], block.sample_r0(7))
 
     def test_sample_into_hands_over_blocks_in_order(self, ref_params):

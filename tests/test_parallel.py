@@ -1,6 +1,7 @@
 """`parallel.fork_run`: results in job order, errors with their type, and no
 process left behind when a job fails."""
 
+import functools
 import glob
 import json
 import os
@@ -76,8 +77,13 @@ def _forks_recorded(monkeypatch) -> list:
     return pids
 
 
+def _calls(fn, args) -> list:
+    """The jobs fn(arg) for arg in args, as callables."""
+    return [functools.partial(fn, arg) for arg in args]
+
+
 def test_results_come_back_in_job_order(two_workers):
-    out = parallel.fork_run(lambda job: (job, os.getpid()), range(4))
+    out = parallel.fork_run(_calls(lambda job: (job, os.getpid()), range(4)))
     assert [job for job, _ in out] == [0, 1, 2, 3]
     assert out[0][1] == os.getpid()
     assert len({pid for _, pid in out}) == 4
@@ -89,14 +95,14 @@ def test_one_worker_forks_nothing(monkeypatch):
 
     monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, 1))
     monkeypatch.setattr(os, "fork", no_fork)
-    assert parallel.fork_run(lambda job: (job, os.getpid()), range(3)) == [
+    assert parallel.fork_run(_calls(lambda job: (job, os.getpid()), range(3))) == [
         (job, os.getpid()) for job in range(3)
     ]
 
 
 def test_a_large_result_crosses_the_pipe(two_workers):
     # larger than a pipe's buffer, so the caller must read while the child writes
-    out = parallel.fork_run(lambda job: bytes([job]) * (1 << 20), range(3))
+    out = parallel.fork_run(_calls(lambda job: bytes([job]) * (1 << 20), range(3)))
     assert [len(b) for b in out] == [1 << 20] * 3 and out[2][-1] == 2
 
 
@@ -109,7 +115,7 @@ def test_a_child_error_keeps_its_type(two_workers, error):
         return i
 
     with pytest.raises(error, match="planted"):
-        parallel.fork_run(job, range(3))
+        parallel.fork_run(_calls(job, range(3)))
 
 
 @pytest.mark.parametrize("death, message", [
@@ -123,7 +129,7 @@ def test_a_child_that_dies_without_a_result(two_workers, death, message):
         return i
 
     with pytest.raises(ChildProcessError, match=f"job 1 ended without a result \\({message}\\)"):
-        parallel.fork_run(job, range(2))
+        parallel.fork_run(_calls(job, range(2)))
 
 
 def test_a_failing_caller_job_kills_and_reaps_the_children(two_workers, monkeypatch):
@@ -136,7 +142,7 @@ def test_a_failing_caller_job_kills_and_reaps_the_children(two_workers, monkeypa
 
     start = time.monotonic()
     with pytest.raises(errors.NoConvergence):
-        parallel.fork_run(job, range(3))
+        parallel.fork_run(_calls(job, range(3)))
     assert time.monotonic() - start < 10
     assert len(children) == 2 and not _children() & set(children)
 
@@ -162,7 +168,7 @@ def test_an_interrupted_collect_kills_and_reaps_the_child(two_workers, monkeypat
     start = time.monotonic()
     try:
         with pytest.raises(Interrupted):
-            parallel.fork_run(job, range(2))
+            parallel.fork_run(_calls(job, range(2)))
     finally:
         signal.signal(signal.SIGUSR1, previous)
     assert time.monotonic() - start < 10
@@ -175,10 +181,10 @@ def test_a_fork_run_in_a_child_forks_nothing(two_workers, monkeypatch):
     def job(i):
         if i == 0:
             return None
-        inner = parallel.fork_run(lambda j: os.getpid(), range(3))
+        inner = parallel.fork_run([os.getpid] * 3)
         return os.getpid(), inner, list(forks)  # the forks this child recorded
 
-    _, (child, inner, child_forks) = parallel.fork_run(job, range(2))
+    _, (child, inner, child_forks) = parallel.fork_run(_calls(job, range(2)))
     assert inner == [child] * 3 and child_forks == []
     assert forks == [child]
 
