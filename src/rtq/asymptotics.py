@@ -10,7 +10,8 @@ evaluates that whole catalog.  Entries describe survival functions:
 Counts driven by the low-priority service law switch between a power branch
 and a geometric branch depending on whether that law is heavy or light
 tailed.  One entry (the orbit part of the low-priority H factor) is known
-only up to little-o and refuses pointwise evaluation.
+only up to little-o and refuses pointwise evaluation.  A constant that
+overflows a float is refused with OverflowGuard, never written as inf.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import AssumptionViolation, NotApplicable
+import numpy as np
+
+from .errors import AssumptionViolation, NotApplicable, OverflowGuard
 from .model import ModelParams
 
 __all__ = ["PowerTail", "tail_catalog"]
@@ -47,6 +50,7 @@ class PowerTail:
         return asdict(self)
 
 
+@np.errstate(all="ignore")  # an overflow or a division by 0 leaves inf or nan for `put`
 def tail_catalog(params: ModelParams) -> dict:
     """All tail asymptotes of a model whose type-2 law is lighter-tailed.
 
@@ -55,7 +59,8 @@ def tail_catalog(params: ModelParams) -> dict:
     the high-priority service tail is not a power law, and
     AssumptionViolation when both tails are power laws with a2 <= a1: the
     catalog assumes the type-2 tail is the lighter one, which the
-    stationary law itself does not need.
+    stationary law itself does not need.  OverflowGuard names the first
+    entry whose constant c or L0 is not a finite float.
     """
     t1, t2 = params.dist1.tail, params.dist2.tail
     if not t1.is_power:
@@ -66,14 +71,19 @@ def tail_catalog(params: ModelParams) -> dict:
         )
     a = t1.a
     L1 = t1.L0
-    lam1, lam2, mu = params.lambda1, params.lambda2, params.mu
-    rho1, rho2, rho, vt = params.rho1, params.rho2, params.rho, params.vartheta
+    # numpy scalars, so that a power overflows to inf, not to OverflowError
+    lam1, lam2, mu, rho1, rho2, rho, vt = map(np.float64, (
+        params.lambda1, params.lambda2, params.mu,
+        params.rho1, params.rho2, params.rho, params.vartheta))
     one1 = 1.0 - rho1
     alpha1 = params.dist1.mean / one1  # mean type-1 busy period
 
     cat = {}
 
     def put(name, c, kappa, L0=L1, geom=1.0, validity="exact-asymptote", desc=""):
+        if not (math.isfinite(c) and math.isfinite(L0)):
+            raise OverflowGuard(f"tail catalog entry {name!r} has a constant of c={c:.3g}, "
+                                f"L0={L0:.3g}, which is not a finite float")
         cat[name] = PowerTail(
             c=float(c), kappa=float(kappa), L0=float(L0), geom=float(geom),
             validity=validity, description=desc,

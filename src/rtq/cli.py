@@ -286,9 +286,18 @@ def _record_run(cfg: RunConfig, command: str, artifacts: list):
 
 
 def cmd_analyze(cfg: RunConfig) -> list:
+    # every result first, so a numeric error leaves no artifact behind
+    try:
+        catalog = asymptotics.tail_catalog(cfg.params)
+    except (NotApplicable, AssumptionViolation):
+        # no power-law type-1 service, or a2 <= a1: the stationary laws
+        # exist, but there is no tail catalog to write
+        catalog = None
     pmfs = transforms.conditional_pmfs(
         cfg.params, cfg.inversion_n, radius=cfg.inversion_radius
     )
+    u = np.linspace(0.0, 0.99, 100)
+    kf = transforms.factor_K(cfg.params, u)
     paths = []
     for name, pmf in sorted(pmfs.items()):
         j = [*range(len(pmf)), "deficit"]
@@ -297,20 +306,12 @@ def cmd_analyze(cfg: RunConfig) -> list:
         _atomic_write(path, _csv_text(("j", "probability"), j, p))
         paths.append(path)
 
-    u = np.linspace(0.0, 0.99, 100)
-    kf = transforms.factor_K(cfg.params, u)
     factors = [[f"{v.real:.17g}" for v in col] for col in (kf.ka, kf.kb, kf.kc, kf.k)]
     path = os.path.join(cfg.out, "factors.csv")
     _atomic_write(path, _csv_text(("u", "ka", "kb", "kc", "k"),
                                   [f"{v:.4f}" for v in u], *factors))
     paths.append(path)
 
-    try:
-        catalog = asymptotics.tail_catalog(cfg.params)
-    except (NotApplicable, AssumptionViolation):
-        # no power-law type-1 service, or a2 <= a1: the stationary laws
-        # above exist, but there is no tail catalog to write
-        catalog = None
     if catalog is not None:
         path = os.path.join(cfg.out, "catalog.json")
         _atomic_write(path, _json_text({name: e.to_dict() for name, e in catalog.items()}))
@@ -330,7 +331,7 @@ def cmd_simulate(cfg: RunConfig) -> list:
         "expected_fractions": [1 - cfg.params.rho, cfg.params.rho1, cfg.params.rho2],
     }
     # every statistic first, so a data error leaves no artifact behind
-    pmfs = {tag: res.conditional_pmf(*target) for tag, target in TARGET_STATES.items()}
+    pmfs = {law: res.conditional_pmf(law) for law in TARGET_STATES}
     paths = [os.path.join(cfg.out, "sim_stats.json")]
     _atomic_write(paths[0], _json_text(stats))
     for tag, pmf in pmfs.items():
@@ -362,9 +363,8 @@ def cmd_sample(cfg: RunConfig, target: str, n: int) -> list:
 
 def _verify_target(cfg, target, pmfs, sim_res, sampler_pmfs, catalog):
     sources = {"inversion": pmfs[target], "sampler": sampler_pmfs[target]}
-    state, coord = TARGET_STATES[target]
     try:
-        sources["simulator"] = sim_res.conditional_pmf(state, coord)
+        sources["simulator"] = sim_res.conditional_pmf(target)
     except InsufficientData:
         pass
     entry = catalog[target.lower()]
@@ -379,9 +379,9 @@ def _verify_target(cfg, target, pmfs, sim_res, sampler_pmfs, catalog):
 
 def _sampler_pmfs(cfg: RunConfig) -> dict:
     """Empirical pmfs of the five laws from verify.samples draws of r0, r1
-    and r2, drawn through one pool: the bincounts of 0..n_states are added
-    up block by block as the sampler hands the blocks over, and no draws
-    are kept."""
+    and r2, drawn through one pool: the counts of 0..n_states are added up
+    block by block as the sampler hands the blocks over, and no draws are
+    kept."""
     sampler = DecompositionSampler(cfg.params, seed=cfg.seed)
     size = cfg.verify_n_states + 1
     laws = {"r0": ("R0",), "r1": ("R11", "R12"), "r2": ("R21", "R22")}
@@ -389,7 +389,7 @@ def _sampler_pmfs(cfg: RunConfig) -> dict:
 
     def add(drawn, rows):
         for row, d in zip(rows, drawn if isinstance(drawn, tuple) else (drawn,)):
-            row += np.bincount(d, minlength=size)[:size]
+            row += np.bincount(d[d < size], minlength=size)  # a huge draw allocates nothing
 
     sampler.sample_into(tuple(laws), cfg.verify_samples,
                         tuple(lambda drawn, rows=counts[t]: add(drawn, rows) for t in laws))

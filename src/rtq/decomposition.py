@@ -26,13 +26,13 @@ exact in distribution and vectorised over their n draws, with no tables, no
 truncation and no call into the analytic evaluators.
 
 Streams: `sample_into` splits n draws into blocks of _BLOCK; block i draws
-from its own stream, block k + i of the `parallel.make_rng` key layout, with
+from its own stream, key (0, k + i) of the `parallel.make_rng` layout, with
 k the blocks the sampler drew before, and targets drawn through one pool
 take the keys that calls in turn would.  Threads draw the blocks (numpy
 releases the GIL) a few per worker ahead of the caller, which receives them
 in block order, so draws never depend on the core count and their memory
 does not grow with n.  Primitives called directly draw from the sampler's
-`rng`, the layout's stream key.
+`rng`, on key (0,).
 """
 
 from __future__ import annotations
@@ -84,14 +84,14 @@ class DecompositionSampler:
 
     The sampler holds no state beyond its random stream and the count of
     blocks `sample` has drawn, so building one is free; draws depend only on
-    (params, seed, stream) and the call order.
+    (params, seed) and the call order.
     """
 
-    def __init__(self, params: ModelParams, seed: int = 0, stream: int = 0):
+    def __init__(self, params: ModelParams, seed: int = 0):
         self.params = params
-        self.seed, self.stream = seed, stream
+        self.seed = seed
         self.blocks = 0
-        self.rng = parallel.make_rng(seed, stream)
+        self.rng = parallel.make_rng(seed, 0)
 
     # primitives
     def theta(self, roots: np.ndarray, mean: float, max_nodes: int | None = None) -> np.ndarray:
@@ -252,7 +252,7 @@ class DecompositionSampler:
         block at a time, in block order; a pair target's block is a tuple.
 
         The draws come in blocks of _BLOCK, block i from stream
-        (stream, k + i) with k the blocks drawn so far, on a thread pool
+        (0, k + i) with k the blocks drawn so far, on a thread pool
         that runs a few blocks ahead of `write`.  When a block or `write`
         raises, the blocks not yet started are never drawn.  With a tuple
         of names and one of as many callables, one pool draws n of each, on
@@ -271,7 +271,7 @@ class DecompositionSampler:
         def block(i):
             (method, *args), _, size = jobs[i]
             sub = copy.copy(self)
-            sub.rng = parallel.make_rng(self.seed, self.stream, first + i)
+            sub.rng = parallel.make_rng(self.seed, 0, first + i)
             return getattr(sub, method)(*args, size)
 
         with contextlib.closing(parallel.imap(block, range(len(jobs)))) as blocks:

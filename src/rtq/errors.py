@@ -34,9 +34,10 @@ class RecursionDepthExceeded(RtqError):
 
 
 class OverflowGuard(RtqError):
-    """A count outgrows int64: sampled (queue, orbit) rows span too wide a
-    range for int64 row codes, or a sampler Poisson mean is not finite or is
-    above numpy's largest, about 9.2e18."""
+    """A number outgrows its type: sampled (queue, orbit) rows span too wide
+    a range for int64 row codes, a sampler Poisson mean is not finite or is
+    above numpy's largest, about 9.2e18, or a tail-catalog constant
+    overflows a float."""
 
 
 class InsufficientData(RtqError):

@@ -68,10 +68,6 @@ class ServiceDist:
         raise NotImplementedError
 
     @property
-    def moment2(self) -> float:
-        raise NotImplementedError
-
-    @property
     def tail(self) -> TailDescriptor:
         raise NotImplementedError
 
@@ -122,14 +118,12 @@ class Erlang(ServiceDist):
         return self.shape / self.rate
 
     @property
-    def moment2(self):
-        return self.shape * (self.shape + 1) / self.rate**2
-
-    @property
     def tail(self):
         k = self.shape
+        # a numpy power overflows to inf, which `tail_catalog` refuses
         return TailDescriptor(
-            r=self.rate, a=-(k - 1), L0=self.rate ** (k - 1) / math.factorial(k - 1)
+            r=self.rate, a=-(k - 1),
+            L0=float(np.float64(self.rate) ** (k - 1)) / math.factorial(k - 1),
         )
 
     def lst_and_deriv(self, s):
@@ -288,13 +282,10 @@ class ParetoShifted(ServiceDist):
         return self.scale / (self.index - 1) if self.index > 1 else math.inf
 
     @property
-    def moment2(self):
-        a, s = self.index, self.scale
-        return 2 * s**2 / ((a - 1) * (a - 2)) if a > 2 else math.inf
-
-    @property
     def tail(self):
-        return TailDescriptor(r=0.0, a=self.index, L0=self.scale**self.index)
+        # a numpy power overflows to inf, which `tail_catalog` refuses
+        return TailDescriptor(r=0.0, a=self.index,
+                              L0=float(np.float64(self.scale) ** self.index))
 
     def _density(self, t):
         a, s = self.index, self.scale
@@ -393,10 +384,6 @@ class Mixture(ServiceDist):
     @property
     def mean(self):
         return float(sum(w * c.mean for w, c in zip(self.weights, self.components)))
-
-    @property
-    def moment2(self):
-        return float(sum(w * c.moment2 for w, c in zip(self.weights, self.components)))
 
     @property
     def tail(self):

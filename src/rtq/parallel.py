@@ -5,12 +5,12 @@ own, so the worker count never changes a result.
 
 `make_rng(seed, *key)` builds every numpy generator of the package: PCG64
 on the seed's SeedSequence with spawn key `key`.  Distinct keys never
-overlap, and the two Monte-Carlo pillars divide the keys of a seed:
-- the sampler draws on (stream,) when a primitive is called directly, and
-  on (stream, block) for the blocks of `sample_into`;
+overlap, and the first element of a key names its Monte-Carlo pillar:
+- the sampler draws on (0,) when a primitive is called directly, and on
+  (0, block) for the blocks of `sample_into`;
 - the simulator draws on (1, replica, clock), one key per clock of each
   replica.
-The key lengths differ, so for one seed the pillars share no random bits.
+So for one seed the pillars share no random bits.
 
 `imap` runs jobs on a thread pool and hands the results back in job order
 while it runs at most two jobs per worker ahead of the one the caller holds,

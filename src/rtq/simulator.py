@@ -20,16 +20,19 @@ class's service times have streams of their own, clocks 0 to 4 of the
 `ServiceDist.sample`.
 
 Statistics are time averages over the whole run, with sparse joint
-histograms of (queue, orbit) per server state.  The run starts empty and
-idle, and each completion that leaves the system empty returns it there: a
-regeneration point, where the cycle's time per server state is marked.  The
-completed cycles are i.i.d., so the error bars are the regenerative ratio
-estimator's CLT intervals (Crane & Iglehart 1975; Asmussen & Glynn,
-Stochastic Simulation, 2007, ch. IV), with no warm-up and no batches.  The
-replicas pool their times, histograms, arrival counts and cycles; each
-one's trailing partial cycle counts in the averages, not in the error bars.
-With few long replicas the bias of pooling, O(replicas / events), stays far
-below the error bars (Glynn & Heidelberger, ACM TOMACS 1, 1991).
+histograms of (queue, orbit) per server state, keyed nq << 32 | no.  A
+conditional law is asked for by its name, R0 to R22, which `TARGET_STATES`
+maps to its server state and its coordinate's shift in that key.  The run
+starts empty and idle, and each completion that leaves the system empty
+returns it there: a regeneration point, where the cycle's time per server
+state is marked.  The completed cycles are i.i.d., so the error bars are
+the regenerative ratio estimator's CLT intervals (Crane & Iglehart 1975;
+Asmussen & Glynn, Stochastic Simulation, 2007, ch. IV), with no warm-up and
+no batches.  The replicas pool their times, histograms, arrival counts and
+cycles; each one's trailing partial cycle counts in the averages, not in
+the error bars.  With few long replicas the bias of pooling,
+O(replicas / events), stays far below the error bars (Glynn &
+Heidelberger, ACM TOMACS 1, 1991).
 """
 
 from __future__ import annotations
@@ -52,14 +55,16 @@ __all__ = ["SimConfig", "SimResult", "simulate", "jobs", "pool",
 IDLE, BUSY1, BUSY2 = 0, 1, 2
 _BLOCK = 4096  # draws fetched from numpy at a time
 _REPLICAS = 2  # few long replicas keep the O(replicas / events) pooling bias negligible
-_STATE_NAMES = {"idle": IDLE, "busy1": BUSY1, "busy2": BUSY2}
-# each conditional law as the (server state, coordinate) it is observed in
+_STATE_NAMES = ("idle", "busy1", "busy2")
+# each conditional law as the server state it is observed in and the shift
+# of its coordinate in the histogram key nq << 32 | no: 32 for the queue, 0
+# for the orbit
 TARGET_STATES = {
-    "R0": ("idle", "orbit"),
-    "R11": ("busy1", "queue"),
-    "R12": ("busy1", "orbit"),
-    "R21": ("busy2", "queue"),
-    "R22": ("busy2", "orbit"),
+    "R0": (IDLE, 0),
+    "R11": (BUSY1, 32),
+    "R12": (BUSY1, 0),
+    "R21": (BUSY2, 32),
+    "R22": (BUSY2, 0),
 }
 
 
@@ -79,7 +84,7 @@ class SimResult:
     collected_time: float
     time_in_state: np.ndarray          # (3,) time observed in each server state
     cycles: np.ndarray                 # (n, 3) per completed cycle: time in each state
-    hist: list                         # per state: dict (queue, orbit) -> time
+    hist: list                         # per state: dict nq << 32 | no -> time
     arrivals_seen: np.ndarray          # (3,) server state found by arrivals
 
     def state_fractions(self) -> np.ndarray:
@@ -101,37 +106,27 @@ class SimResult:
         # the first event is an arrival, so the sum is at least 1
         return self.arrivals_seen / self.arrivals_seen.sum()
 
-    def _state_index(self, state) -> int:
-        if isinstance(state, str):
-            try:
-                return _STATE_NAMES[state]
-            except KeyError:
-                raise ValueError(f"unknown state {state!r}") from None
-        return int(state)
-
-    def conditional_pmf(self, state, coord: str) -> np.ndarray:
-        """Time-average pmf of 'queue' or 'orbit' given the server state.
+    def conditional_pmf(self, law: str) -> np.ndarray:
+        """Time-average pmf of a law of `TARGET_STATES`, the queue or the
+        orbit given the server state.
 
         Raises InsufficientData when the conditioning state holds less than
-        1% of the observed time.
+        1% of the observed time, and KeyError for a name not in `TARGET_STATES`.
         """
-        s = self._state_index(state)
+        s, shift = TARGET_STATES[law]
         occupancy = self.time_in_state[s] / self.collected_time
         if occupancy < 0.01:
-            raise InsufficientData(f"state {state!r} observed {occupancy:.2%} of the time")
-        pos = 0 if coord == "queue" else 1
-        if coord not in ("queue", "orbit"):
-            raise ValueError("coord must be 'queue' or 'orbit'")
-        top = max(k[pos] for k in self.hist[s])
-        out = np.zeros(top + 1)
-        for key, w in self.hist[s].items():
-            out[key[pos]] += w
-        return out / self.time_in_state[s]
+            raise InsufficientData(
+                f"state {_STATE_NAMES[s]!r} observed {occupancy:.2%} of the time")
+        h = self.hist[s]
+        coord = np.fromiter(h, np.int64, len(h)) >> shift & 0xFFFFFFFF
+        # the times in dict order, as a loop adding them one by one would
+        return np.bincount(coord, np.fromiter(h.values(), float, len(h))) / self.time_in_state[s]
 
-    def joint_pmf(self, state) -> dict:
-        s = self._state_index(state)
-        tot = self.time_in_state[s]
-        return {k: w / tot for k, w in self.hist[s].items()}
+    def joint_pmf(self, state: int) -> dict:
+        """{(queue, orbit): time fraction} given server state IDLE, BUSY1 or BUSY2."""
+        tot = self.time_in_state[state]
+        return {(k >> 32, k & 0xFFFFFFFF): w / tot for k, w in self.hist[state].items()}
 
 
 def _draws(seed: int, key: tuple, draw):
@@ -232,13 +227,11 @@ def pool(config: SimConfig, results) -> SimResult:
     """The run pooled from its replicas' raw results, in job order."""
     ends, partials, cycles, hists, seen = zip(*results)
     cycles = np.concatenate(cycles)
-    hist = []
-    for s in range(3):
-        pooled = {}
-        for h in hists:
-            for key, w in h[s].items():
+    hist = [{}, {}, {}]
+    for h in hists:
+        for pooled, part in zip(hist, h):
+            for key, w in part.items():
                 pooled[key] = pooled.get(key, 0.0) + w
-        hist.append({(key >> 32, key & 0xFFFFFFFF): w for key, w in pooled.items()})
     return SimResult(
         events=config.max_events,
         collected_time=sum(ends),

@@ -66,9 +66,10 @@ def survival_of(source) -> np.ndarray:
 
 
 def empirical_pmf(samples: np.ndarray, n: int) -> np.ndarray:
-    """Relative frequencies of 0..n (mass beyond n is excluded)."""
-    counts = np.bincount(np.asarray(samples, dtype=np.int64), minlength=n + 1)
-    return counts[: n + 1] / samples.size
+    """Relative frequencies of 0..n (mass beyond n is excluded, and costs
+    no memory however far beyond it lies)."""
+    samples = np.asarray(samples, dtype=np.int64)
+    return np.bincount(samples[samples <= n], minlength=n + 1) / samples.size
 
 
 def tv_distance(a, b, n: int) -> float:

@@ -6,7 +6,9 @@ reference models at seed 7; `runs.jsonl`, which holds a timestamp, is left
 out.  Two sample sizes cross a block edge of the sampler, one scalar and one
 pair target.  A change that keeps the random streams and the printed digits
 keeps every digest; a change that moves them on purpose rewrites the file
-and lists the moved digests in CHANGES.md:
+and lists the moved digests in CHANGES.md.  The artifacts are compared at
+the host's worker count and at one worker, where every job runs in-process,
+so the worker count changes no byte either.  To rewrite the file:
 
     PYTHONPATH=src python3 tests/test_artifact_digests.py
 
@@ -20,7 +22,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from rtq import cli
+from rtq import cli, parallel
 from rtq.decomposition import _BLOCK, PAIR_TARGETS, SCALAR_TARGETS
 
 DIGESTS = Path(__file__).with_name("artifact_digests.json")
@@ -63,12 +65,21 @@ def digests(work: Path) -> dict:
     return found
 
 
-def test_artifacts_match_the_committed_digests(tmp_path):
+def _assert_committed(work: Path):
     expected = json.loads(DIGESTS.read_text())
-    found = digests(tmp_path)
+    found = digests(work)
     assert sorted(found) == sorted(expected)
     moved = sorted(key for key in expected if found[key] != expected[key])
     assert not moved, f"artifacts whose bytes moved: {moved}"
+
+
+def test_artifacts_match_the_committed_digests(tmp_path):
+    _assert_committed(tmp_path)
+
+
+def test_one_worker_matches_the_committed_digests(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, 1))
+    _assert_committed(tmp_path)
 
 
 if __name__ == "__main__":

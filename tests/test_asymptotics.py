@@ -5,7 +5,7 @@ import json
 import pytest
 
 from rtq.asymptotics import PowerTail, tail_catalog
-from rtq.errors import AssumptionViolation, NotApplicable
+from rtq.errors import AssumptionViolation, NotApplicable, OverflowGuard
 from rtq.model import Erlang, Exponential, ModelParams, ParetoShifted
 
 
@@ -103,6 +103,25 @@ class TestBranchSplit:
         assert alt_catalog["r12"].kappa == pytest.approx(
             ref_params.dist1.tail.a - 1.0
         )
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("params, entry", [
+        # lam2**a = 1000**103 is beyond a float
+        (ModelParams(2000.0, 0.5, 1.0, ParetoShifted.from_mean(103.0, 1e-8),
+                     Exponential(1e8)), "xg"),
+        # the type-1 law's L0 = scale**index = 1e320
+        (ModelParams(1e-16, 0.5, 1.0, ParetoShifted(20.0, 1e16), Exponential(2.0)),
+         "busy_period"),
+        # the type-2 law's L0 = rate**2 / 2 = 5e599
+        (ModelParams(1.0, 0.5, 1.0, ParetoShifted.from_mean(2.5, 0.6), Erlang(3, 1e300)),
+         "service2_eq"),
+    ], ids=["c", "type-1 L0", "type-2 L0"])
+    def test_an_overflowing_constant_is_refused(self, params, entry):
+        # the first entry that holds it is refused, by name, before it is
+        # written as inf
+        with pytest.raises(OverflowGuard, match=f"'{entry}'"):
+            tail_catalog(params)
 
 
 class TestSerialization:

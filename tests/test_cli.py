@@ -289,6 +289,12 @@ _EXITS = {
 }
 
 
+# lam2**a = 1000**103 overflows the tail catalog's constants
+_OVERFLOW_MODEL = {"lam": 2000, "q": 0.5, "mu": 1,
+                   "dist1": {"kind": "pareto", "index": 103, "mean": 1e-8},
+                   "dist2": {"kind": "exponential", "mean": 1e-8}}
+
+
 class TestExitCodes:
     def test_every_error_class_has_an_exit_code(self):
         classes = {c for c in vars(errors).values()
@@ -320,6 +326,17 @@ class TestExitCodes:
             cli.main(["analyze", "--config", write_config(_base_config()),
                       "--out", str(tmp_path / "o")])
         assert "config error" not in capsys.readouterr().err
+
+    def test_an_overflowing_catalog_leaves_no_analyze_artifact(self, write_config, tmp_path,
+                                                                capsys):
+        # means of 1e-4 invert; the catalog is computed before any write
+        model = {**_OVERFLOW_MODEL, "dist1": {"kind": "pareto", "index": 103, "mean": 1e-4},
+                 "dist2": {"kind": "exponential", "mean": 1e-4}}
+        cfg = {"model": model, "inversion": {"n": 30, "radius": 0.8}}
+        out = tmp_path / "o"
+        assert cli.main(["analyze", "--config", write_config(cfg), "--out", str(out)]) == 3
+        assert "tail catalog entry 'xg'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hopeless_roundoff_is_a_numeric_error(self, write_config, tmp_path, capsys):
         cfg = _base_config(inversion={"n": 150, "radius": 0.3})
@@ -367,7 +384,7 @@ class TestAnalyze:
         expect = _csv_writer_text(("u", "ka", "kb", "kc", "k"), rows)
         assert (out / "factors.csv").read_text() == expect
 
-        hist = simulate(cfg.params, cfg.sim).conditional_pmf(*TARGET_STATES["R12"])
+        hist = simulate(cfg.params, cfg.sim).conditional_pmf("R12")
         rows = [(j, f"{v:.17g}") for j, v in enumerate(hist)]
         expect = _csv_writer_text(("j", "fraction"), rows)
         assert (out / "hist_R12.csv").read_text() == expect
@@ -656,6 +673,31 @@ def _reject_constant(token):
 
 
 class TestVerify:
+    def test_an_overflowing_catalog_is_a_numeric_error(self, write_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--config", write_config({"model": _OVERFLOW_MODEL}),
+                         "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "rtq: numeric error: tail catalog entry 'xg'")
+        assert not out.exists()
+
+    def test_a_huge_draw_allocates_nothing(self, write_config, tmp_path, monkeypatch):
+        # an orbit law of infinite mean can draw ~5e13; counting 0..n_states
+        # must not allocate a cell for every value up to the largest draw
+        draw = DecompositionSampler.sample_r0
+
+        def planted(self, n):
+            out = draw(self, n)
+            out[0] = 2**62
+            return out
+
+        monkeypatch.setattr(DecompositionSampler, "sample_r0", planted)
+        cfg = _base_config(inversion={"n": 160, "radius": 0.99},
+                           verify={"window": [30, 120], "n_states": 40, "samples": 20_000})
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--config", write_config(cfg), "--out", str(out)]) == 0
+        assert (out / "verify_report.json").exists()
+
     def test_sampler_pmfs_are_the_targets_drawn_in_turn(self, write_config, monkeypatch):
         # one pool draws r0, r1 and r2 on the streams that calls in turn use;
         # 70,001 draws end each target's blocks with a short one

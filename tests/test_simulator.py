@@ -6,7 +6,7 @@ import pytest
 from rtq import parallel, simulator
 from rtq.errors import BadParam, InsufficientData, Unstable
 from rtq.model import Erlang, Exponential, ModelParams
-from rtq.simulator import BUSY1, BUSY2, IDLE, SimConfig, SimResult, simulate
+from rtq.simulator import BUSY1, BUSY2, IDLE, TARGET_STATES, SimConfig, SimResult, simulate
 
 
 def _erlang_params():
@@ -49,19 +49,18 @@ class TestBalanceLaws:
     def test_queue_empty_while_idle(self, quick_sim):
         # an idle server admits any high-priority arrival immediately, so no
         # one is ever waiting in the priority queue during idle periods
-        assert all(k[0] == 0 for k in quick_sim.hist[IDLE])
+        assert all(k >> 32 == 0 for k in quick_sim.hist[IDLE])
 
     def test_conditional_pmf_normalized(self, quick_sim):
-        for s, coord in ((IDLE, "orbit"), (BUSY1, "queue"), (BUSY2, "orbit")):
-            pmf = quick_sim.conditional_pmf(s, coord)
+        for law, (state, shift) in TARGET_STATES.items():
+            pmf = quick_sim.conditional_pmf(law)
             assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(pmf >= 0)
-
-    def test_state_names(self, quick_sim):
-        np.testing.assert_array_equal(
-            quick_sim.conditional_pmf("idle", "orbit"),
-            quick_sim.conditional_pmf(IDLE, "orbit"),
-        )
+            # the marginal of the joint pmf's (queue, orbit) keys
+            marginal = np.zeros(pmf.size)
+            for key, w in quick_sim.joint_pmf(state).items():
+                marginal[key[0] if shift else key[1]] += w
+            np.testing.assert_allclose(pmf, marginal, rtol=1e-12, atol=1e-15)
 
 
 class TestGuards:
@@ -76,13 +75,12 @@ class TestGuards:
         res = simulate(rare, SimConfig(max_events=50_000, seed=1))
         assert res.time_in_state[BUSY2] / res.collected_time < 0.01
         with pytest.raises(InsufficientData):
-            res.conditional_pmf(BUSY2, "orbit")
+            res.conditional_pmf("R22")
 
-    def test_bad_state_and_coord(self, quick_sim):
-        with pytest.raises(ValueError):
-            quick_sim.conditional_pmf("serving", "orbit")
-        with pytest.raises(ValueError):
-            quick_sim.conditional_pmf(IDLE, "buffer")
+    def test_unknown_law(self, quick_sim):
+        for law in ("R3", "idle", "r0"):
+            with pytest.raises(KeyError):
+                quick_sim.conditional_pmf(law)
 
 
 class TestRegenerativeErrors:

@@ -297,7 +297,7 @@ class TestConditionalPmfs:
         assert bulk_pmfs["R0"].mean() == pytest.approx(p.psi, abs=5e-3)
         # queue-while-serving-type-2 is a Poisson mixture over the
         # equilibrium type-2 service time
-        expect = p.lambda1 * p.dist2.moment2 / (2 * p.dist2.mean)
+        expect = p.lambda1 * p.dist2_eq.mean
         assert bulk_pmfs["R21"].mean() == pytest.approx(expect, abs=1e-6)
 
     def test_matches_single_inversions(self, ref_params, bulk_pmfs):

@@ -39,6 +39,11 @@ class TestDistances:
         p = verify.empirical_pmf(np.array([0, 1, 1, 3]), 4)
         np.testing.assert_allclose(p, [0.25, 0.5, 0.0, 0.25, 0.0])
 
+    def test_empirical_pmf_of_a_huge_draw(self):
+        # a draw far beyond n counts as missing mass and costs no memory
+        p = verify.empirical_pmf(np.array([0, 1, 1, 2**62]), 2)
+        np.testing.assert_array_equal(p, [0.25, 0.5, 0.0])
+
     def test_survival_of_counts_deficit(self):
         pmf = Pmf(probs=np.array([0.5, 0.3]), deficit=0.2)
         np.testing.assert_allclose(verify.survival_of(pmf), [0.5, 0.2])
