@@ -24,6 +24,7 @@ of `complex`), as a one-element array gives a one-element complex array.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -120,16 +121,21 @@ class Erlang(ServiceDist):
     @property
     def tail(self):
         k = self.shape
-        # a numpy power overflows to inf, which `tail_catalog` refuses
+        # rate^(k - 1) / (k - 1)! in log space, so that neither the power nor
+        # the factorial overflows on its own; a numpy exp overflows to inf,
+        # which `tail_catalog` refuses
         return TailDescriptor(
             r=self.rate, a=-(k - 1),
-            L0=float(np.float64(self.rate) ** (k - 1)) / math.factorial(k - 1),
+            L0=float(np.exp((k - 1) * np.log(self.rate) - math.lgamma(k))),
         )
 
     def lst_and_deriv(self, s):
+        # powers of nu / (nu + s) only, which lies in the unit disk for
+        # Re(s) >= 0, so no power of nu overflows however large the shape
         k, nu = self.shape, self.rate
         den = nu + np.asarray(s, dtype=complex)
-        return (nu / den) ** k, -k * nu**k / den ** (k + 1)
+        ratio = nu / den
+        return ratio**k, -k * nu / den**2 * ratio ** (k - 1)
 
     def survival(self, t):
         # P{Poisson(x) < shape} at x = rate t, its terms summed in log space;
@@ -232,7 +238,10 @@ def _exp_en_series(orders, x):
             P *= 1.0 + eps / j
         D = -np.polyval(_RECIP_GAMMA[::-1], -eps)
         power = np.expm1(eps * log_x) / eps if eps else log_x
-        lead[row] = (-x) ** n / math.factorial(n) * (D * P + Q - power) / ((1.0 + eps * D) * P)
+        # n! is beyond the largest float from n = 171 on, where |(-x)^n / n!|
+        # is below 1e-280: that float in its place keeps the term negligible
+        n_fact = min(math.factorial(n), sys.float_info.max)
+        lead[row] = (-x) ** n / n_fact * (D * P + Q - power) / ((1.0 + eps * D) * P)
         coefs[row, :, 0] = [0.0 if k == n else 1.0 / (math.factorial(k) * (p - 1.0 - k))
                             for k in range(_SERIES_TERMS)]
     poly = np.zeros_like(lead)

@@ -5,7 +5,7 @@ circles of radius < 1 for coefficient extraction): the Type-1 busy-period
 transform and its fixed-point relatives, the three orbit factors Ka/Kb/Kc,
 the idle-orbit transform R0, the service-excess factors S, the
 difference-quotient factors H, the geometric factors M1/M2, and the full
-conditional transforms R1/R2 in both their raw and factored forms.
+conditional transforms R1/R2.
 
 All evaluators follow numpy's convention: arguments are taken as complex
 arrays and the result has their broadcast shape, so scalar arguments, real
@@ -47,12 +47,9 @@ __all__ = [
     "eval_H_beta1",
     "eval_H_beta2",
     "eval_M1",
-    "eval_M1_raw",
     "eval_M2",
     "eval_R1",
-    "eval_R1_raw",
     "eval_R2",
-    "eval_R2_raw",
     "extract_pmf",
     "conditional_pmfs",
 ]
@@ -280,14 +277,6 @@ def eval_M1(params: ModelParams, z1, z2):
     return _m1(params, *_points(params, z1, z2))
 
 
-def eval_M1_raw(params: ModelParams, z1, z2):
-    """Published difference-quotient form of M1 (cross-check only; no
-    singular-point handling)."""
-    z1, z2, h = _points(params, z1, z2)
-    b1 = params.dist1.lst(params.lam - params.lambda1 * z1 - params.lambda2 * z2)
-    return (1.0 - params.rho1) * (h - z1) / (b1 - z1)
-
-
 def eval_M2(params: ModelParams, z1, z2):
     """Factor vartheta H_beta2 Ka Kc + 1 - vartheta."""
     z1, z2, h = _points(params, z1, z2)
@@ -304,54 +293,6 @@ def eval_R2(params: ModelParams, z1, z2):
     """Factored conditional transform given a Type-2 service in progress."""
     z1, z2, h = _points(params, z1, z2)
     return _r2(params, z1, z2, factor_K(params, z2, h), eval_R0(params, z2))
-
-
-def _w_fn(params, z1, z2, h, g):
-    lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
-    s12 = lam - lam1 * z1 - lam2 * z2
-    b2_12 = params.dist2.lst(s12)
-    b2_g = params.dist2.lst(lam * (1.0 - g))
-    return (lam - lam1 * h - lam2 * b2_g) * (b2_12 - z2) + (
-        lam - lam1 * z1 - lam2 * b2_12
-    ) * (z2 - b2_g)
-
-
-def eval_R1_raw(params: ModelParams, z1, z2):
-    """Original published form of R1 (interior points only)."""
-    z1, z2, h = _points(params, z1, z2)
-    lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
-    g = eval_g(params, z2, h)
-    s12 = lam - lam1 * z1 - lam2 * z2
-    b1 = params.dist1.lst(s12)
-    b2_g = params.dist2.lst(lam * (1.0 - g))
-    return (
-        (1.0 - params.rho)
-        / params.rho1
-        * _w_fn(params, z1, z2, h, g)
-        / ((b2_g - z2) * (z1 - b1))
-        * (1.0 - b1)
-        / s12
-        * eval_R0(params, z2)
-    )
-
-
-def eval_R2_raw(params: ModelParams, z1, z2):
-    """Original published form of R2 (interior points only)."""
-    z1, z2, h = _points(params, z1, z2)
-    lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
-    g = eval_g(params, z2, h)
-    s12 = lam - lam1 * z1 - lam2 * z2
-    b2_12 = params.dist2.lst(s12)
-    b2_g = params.dist2.lst(lam * (1.0 - g))
-    return (
-        (1.0 - params.rho)
-        / params.rho2
-        * (lam * (1.0 - g))
-        / (b2_g - z2)
-        * (1.0 - b2_12)
-        / s12
-        * eval_R0(params, z2)
-    )
 
 
 def _ring(radius, m):

@@ -49,19 +49,20 @@ class TailFit:
 
 
 def _as_pmf(source) -> Pmf:
-    """A Pmf as is; a pmf vector with its missing mass as the deficit; or
-    the relative frequencies of integer samples."""
+    """A Pmf as is, or a pmf vector with its missing mass as the deficit.
+    Integer draws are refused: they would be read as a vector of counts."""
     if isinstance(source, Pmf):
         return source
     arr = np.asarray(source)
     if arr.dtype.kind in "iu":
-        arr = empirical_pmf(arr, int(arr.max()))
+        raise TypeError("integer draws are not a pmf: count them first with "
+                        "empirical_pmf(samples, n)")
     probs = arr.astype(float)
     return Pmf(probs=probs, deficit=max(0.0, 1.0 - float(probs.sum())))
 
 
 def survival_of(source) -> np.ndarray:
-    """P{X > j}, j = 0..N, from a Pmf, a pmf vector or integer samples."""
+    """P{X > j}, j = 0..N, from a Pmf or a pmf vector."""
     return _as_pmf(source).survival()
 
 
@@ -73,7 +74,7 @@ def empirical_pmf(samples: np.ndarray, n: int) -> np.ndarray:
 
 
 def tv_distance(a, b, n: int) -> float:
-    """Total variation over the states 0..n-1."""
+    """Total variation over the states 0..n-1, between Pmfs or pmf vectors."""
     pa, pb = _as_pmf(a).probs, _as_pmf(b).probs
     pa = np.pad(pa, (0, max(0, n - pa.size)))[:n]
     pb = np.pad(pb, (0, max(0, n - pb.size)))[:n]
@@ -155,9 +156,9 @@ def fit_geom_ratio(source, window) -> float:
 def compare(target: str, sources: dict, n_states: int, window: tuple,
             entry: asymptotics.PowerTail) -> dict:
     """One target's entry of verify_report.json: the TV distances between
-    `sources` (Pmfs, pmf vectors or integer samples) over states
-    0..n_states-1, keyed "a|b", and the fits of sources["inversion"] over
-    `window` against the catalog `entry` (a decay ratio when it is geometric)."""
+    `sources` (Pmfs or pmf vectors) over states 0..n_states-1, keyed "a|b",
+    and the fits of sources["inversion"] over `window` against the catalog
+    `entry` (a decay ratio when it is geometric)."""
     names = sorted(sources)
     tv = {f"{a}|{b}": tv_distance(sources[a], sources[b], n_states)
           for i, a in enumerate(names) for b in names[i + 1 :]}

@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from paper_forms import eval_R1_raw, eval_R2_raw
 from rtq import cli
 from rtq import transforms as T
 from rtq import verify
@@ -52,8 +53,8 @@ def test_criterion_02_transform_identities(capfd, ref_params):
         for z2 in grid:
             err_raw = max(
                 err_raw,
-                abs(T.eval_R1(p, z1 + 0j, z2 + 0j) - T.eval_R1_raw(p, z1 + 0j, z2 + 0j)),
-                abs(T.eval_R2(p, z1 + 0j, z2 + 0j) - T.eval_R2_raw(p, z1 + 0j, z2 + 0j)),
+                abs(T.eval_R1(p, z1 + 0j, z2 + 0j) - eval_R1_raw(p, z1 + 0j, z2 + 0j)),
+                abs(T.eval_R2(p, z1 + 0j, z2 + 0j) - eval_R2_raw(p, z1 + 0j, z2 + 0j)),
             )
 
     err_fact = 0.0
@@ -79,7 +80,7 @@ def test_criterion_03_three_way_bulk_agreement(capfd, bulk_pmfs, million_draws, 
     for name in TARGET_STATES:
         sources = {
             "inversion": bulk_pmfs[name],
-            "sampler": million_draws[name],
+            "sampler": verify.empirical_pmf(million_draws[name], 50),
             "simulator": big_sim.conditional_pmf(name),
         }
         keys = sorted(sources)

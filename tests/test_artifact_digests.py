@@ -1,14 +1,15 @@
 """Every artifact is byte-identical to the committed digests.
 
-`artifact_digests.json` holds the SHA-256 of every artifact that `analyze`,
-`simulate`, `sample` (all 14 targets) and `verify` write for the two
-reference models at seed 7; `runs.jsonl`, which holds a timestamp, is left
-out.  Two sample sizes cross a block edge of the sampler, one scalar and one
-pair target.  A change that keeps the random streams and the printed digits
-keeps every digest; a change that moves them on purpose rewrites the file
-and lists the moved digests in CHANGES.md.  The artifacts are compared at
-the host's worker count and at one worker, where every job runs in-process,
-so the worker count changes no byte either.  To rewrite the file:
+`artifact_digests.json` holds, per seed, the SHA-256 of every artifact that
+`analyze`, `simulate`, `sample` (all 14 targets) and `verify` write for the
+two reference models at seeds 7 and 11; `runs.jsonl`, which holds a
+timestamp, is left out.  Two sample sizes cross a block edge of the
+sampler, one scalar and one pair target.  A change that keeps the random
+streams and the printed digits keeps every digest; a change that moves them
+on purpose rewrites the file and lists the moved digests in CHANGES.md.  The
+artifacts are compared at the host's worker count and at one worker, where
+every job runs in-process, so the worker count changes no byte either.  To
+rewrite the file:
 
     PYTHONPATH=src python3 tests/test_artifact_digests.py
 
@@ -39,8 +40,8 @@ CONFIG = {
     "inversion": {"n": 160, "radius": 0.99},
     "verify": {"window": [30, 120], "light_window": [30, 100],
                "n_states": 40, "samples": 20_000},
-    "seed": 7,
 }
+SEEDS = (7, 11)
 COUNTS = {"r0": _BLOCK + 5, "s1": _BLOCK + 5}  # every other target draws 1000
 COMMANDS = [["analyze"], ["simulate"],
             *(["sample", "--target", t, "-n", str(COUNTS.get(t, 1000))]
@@ -48,13 +49,13 @@ COMMANDS = [["analyze"], ["simulate"],
             ["verify"]]
 
 
-def digests(work: Path) -> dict:
-    """{"<model>/<artifact>": SHA-256} of every command's artifacts, written
-    under `work`."""
+def digests(work: Path, seed: int) -> dict:
+    """{"<model>/<artifact>": SHA-256} of every command's artifacts at
+    `seed`, written under `work`."""
     found = {}
     for name, model in MODELS.items():
         config, out = work / f"{name}.json", work / name
-        config.write_text(json.dumps({"model": model, **CONFIG}))
+        config.write_text(json.dumps({"model": model, **CONFIG, "seed": seed}))
         for command in COMMANDS:
             code = cli.main([command[0], "--config", str(config), "--out", str(out),
                              *command[1:]])
@@ -66,11 +67,15 @@ def digests(work: Path) -> dict:
 
 
 def _assert_committed(work: Path):
-    expected = json.loads(DIGESTS.read_text())
-    found = digests(work)
-    assert sorted(found) == sorted(expected)
-    moved = sorted(key for key in expected if found[key] != expected[key])
-    assert not moved, f"artifacts whose bytes moved: {moved}"
+    committed = json.loads(DIGESTS.read_text())
+    assert sorted(committed) == sorted(map(str, SEEDS))
+    for seed in SEEDS:
+        expected = committed[str(seed)]
+        (work / str(seed)).mkdir()
+        found = digests(work / str(seed), seed)
+        assert sorted(found) == sorted(expected)
+        moved = sorted(key for key in expected if found[key] != expected[key])
+        assert not moved, f"artifacts whose bytes moved at seed {seed}: {moved}"
 
 
 def test_artifacts_match_the_committed_digests(tmp_path):
@@ -83,7 +88,9 @@ def test_one_worker_matches_the_committed_digests(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as work:
-        table = digests(Path(work))
+    table = {}
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as work:
+            table[str(seed)] = digests(Path(work), seed)
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-    print(f"{len(table)} digests written to {DIGESTS}", file=sys.stderr)
+    print(f"{sum(map(len, table.values()))} digests written to {DIGESTS}", file=sys.stderr)

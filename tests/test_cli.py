@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,34 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith(
             "rtq: numeric error: radius 0.3 amplifies round-off")
+
+
+# each law has a float overflow in an intermediate, never in a result: a
+# Pareto index of 171 or more, whose LST series divides by n! past 170!; an
+# Erlang shape whose tail constant rate^(k - 1) / (k - 1)! is finite while
+# its numerator and denominator are not; an Erlang shape whose rate^k is
+# beyond a float in the LST's derivative
+_LARGE_INDEX_OR_SHAPE = {
+    "pareto-index-200": {"lam": 1, "q": 0.5, "mu": 1,
+                         "dist1": {"kind": "pareto", "index": 2.5, "mean": 0.3},
+                         "dist2": {"kind": "pareto", "index": 200, "mean": 1e-6}},
+    "erlang-tail-shape-200": {"lam": 1.0, "q": 0.5, "mu": 1.0,
+                              "dist1": {"kind": "pareto", "index": 2.5, "mean": 0.6},
+                              "dist2": {"kind": "erlang", "shape": 200, "rate": 666}},
+    "erlang-lst-shape-157": {"lam": 4.027, "q": 0.5166, "mu": 421.56,
+                             "dist1": {"kind": "erlang", "shape": 157, "rate": 53927.58},
+                             "dist2": {"kind": "exponential", "mean": 0.0038}},
+}
+
+
+@pytest.mark.parametrize("model", _LARGE_INDEX_OR_SHAPE.values(), ids=list(_LARGE_INDEX_OR_SHAPE))
+def test_large_index_or_shape_analyzes(write_config, tmp_path, model):
+    path = write_config(_base_config(model=model))
+    with warnings.catch_warnings():
+        # the shape-157 model's R12 clips negative dust of 2.6e-7: at a type-1
+        # mean of 0.003 the difference quotient H_beta1 cancels most digits
+        warnings.filterwarnings("ignore", "R12: .* clipping negative dust", UserWarning)
+        assert cli.main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestAnalyze:

@@ -29,10 +29,10 @@ def _log_uniform(lo, hi):
 
 
 _LAWS = st.one_of(
-    st.fixed_dictionaries({"kind": st.just("pareto"), "index": st.floats(1.05, 20.0),
+    st.fixed_dictionaries({"kind": st.just("pareto"), "index": st.floats(1.05, 400.0),
                            "mean": _log_uniform(1e-3, 10.0)}),
     st.fixed_dictionaries({"kind": st.just("exponential"), "mean": _log_uniform(1e-3, 10.0)}),
-    st.fixed_dictionaries({"kind": st.just("erlang"), "shape": st.integers(1, 30),
+    st.fixed_dictionaries({"kind": st.just("erlang"), "shape": st.integers(1, 400),
                            "rate": _log_uniform(0.1, 1e3)}),
 )
 

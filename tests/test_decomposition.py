@@ -16,6 +16,11 @@ from rtq.errors import OverflowGuard, RecursionDepthExceeded
 from rtq.model import Erlang, Exponential, ModelParams, ParetoShifted
 
 
+def _draws_tv(draws, pmf, n):
+    """Total variation over 0..n-1 between integer draws and a pmf."""
+    return verify.tv_distance(verify.empirical_pmf(draws, n), pmf, n)
+
+
 def _factor_pmf(params, name, n=60, radius=0.9):
     fn = lambda u: getattr(T.factor_K(params, np.asarray(u, dtype=complex)), name)
     return T.extract_pmf(fn, n, radius=radius, label=name)
@@ -80,7 +85,7 @@ class TestBusyPeriods:
                              dist2=Exponential(10.0 / 3.0))
         assert params.dist1_eq.mean == np.inf
         draws = DecompositionSampler(params, seed=3).sample("ka", 10_000)
-        assert verify.tv_distance(draws, _factor_pmf(params, "ka"), 40) < 0.02
+        assert _draws_tv(draws, _factor_pmf(params, "ka"), 40) < 0.02
 
     def test_infinite_mean_root_raises_before_it_grows(self):
         # type-1 index 1.5: K's roots have no mean, so the guard, fixed before
@@ -126,7 +131,7 @@ class TestTheta:
         draws = ds.rng.poisson(params.lambda2 * ds.theta(np.full(200_000, 2.0), 2.0))
         pmf = T.extract_pmf(lambda z: np.exp(-params.lam * 2.0 * (1.0 - T.eval_g(params, z))),
                             60, radius=0.9)
-        assert verify.tv_distance(draws, pmf, 40) < 0.01
+        assert _draws_tv(draws, pmf, 40) < 0.01
 
     def test_mean(self, ref_params):
         d = DecompositionSampler(ref_params, seed=80).theta(np.full(200_000, 2.0), 2.0)
@@ -139,11 +144,11 @@ class TestScalarFactors:
     def test_factor_distributions(self, ref_params, sampler, name):
         draws = sampler.sample(name, 200_000)
         pmf = _factor_pmf(ref_params, name)
-        assert verify.tv_distance(draws, pmf, 40) < 0.01
+        assert _draws_tv(draws, pmf, 40) < 0.01
 
     def test_orbit_given_idle(self, ref_params, sampler, bulk_pmfs):
         draws = sampler.sample_r0(200_000)
-        assert verify.tv_distance(draws, bulk_pmfs["R0"], 50) < 0.01
+        assert _draws_tv(draws, bulk_pmfs["R0"], 50) < 0.01
         assert draws.mean() == pytest.approx(ref_params.psi, abs=0.01)
 
 
@@ -161,7 +166,7 @@ class TestPairFactors:
     def test_difference_quotient_marginals(self, ref_params, sampler, which, coord):
         pair = sampler.sample_h_pair(which, 200_000)
         pmf = _h_marginal_pmf(ref_params, which, coord)
-        assert verify.tv_distance(pair[coord], pmf, 30) < 0.015
+        assert _draws_tv(pair[coord], pmf, 30) < 0.015
 
     def test_geometric_stage_marginals(self, ref_params, sampler):
         q, o = sampler.sample_m1_pair(200_000)
@@ -174,11 +179,11 @@ class TestPairFactors:
 
         for coord, draws in ((0, q), (1, o)):
             pmf = T.extract_pmf(lambda z: marg(z, coord), 40, radius=0.9)
-            assert verify.tv_distance(draws, pmf, 30) < 0.015
+            assert _draws_tv(draws, pmf, 30) < 0.015
 
     def test_stationary_pairs_match_inversion(self, million_draws, bulk_pmfs):
         for name in ("R11", "R12", "R21", "R22"):
-            assert verify.tv_distance(million_draws[name], bulk_pmfs[name], 50) < 0.01
+            assert _draws_tv(million_draws[name], bulk_pmfs[name], 50) < 0.01
 
 
 class TestOtherServiceLaws:
@@ -189,14 +194,14 @@ class TestOtherServiceLaws:
     def test_factor_distributions(self, other_model, name):
         params, sampler = other_model
         draws = sampler.sample(name, 200_000)
-        assert verify.tv_distance(draws, _factor_pmf(params, name), 40) < 0.01
+        assert _draws_tv(draws, _factor_pmf(params, name), 40) < 0.01
 
     @pytest.mark.parametrize("which,coord", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_difference_quotient_marginals(self, other_model, which, coord):
         params, sampler = other_model
         pair = sampler.sample_h_pair(which, 200_000)
         pmf = _h_marginal_pmf(params, which, coord)
-        assert verify.tv_distance(pair[coord], pmf, 30) < 0.015
+        assert _draws_tv(pair[coord], pmf, 30) < 0.015
 
 
 class TestDispatchAndSeeding:

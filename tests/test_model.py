@@ -4,6 +4,8 @@ High-precision quadrature (mpmath) provides independent reference values for
 the heavy-tailed transform code.
 """
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -27,16 +29,22 @@ _LAW_METHODS = {
 }
 
 
+# arguments of the Pareto LST checks, on both sides of |scale s| = 1.4
+_LST_POINTS = [0.3, 2.0, 17.0, 1.0 + 1.0j, 0.2 - 2.0j, 1e-9 + 0.3j, 1.4, 1.41, 1e3j, 0.5 + 1.9j]
+
+
 def _mp_lst(dist, s, deriv=False):
-    mp.mp.dps = 30
-    a, sc = mp.mpf(dist.index), mp.mpf(dist.scale)
+    # 30 digits for this quadrature only: a global setting would carry over
+    # to every later mpmath call of the test run
+    with mp.workdps(30):
+        a, sc = mp.mpf(dist.index), mp.mpf(dist.scale)
 
-    def integrand(t):
-        dens = (a / sc) * (1 + t / sc) ** (-(a + 1))
-        base = mp.e ** (-s * t) * dens
-        return -t * base if deriv else base
+        def integrand(t):
+            dens = (a / sc) * (1 + t / sc) ** (-(a + 1))
+            base = mp.e ** (-s * t) * dens
+            return -t * base if deriv else base
 
-    return complex(mp.quad(integrand, [0, mp.inf]))
+        return complex(mp.quad(integrand, [0, mp.inf]))
 
 
 class TestExponential:
@@ -125,6 +133,23 @@ class TestErlang:
         assert d.survival(0.0) == 1.0 and d.survival(np.inf) == 0.0
         assert d.survival(1.5) == d.survival(np.array([1.5]))[0]
 
+    def test_large_shape_against_mpmath(self):
+        # rate^k, rate^(k + 1) and (k - 1)! are all beyond a float at shape
+        # 200 and rate 666, but the LST, its derivative and the tail
+        # constant rate^(k - 1) / (k - 1)! are not
+        k, rate = 200, mp.mpf(666)
+        d = Erlang(k, 666.0)
+        for s in (0.5, 3.0 + 4.0j, 1e3j, 2e4):
+            ratio = rate / (rate + mp.mpmathify(s))
+            val, deriv = d.lst_and_deriv(s)
+            expect = complex(ratio**k)
+            assert abs(complex(val) - expect) <= 1e-12 * abs(expect), s
+            expect = complex(-k * ratio ** (k + 1) / rate)
+            assert abs(complex(deriv) - expect) <= 1e-12 * abs(expect), s
+        L0 = d.tail.L0
+        assert math.isfinite(L0)
+        assert L0 == pytest.approx(float(rate ** (k - 1) / mp.factorial(k - 1)), rel=1e-12)
+
 
 class TestParetoShifted:
     def test_from_mean(self):
@@ -197,27 +222,39 @@ class TestParetoShifted:
         assert np.all(x >= 0)
         assert x.mean() == pytest.approx(0.6, abs=0.01)
 
-    @pytest.mark.parametrize(
-        "index", [0.02, 0.5, 1.0, 1.5, 2.0, 2.000000001, 2.5, 2.999999, 3.0, 3.001, 4.0]
-    )
-    @pytest.mark.parametrize(
-        "s",
-        [0.3, 2.0, 17.0, 1.0 + 1.0j, 0.2 - 2.0j, 1e-9 + 0.3j, 1.4, 1.41, 1e3j, 0.5 + 1.9j],
-    )
-    def test_lst_against_closed_form(self, index, s):
+    @staticmethod
+    def _assert_lst_is_the_closed_form(index, s, scales):
         # DLMF 13.4.4: int_0^inf e^{-s t} (1 + t/c)^{-a-1} dt = c U(1, 1-a, c s),
-        # and DLMF 13.3.22: d/dz U(1, b, z) = -U(2, b + 1, z); the kernel is
-        # the same at every scale, including far from the models' 0.9, and
-        # the indices near integers and the arguments near |c s| = 1.4, where
-        # the power series hands over to the continued fraction, are the hard
-        # cases; the derivative is compared relative to its modulus above 1
-        for scale in (0.9, 1e-4, 1e2):
+        # and DLMF 13.3.22: d/dz U(1, b, z) = -U(2, b + 1, z); the derivative
+        # is compared relative to its modulus above 1
+        for scale in scales:
             d, c = ParetoShifted(index, scale), mp.mpf(scale)
             x = c * mp.mpmathify(s)
             expect = complex(index * mp.hyperu(1, 1 - index, x))
             assert abs(complex(d.lst(s)) - expect) < 1e-13, scale
             expect = complex(-index * c * mp.hyperu(2, 2 - index, x))
             assert abs(complex(d.lst_deriv(s)) - expect) < 1e-13 * max(1.0, abs(expect)), scale
+
+    @pytest.mark.parametrize(
+        "index", [0.02, 0.5, 1.0, 1.5, 2.0, 2.000000001, 2.5, 2.999999, 3.0, 3.001, 4.0]
+    )
+    @pytest.mark.parametrize("s", _LST_POINTS)
+    def test_lst_against_closed_form(self, index, s):
+        # the kernel is the same at every scale, including far from the
+        # models' 0.9, and the indices near integers and the arguments near
+        # |c s| = 1.4, where the power series hands over to the continued
+        # fraction, are the hard cases
+        self._assert_lst_is_the_closed_form(index, s, (0.9, 1e-4, 1e2))
+
+    @pytest.mark.parametrize("index", [171.0, 200.0, 400.0])
+    @pytest.mark.parametrize("s", [s for s in _LST_POINTS if s != 1e3j])
+    def test_lst_of_a_large_index_against_closed_form(self, index, s):
+        # from index 171 on, the power series' n! is beyond the largest
+        # float; scale 1e-4 puts every point on the series and 0.9 puts them
+        # on both sides of the hand-over.  Where |c s| is near the index, as
+        # at scale 1e2 or at 0.9 * 1e3j, mpmath's hyperu takes 0.2 to 3 s a
+        # point, so those continued-fraction points are left out
+        self._assert_lst_is_the_closed_form(index, s, (0.9, 1e-4))
 
     @pytest.mark.parametrize("index", [0.8, 1.5, 2.5])
     def test_lst_at_zero_is_exact(self, index):

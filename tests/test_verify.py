@@ -31,9 +31,22 @@ class TestDistances:
         assert verify.tv_distance(a, b, 2) == pytest.approx(0.3)
         assert verify.tv_distance(b, a, 2) == pytest.approx(0.3)
 
-    def test_tv_accepts_samples_and_pmfs(self):
+    def test_integer_draws_are_refused(self):
+        # integer draws would read as a vector of counts: every function
+        # that reads a source asks for them to be counted first
+        draws = np.array([0, 1, 2**62])
+        for call in (lambda: verify.tv_distance(draws, [0.5, 0.5], 2),
+                     lambda: verify.tv_distance([0.5, 0.5], draws.astype(np.uint8), 2),
+                     lambda: verify.survival_of(draws),
+                     lambda: verify.fit_tail(draws, (10, 20)),
+                     lambda: verify.fit_geom_ratio(draws, (0, 1)),
+                     lambda: verify.compare("R0", {"inversion": [0.5, 0.5], "sampler": draws},
+                                            2, (10, 20), None)):
+            with pytest.raises(TypeError, match=r"empirical_pmf\(samples, n\)"):
+                call()
         samples = np.array([0, 0, 1, 1, 1], dtype=np.int64)
-        assert verify.tv_distance(samples, [0.4, 0.6], 2) == pytest.approx(0.0)
+        counted = verify.empirical_pmf(samples, 1)
+        assert verify.tv_distance(counted, [0.4, 0.6], 2) == pytest.approx(0.0)
 
     def test_empirical_pmf(self):
         p = verify.empirical_pmf(np.array([0, 1, 1, 3]), 4)
@@ -121,7 +134,8 @@ class TestCompare:
     def test_report_structure(self, bulk_pmfs, million_draws, tail_pmfs, ref_catalog):
         report = verify.compare(
             "R0",
-            {"inversion": tail_pmfs["R0"], "sampler": million_draws["R0"],
+            {"inversion": tail_pmfs["R0"],
+             "sampler": verify.empirical_pmf(million_draws["R0"], 50),
              "bulk": bulk_pmfs["R0"]},
             50, (50, 1000), ref_catalog["r0"],
         )
