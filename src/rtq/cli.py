@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, asymptotics, parallel, simulator, transforms, verify
+from . import __version__, asymptotics, parallel, transforms, verify
 from .decomposition import PAIR_TARGETS, SCALAR_TARGETS, DecompositionSampler
 from .errors import (
     AssumptionViolation,
@@ -413,11 +413,11 @@ def cmd_verify(cfg: RunConfig) -> list:
         catalog = asymptotics.tail_catalog(params)
     except NotApplicable as exc:
         raise BadParam(str(exc)) from None
-    # the simulator's replicas in forked children, beside the other pillars
-    # here; the sampler's threads start only once the children are forked
-    (pmfs, lemmas, sampler_pmfs), *replicas = parallel.fork_run(
-        [lambda: _other_pillars(cfg), *simulator.jobs(params, cfg.sim)])
-    sim_res = simulator.pool(cfg.sim, replicas)
+    # the simulator in one forked child, run as `rtq simulate` runs it (its
+    # replicas in-process there), beside the other pillars here; the
+    # sampler's threads start only once the child is forked
+    (pmfs, lemmas, sampler_pmfs), sim_res = parallel.fork_run(
+        lambda: _other_pillars(cfg), lambda: simulate(params, cfg.sim))
     frac = sim_res.state_fractions()
     err = sim_res.state_fraction_stderr()  # below 2 cycles, exit 4 before writing anything
     targets = {

@@ -94,16 +94,15 @@ class DecompositionSampler:
         self.rng = parallel.make_rng(seed, 0)
 
     # primitives
-    def theta(self, roots: np.ndarray, mean: float, max_nodes: int | None = None) -> np.ndarray:
+    def theta(self, roots: np.ndarray, mean: float) -> np.ndarray:
         """Theta: lengths of type-1 busy periods whose roots last `roots`.
-        By default the trees may hold 30 times their mean total of services,
-        and at least a million, a guard fixed before any draw: a tree has
+        The trees may hold 30 times their mean total of services, and at
+        least a million, a guard fixed before any draw: a tree has
         1 + lam1 `mean` / (1 - rho1) services on average, with `mean` the law
         mean of a root, taken as 1 service when infinite."""
         p = self.params
-        if max_nodes is None:
-            per_tree = 1.0 + p.lambda1 * mean / (1.0 - p.rho1) if mean < np.inf else 1.0
-            max_nodes = max(1_000_000, int(30 * roots.size * per_tree))
+        per_tree = 1.0 + p.lambda1 * mean / (1.0 - p.rho1) if mean < np.inf else 1.0
+        max_nodes = max(1_000_000, int(30 * roots.size * per_tree))
         total = np.array(roots, dtype=float)
         alive = np.flatnonzero(total)
         svc, used = total[alive], float(total.size)
@@ -122,11 +121,11 @@ class DecompositionSampler:
             total[alive] += svc
         return total
 
-    def busy_durations(self, n: int, max_nodes: int | None = None) -> np.ndarray:
+    def busy_durations(self, n: int) -> np.ndarray:
         """Lengths of n independent high-priority busy periods: Theta of n
         type-1 root services."""
         root = self.params.dist1
-        return self.theta(root.sample(self.rng, n), root.mean, max_nodes)
+        return self.theta(root.sample(self.rng, n), root.mean)
 
     def sample_xg(self, n: int) -> np.ndarray:
         """Orbit input of one effective arrival: itself (low priority) or

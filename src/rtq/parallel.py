@@ -18,12 +18,12 @@ so the results alive at once are bounded by the worker count, not by the
 number of jobs.  `concurrent.futures` is imported only when the pool is
 used: at module level it would add to every `import rtq.cli`.
 
-`fork_run` runs a few long jobs at once, one per process: it forks one
-child per job after the first, runs the first in the caller, and takes each
-child's result, or its exception with its type, back pickled over a pipe.
-A child runs any `fork_run` of its own in-process, so there is one level of
-children, and a failing run SIGKILLs and reaps every child still running:
-no process outlives it, not even an unreaped one.
+`fork_run(first, second)` runs two long jobs at once: `second` in one
+forked child and `first` in the caller, and takes the child's result, or its
+exception with its type, back pickled over a pipe.  A child runs any
+`fork_run` of its own in-process, so a run forks one child at most, and a
+failing run SIGKILLs and reaps it: no process outlives the run, not even an
+unreaped one.
 """
 
 from __future__ import annotations
@@ -83,38 +83,33 @@ def imap(fn, jobs):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def fork_run(jobs) -> list:
-    """[job() for job in jobs], job 0 in the caller and each other job in a
-    forked child, all forked before job 0 starts; in-process when one
-    worker is all there is, or in a fork_run child.
+def fork_run(first, second) -> tuple:
+    """(first(), second()): second in a forked child, forked before first
+    starts in the caller; in-process when one worker is all there is, or in
+    a fork_run child.
 
-    A job that raises has its exception re-raised in the caller with its
+    When second raises, its exception is re-raised in the caller with its
     type, and a child that ends without a result raises ChildProcessError;
-    either way, and when job 0 raises, every child still running is killed
-    and reaped.  The jobs reach the children by the fork, so closures work;
-    results and exceptions go back pickled.  Forking a process with live
-    threads can deadlock the child, so the caller starts its threads only
-    in job 0.
+    either way, and when first raises or the read is interrupted, the child
+    is killed and reaped.  second reaches the child by the fork, so a
+    closure works; its result or exception goes back pickled.  Forking a
+    process with live threads can deadlock the child, so the caller starts
+    its threads only in first.
     """
-    jobs = list(jobs)
-    if _forked or workers(len(jobs)) <= 1:
-        return [job() for job in jobs]
-    children = deque()
+    if _forked or workers(2) <= 1:
+        return first(), second()
+    pid, fd = _fork(second)
     try:
-        for i, job in enumerate(jobs[1:], start=1):
-            children.append((i, *_fork(job)))
-        results = [jobs[0]()]
-        while children:
-            ok, value = _collect(*children.popleft())
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for _, pid, fd in children:
-            os.close(fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        result = first()
+    except BaseException:
+        os.close(fd)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    ok, value = _collect(pid, fd)
+    if not ok:
+        raise value
+    return result, value
 
 
 def _fork(job):
@@ -155,9 +150,9 @@ def _pickled_error(exc) -> bytes:
         return pickle.dumps((False, ChildProcessError(f"{type(exc).__name__}: {exc}")))
 
 
-def _collect(job: int, pid: int, fd: int):
-    """(ok, value) that child `pid` sent for job `job`; the child is reaped
-    whatever happens, and killed first when the read got nothing."""
+def _collect(pid: int, fd: int):
+    """(ok, value) that child `pid` sent; the child is reaped whatever
+    happens, and killed first when the read got nothing."""
     data = b""
     try:
         with os.fdopen(fd, "rb") as fh:
@@ -170,4 +165,4 @@ def _collect(job: int, pid: int, fd: int):
         return pickle.loads(data)
     code = os.waitstatus_to_exitcode(status)
     how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-    return False, ChildProcessError(f"job {job} ended without a result ({how})")
+    return False, ChildProcessError(f"the child ended without a result ({how})")

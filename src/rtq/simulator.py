@@ -9,11 +9,10 @@ suffice: the next arrival and the server's next event, a completion while
 it is busy and an effective retrial while it is idle, redrawn memorylessly
 whenever the state changes.
 
-Every draw comes from numpy.  A run is _REPLICAS replicas that split the
-event budget: `jobs` gives them as independent callables and `pool` joins
-their results, so a caller may run them beside work of its own, as `rtq
-verify` does.  `simulate` runs replica 0 in the caller and replica 1 in a
-forked child through `parallel.fork_run` (the loop holds the GIL).
+Every draw comes from numpy.  A run is two replicas that split the event
+budget, the first taking the odd event, so one event leaves the second
+none.  `simulate` runs replica 0 in the caller and replica 1 in a forked
+child through `parallel.fork_run` (the loop holds the GIL), and pools them.
 Replica r's inter-arrival times, class picks, retrial clocks and each
 class's service times have streams of their own, clocks 0 to 4 of the
 `parallel.make_rng` key layout; services are drawn by the laws' own
@@ -30,9 +29,9 @@ the regenerative ratio estimator's CLT intervals (Crane & Iglehart 1975;
 Asmussen & Glynn, Stochastic Simulation, 2007, ch. IV), with no warm-up and
 no batches.  The replicas pool their times, histograms, arrival counts and
 cycles; each one's trailing partial cycle counts in the averages, not in
-the error bars.  With few long replicas the bias of pooling,
-O(replicas / events), stays far below the error bars (Glynn &
-Heidelberger, ACM TOMACS 1, 1991).
+the error bars.  With two long replicas the bias of pooling,
+O(2 / events), stays far below the error bars (Glynn & Heidelberger, ACM
+TOMACS 1, 1991).
 """
 
 from __future__ import annotations
@@ -49,12 +48,10 @@ from . import parallel
 from .errors import BadParam, InsufficientData
 from .model import ModelParams
 
-__all__ = ["SimConfig", "SimResult", "simulate", "jobs", "pool",
-           "IDLE", "BUSY1", "BUSY2", "TARGET_STATES"]
+__all__ = ["SimConfig", "SimResult", "simulate", "IDLE", "BUSY1", "BUSY2", "TARGET_STATES"]
 
 IDLE, BUSY1, BUSY2 = 0, 1, 2
 _BLOCK = 4096  # draws fetched from numpy at a time
-_REPLICAS = 2  # few long replicas keep the O(replicas / events) pooling bias negligible
 _STATE_NAMES = ("idle", "busy1", "busy2")
 # each conditional law as the server state it is observed in and the shift
 # of its coordinate in the histogram key nq << 32 | no: 32 for the queue, 0
@@ -98,9 +95,10 @@ class SimResult:
         if n < 2:
             raise InsufficientData(f"{n} completed regeneration cycles; error bars need 2")
         g = self.cycles.T @ self.cycles  # 3x3 sums of Y_is Y_it: no (n, 3) temporary
-        r = self.cycles.sum(axis=0) / self.cycles.sum()
+        total = self.cycles.sum()
+        r = self.cycles.sum(axis=0) / total
         ss = g.diagonal() - 2 * r * g.sum(axis=0) + r * r * g.sum()  # sum (Y_i - r tau_i)^2
-        return np.sqrt(ss * n / (n - 1)) / self.cycles.sum()
+        return np.sqrt(ss * n / (n - 1)) / total
 
     def pasta_fractions(self) -> np.ndarray:
         # the first event is an arrival, so the sum is at least 1
@@ -214,18 +212,13 @@ def _replica(job):
     return t, (c0, c1, c2), np.frombuffer(marks).reshape(-1, 3), (h0, h1, h2), seen
 
 
-def jobs(params: ModelParams, config: SimConfig) -> list:
-    """The run's independent replica jobs: callables, each returning its
-    replica's raw result, to run in any process and hand to `pool`."""
-    replicas = min(_REPLICAS, config.max_events)
-    share, extra = divmod(config.max_events, replicas)
-    return [functools.partial(_replica, (params, config.seed, r, share + (r < extra)))
-            for r in range(replicas)]
-
-
-def pool(config: SimConfig, results) -> SimResult:
-    """The run pooled from its replicas' raw results, in job order."""
-    ends, partials, cycles, hists, seen = zip(*results)
+def simulate(params: ModelParams, config: SimConfig) -> SimResult:
+    """Run the two replicas, the second in a forked child, and pool them;
+    deterministic for a fixed (params, config)."""
+    share, extra = divmod(config.max_events, 2)
+    ends, partials, cycles, hists, seen = zip(*parallel.fork_run(
+        functools.partial(_replica, (params, config.seed, 0, share + extra)),
+        functools.partial(_replica, (params, config.seed, 1, share))))
     cycles = np.concatenate(cycles)
     hist = [{}, {}, {}]
     for h in hists:
@@ -240,9 +233,3 @@ def pool(config: SimConfig, results) -> SimResult:
         hist=hist,
         arrivals_seen=np.sum(seen, axis=0, dtype=np.int64),
     )
-
-
-def simulate(params: ModelParams, config: SimConfig) -> SimResult:
-    """Run the replicas, each but the first in a forked child, and pool
-    them; deterministic for a fixed (params, config)."""
-    return pool(config, parallel.fork_run(jobs(params, config)))

@@ -357,7 +357,7 @@ def _coeffs_from_ring(values, m, n, radius, label=""):
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if total > 1.0 + 1e-7:
-        raise InversionError(f"{label or 'pmf'}: probabilities sum to {total:.9f} > 1")
+        raise InversionError(f"{label or 'pmf'}: probabilities sum to {total:.10g} > 1")
     return Pmf(probs=probs, deficit=max(0.0, 1.0 - total))
 
 

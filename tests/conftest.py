@@ -1,4 +1,7 @@
-"""Shared fixtures: expensive objects built once per session."""
+"""Shared fixtures: expensive objects built once per session, and a record
+of the processes a test forks."""
+
+import os
 
 import numpy as np
 import pytest
@@ -74,3 +77,26 @@ def million_draws(sampler):
     q1, o1 = sampler.sample("r1", 1_000_000)
     q2, o2 = sampler.sample("r2", 1_000_000)
     return {"R0": r0, "R11": q1, "R12": o1, "R21": q2, "R22": o2}
+
+
+@pytest.fixture
+def forks_recorded(monkeypatch, tmp_path_factory):
+    """A callable giving the forks made from now on, by this process or by a
+    process it forks, as (parent pid, child pid) pairs in the order logged.
+
+    Each fork is logged to a file by its parent, so a child's own forks are
+    seen too; a child is reaped before `fork_run` returns, so the log is
+    whole by then."""
+    log = tmp_path_factory.mktemp("forks") / "log"
+    log.touch()
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {pid}\n")
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]

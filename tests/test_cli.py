@@ -375,6 +375,21 @@ def test_large_index_or_shape_analyzes(write_config, tmp_path, model):
         assert cli.main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
+def test_a_huge_pmf_sum_is_printed_in_e_notation(write_config, tmp_path, capsys):
+    # verify inverts R21 of an Erlang(200) type-2 law on a radius near the
+    # PGF's pole, and its ring values sum to about 2.2e159: the refusal
+    # gives that sum in ten significant digits, not in 160
+    cfg = _base_config(model=_LARGE_INDEX_OR_SHAPE["erlang-tail-shape-200"],
+                       sim={"max_events": 2000},
+                       verify={"window": [30, 120], "samples": 1000})
+    assert cli.main(["verify", "--config", write_config(cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("rtq: numeric error: queue | serving type 2 (light): ")
+    assert err.endswith("probabilities sum to 2.181497642e+159 > 1\n")
+    assert not (tmp_path / "out").exists()
+
+
 class TestAnalyze:
     def test_artifacts(self, write_config, tmp_path):
         out = tmp_path / "out"

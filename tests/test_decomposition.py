@@ -63,9 +63,14 @@ class TestBusyPeriods:
         assert np.all(d > 0)
 
     def test_node_budget(self, ref_params):
+        # the budget comes from the law mean of a root, never the realized
+        # roots: 100 roots of 1e6 on a mean of 1 ask for 5e7 services
+        # against a budget of a million, and raise before any draw
         ds = DecompositionSampler(ref_params, seed=1)
-        with pytest.raises(RecursionDepthExceeded):
-            ds.busy_durations(100, max_nodes=5)
+        state = ds.rng.bit_generator.state
+        with pytest.raises(RecursionDepthExceeded, match="exceeded 1000000 services"):
+            ds.theta(np.full(100, 1e6), 1.0)
+        assert ds.rng.bit_generator.state == state
 
     def test_default_budget_scales_with_the_tree_size(self):
         # at rho1 = 0.95 an equilibrium-rooted tree has 58 services on

@@ -1,10 +1,11 @@
-"""`parallel.fork_run`: results in job order, errors with their type, and no
-process left behind when a job fails."""
+"""`parallel.fork_run`: results in job order, errors with their type, one
+child at most, and no process left behind when a job fails."""
 
-import functools
+import dataclasses
 import glob
 import json
 import os
+import pickle
 import signal
 import threading
 import time
@@ -62,31 +63,11 @@ def no_child_left():
     assert not left, f"children left behind: {left}"
 
 
-def _forks_recorded(monkeypatch) -> list:
-    """The pids of the children this process forks from now on."""
-    pids = []
-    fork = os.fork
-
-    def recorded():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recorded)
-    return pids
-
-
-def _calls(fn, args) -> list:
-    """The jobs fn(arg) for arg in args, as callables."""
-    return [functools.partial(fn, arg) for arg in args]
-
-
 def test_results_come_back_in_job_order(two_workers):
-    out = parallel.fork_run(_calls(lambda job: (job, os.getpid()), range(4)))
-    assert [job for job, _ in out] == [0, 1, 2, 3]
-    assert out[0][1] == os.getpid()
-    assert len({pid for _, pid in out}) == 4
+    first, second = parallel.fork_run(lambda: ("first", os.getpid()),
+                                      lambda: ("second", os.getpid()))
+    assert first == ("first", os.getpid())
+    assert second[0] == "second" and second[1] != os.getpid()
 
 
 def test_one_worker_forks_nothing(monkeypatch):
@@ -95,27 +76,26 @@ def test_one_worker_forks_nothing(monkeypatch):
 
     monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, 1))
     monkeypatch.setattr(os, "fork", no_fork)
-    assert parallel.fork_run(_calls(lambda job: (job, os.getpid()), range(3))) == [
-        (job, os.getpid()) for job in range(3)
-    ]
+    ran = []
+    out = parallel.fork_run(lambda: ran.append("first") or os.getpid(),
+                            lambda: ran.append("second") or os.getpid())
+    assert out == (os.getpid(), os.getpid()) and ran == ["first", "second"]
 
 
 def test_a_large_result_crosses_the_pipe(two_workers):
     # larger than a pipe's buffer, so the caller must read while the child writes
-    out = parallel.fork_run(_calls(lambda job: bytes([job]) * (1 << 20), range(3)))
-    assert [len(b) for b in out] == [1 << 20] * 3 and out[2][-1] == 2
+    out = parallel.fork_run(lambda: None, lambda: bytes([2]) * (1 << 20))
+    assert out == (None, bytes([2]) * (1 << 20))
 
 
 @pytest.mark.parametrize("error", [errors.BadParam, errors.RecursionDepthExceeded,
                                    errors.InsufficientData, KeyError])
 def test_a_child_error_keeps_its_type(two_workers, error):
-    def job(i):
-        if i == 1:
-            raise error("planted")
-        return i
+    def second():
+        raise error("planted")
 
     with pytest.raises(error, match="planted"):
-        parallel.fork_run(_calls(job, range(3)))
+        parallel.fork_run(lambda: None, second)
 
 
 @pytest.mark.parametrize("death, message", [
@@ -123,70 +103,56 @@ def test_a_child_error_keeps_its_type(two_workers, error):
     (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by signal 9"),
 ])
 def test_a_child_that_dies_without_a_result(two_workers, death, message):
-    def job(i):
-        if i == 1:
-            death()
-        return i
-
-    with pytest.raises(ChildProcessError, match=f"job 1 ended without a result \\({message}\\)"):
-        parallel.fork_run(_calls(job, range(2)))
+    with pytest.raises(ChildProcessError,
+                       match=f"the child ended without a result \\({message}\\)"):
+        parallel.fork_run(lambda: None, death)
 
 
-def test_a_failing_caller_job_kills_and_reaps_the_children(two_workers, monkeypatch):
-    children = _forks_recorded(monkeypatch)
-
-    def job(i):
-        if i == 0:
-            raise errors.NoConvergence("caller fails")
-        time.sleep(60)
+def test_a_failing_caller_job_kills_and_reaps_the_children(two_workers, forks_recorded):
+    # the caller's job fails while the child still sleeps: the child is
+    # killed and reaped at once
+    def first():
+        raise errors.NoConvergence("caller fails")
 
     start = time.monotonic()
     with pytest.raises(errors.NoConvergence):
-        parallel.fork_run(_calls(job, range(3)))
+        parallel.fork_run(first, lambda: time.sleep(60))
     assert time.monotonic() - start < 10
-    assert len(children) == 2 and not _children() & set(children)
+    (parent, child), = forks_recorded()
+    assert parent == os.getpid() and child not in _children()
 
 
-def test_an_interrupted_collect_kills_and_reaps_the_child(two_workers, monkeypatch):
-    # job 0 is done and the caller waits on the child's pipe when a signal
-    # handler raises: the child still running is killed and reaped
-    children = _forks_recorded(monkeypatch)
-
+def test_an_interrupted_collect_kills_and_reaps_the_child(two_workers, forks_recorded):
+    # the caller's job is done and the caller waits on the child's pipe when
+    # a signal handler raises: the child still running is killed and reaped
     class Interrupted(Exception):
         pass
 
     def interrupt(signum, frame):
         raise Interrupted
 
-    def job(i):
-        if i == 0:  # a thread only once the child is forked
-            threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGUSR1)).start()
-            return i
-        time.sleep(60)
+    def first():  # a thread only once the child is forked
+        threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGUSR1)).start()
 
     previous = signal.signal(signal.SIGUSR1, interrupt)
     start = time.monotonic()
     try:
         with pytest.raises(Interrupted):
-            parallel.fork_run(_calls(job, range(2)))
+            parallel.fork_run(first, lambda: time.sleep(60))
     finally:
         signal.signal(signal.SIGUSR1, previous)
     assert time.monotonic() - start < 10
-    assert len(children) == 1 and not _children() & set(children)
+    (_, child), = forks_recorded()
+    assert child not in _children()
 
 
-def test_a_fork_run_in_a_child_forks_nothing(two_workers, monkeypatch):
-    forks = _forks_recorded(monkeypatch)
+def test_a_fork_run_in_a_child_forks_nothing(two_workers, forks_recorded):
+    def second():
+        return os.getpid(), parallel.fork_run(os.getpid, os.getpid)
 
-    def job(i):
-        if i == 0:
-            return None
-        inner = parallel.fork_run([os.getpid] * 3)
-        return os.getpid(), inner, list(forks)  # the forks this child recorded
-
-    _, (child, inner, child_forks) = parallel.fork_run(_calls(job, range(2)))
-    assert inner == [child] * 3 and child_forks == []
-    assert forks == [child]
+    _, (child, inner) = parallel.fork_run(lambda: None, second)
+    assert inner == (child, child)
+    assert forks_recorded() == [(os.getpid(), child)]
 
 
 _VERIFY = {
@@ -208,7 +174,7 @@ def _verify(tmp_path, out="out", **overrides) -> int:
 
 
 def test_verify_report_does_not_depend_on_the_worker_count(monkeypatch, tmp_path):
-    # one worker runs every pillar in this process, two fork the replicas
+    # one worker runs every pillar in this process, two fork the simulator
     for cores in (1, 2):
         monkeypatch.setattr(parallel, "workers", lambda jobs, cores=cores: min(jobs, cores))
         assert _verify(tmp_path, out=f"cores{cores}") == 0
@@ -217,32 +183,45 @@ def test_verify_report_does_not_depend_on_the_worker_count(monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_verify_pools_the_run_that_simulate_gives(monkeypatch, tmp_path, cores):
-    # verify runs the replica jobs beside its other pillars and pools them
-    # itself: the pooled run is simulate's, exactly
+def test_verify_simulates_the_run_that_simulate_gives(monkeypatch, tmp_path, cores):
+    # verify calls `cli.simulate`, the name `rtq simulate` calls, in its one
+    # child (in this process with one worker), and reports on the run it
+    # gets back: a direct simulate's, field by field
     monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, cores))
-    pooled, pool = [], simulator.pool
+    calls = tmp_path / "calls"
+    simulate, verify_target = cli.simulate, cli._verify_target
+    reported = []
 
-    def recorded(*args):
-        pooled.append(pool(*args))
-        return pooled[-1]
+    def recorded(params, config):
+        with open(calls, "ab") as fh:  # from the child too
+            pickle.dump((os.getpid(), config), fh)
+        return simulate(params, config)
 
-    monkeypatch.setattr(simulator, "pool", recorded)
+    def recorded_target(cfg, target, pmfs, sim_res, *rest):
+        reported.append(sim_res)
+        return verify_target(cfg, target, pmfs, sim_res, *rest)
+
+    monkeypatch.setattr(cli, "simulate", recorded)
+    monkeypatch.setattr(cli, "_verify_target", recorded_target)
     assert _verify(tmp_path) == 0
     cfg = cli.load_config(str(tmp_path / "config.json"))
-    ours, theirs = pooled[0], simulator.simulate(cfg.params, cfg.sim)
-    assert len(pooled) == 2 and ours.events == theirs.events == 40_000
-    assert ours.collected_time == theirs.collected_time
-    for field in ("time_in_state", "cycles", "arrivals_seen"):
-        assert np.array_equal(getattr(ours, field), getattr(theirs, field)), field
-    assert ours.hist == theirs.hist
+    with open(calls, "rb") as fh:
+        (pid, config), rest = pickle.load(fh), fh.read()
+    assert rest == b"" and config == cfg.sim
+    assert (pid == os.getpid()) == (cores == 1)
+    ours, theirs = reported[0], simulate(cfg.params, cfg.sim)
+    assert len(reported) == len(simulator.TARGET_STATES)
+    assert all(res is ours for res in reported) and ours.events == 40_000
+    for field in dataclasses.fields(simulator.SimResult):
+        a, b = getattr(ours, field.name), getattr(theirs, field.name)
+        assert (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b), field.name
 
 
 @pytest.mark.parametrize("error", [errors.BadParam, errors.RecursionDepthExceeded,
                                    errors.InsufficientData])
 def test_a_simulator_error_keeps_verify_exit_code(two_workers, monkeypatch, tmp_path,
                                                   capsys, error):
-    # the replicas run in forked children: their error reaches main with its type
+    # the replicas run in verify's forked child: their error reaches main with its type
     caller = os.getpid()
 
     def failing(job):
@@ -257,10 +236,10 @@ def test_a_simulator_error_keeps_verify_exit_code(two_workers, monkeypatch, tmp_
     assert not (tmp_path / "out").exists()
 
 
-def test_a_failing_verify_leaves_no_process(two_workers, monkeypatch, tmp_path, capsys):
-    # the sampler fails in the caller while both replica children are still
-    # simulating 2e7 events
-    children = _forks_recorded(monkeypatch)
+def test_a_failing_verify_leaves_no_process(two_workers, forks_recorded, monkeypatch,
+                                           tmp_path, capsys):
+    # the sampler fails in the caller while the simulator's one child is
+    # still simulating 2e7 events
     raised = []
 
     def failing_sampler(self, n):
@@ -271,5 +250,23 @@ def test_a_failing_verify_leaves_no_process(two_workers, monkeypatch, tmp_path, 
     assert _verify(tmp_path, sim={"max_events": 20_000_000}) == 3
     assert time.monotonic() - raised[0] < 2  # far less than the 2e7 events take
     assert "sampler fails" in capsys.readouterr().err
-    assert len(children) == 2 and not _children() & set(children)
+    (parent, child), = forks_recorded()
+    assert parent == os.getpid() and child not in _children()
     assert not (tmp_path / "out").exists()
+
+
+def test_each_command_forks_one_child_at_most(two_workers, forks_recorded, tmp_path):
+    # with two workers, simulate and verify fork one child each, which
+    # forks nothing, and analyze and sample fork none
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_VERIFY))
+    forked = {}
+    for command in ("analyze", "sample", "simulate", "verify"):
+        logged = len(forks_recorded())
+        args = [command, "--config", str(path), "--out", str(tmp_path / command)]
+        if command == "sample":
+            args += ["--target", "r1", "-n", "1000"]
+        assert cli.main(args) == 0, command
+        forked[command] = [parent for parent, _ in forks_recorded()[logged:]]
+    caller = os.getpid()
+    assert forked == {"analyze": [], "sample": [], "simulate": [caller], "verify": [caller]}
