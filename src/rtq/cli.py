@@ -352,12 +352,8 @@ def cmd_sample(cfg: RunConfig, target: str, n: int) -> list:
     sampler = DecompositionSampler(cfg.params, seed=cfg.seed)
     path = os.path.join(cfg.out, f"samples_{name}.csv")
     with _atomic_file(path) as fh:
-        if name in PAIR_TARGETS:
-            fh.write("queue,orbit\n")
-            sampler.sample_into(target, n, lambda pair: fh.write(_int_csv_rows(*pair)))
-        else:
-            fh.write("value\n")
-            sampler.sample_into(target, n, lambda col: fh.write(_int_csv_rows(col)))
+        fh.write("queue,orbit\n" if name in PAIR_TARGETS else "value\n")
+        sampler.sample_into(name, n, lambda columns: fh.write(_int_csv_rows(*columns)))
     return [path]
 
 
@@ -379,28 +375,30 @@ def _verify_target(cfg, target, pmfs, sim_res, sampler_pmfs, catalog):
 
 def _sampler_pmfs(cfg: RunConfig) -> dict:
     """Empirical pmfs of the five laws from verify.samples draws of r0, r1
-    and r2, drawn through one pool: the counts of 0..n_states are added up
-    block by block as the sampler hands the blocks over, and no draws are
-    kept."""
+    and r2, drawn in turn: the counts of 0..n_states are added up block by
+    block as the sampler hands the blocks over, and no draws are kept."""
     sampler = DecompositionSampler(cfg.params, seed=cfg.seed)
     size = cfg.verify_n_states + 1
     laws = {"r0": ("R0",), "r1": ("R11", "R12"), "r2": ("R21", "R22")}
-    counts = {t: np.zeros((len(tags), size), dtype=np.int64) for t, tags in laws.items()}
+    pmfs = {}
+    for target, tags in laws.items():
+        counts = np.zeros((len(tags), size), dtype=np.int64)
 
-    def add(drawn, rows):
-        for row, d in zip(rows, drawn if isinstance(drawn, tuple) else (drawn,)):
-            row += np.bincount(d[d < size], minlength=size)  # a huge draw allocates nothing
+        def add(columns):
+            for row, d in zip(counts, columns):
+                row += np.bincount(d[d < size], minlength=size)  # a huge draw allocates nothing
 
-    sampler.sample_into(tuple(laws), cfg.verify_samples,
-                        tuple(lambda drawn, rows=counts[t]: add(drawn, rows) for t in laws))
-    return {tag: row / cfg.verify_samples
-            for t, tags in laws.items() for tag, row in zip(tags, counts[t])}
+        sampler.sample_into(target, cfg.verify_samples, add)
+        pmfs.update(zip(tags, counts / cfg.verify_samples))
+    return pmfs
 
 
 def _other_pillars(cfg: RunConfig):
     """What `verify` computes beside the simulator: the inversion pmfs, the
-    lemma checks and the sampler pmfs."""
-    n_tail = max(cfg.inversion_n, 4 * cfg.verify_window[1] // 3)
+    lemma checks and the sampler pmfs.  The inversion runs on verify's own
+    contour, sized from the verify block alone: radius 0.995 and a third more
+    coefficients than the top of the tail window."""
+    n_tail = max(cfg.verify_n_states, 4 * cfg.verify_window[1] // 3)
     pmfs = transforms.conditional_pmfs(cfg.params, n_tail, radius=0.995)
     return pmfs, verify.check_appendix_lemmas(), _sampler_pmfs(cfg)
 

@@ -23,12 +23,11 @@ and T1e, T2e, Te the equilibrium type-1, type-2 and merged services:
 R0, the orbit given an idle server, is Poisson(psi) candidate K draws, each
 kept with probability 1/(K+1) and then contributing K+1.  The samplers are
 exact in distribution and vectorised over their n draws, with no tables, no
-truncation and no call into the analytic evaluators.
+truncation, no rejection loop and no call into the analytic evaluators.
 
 Streams: `sample_into` splits n draws into blocks of _BLOCK; block i draws
 from its own stream, key (0, k + i) of the `parallel.make_rng` layout, with
-k the blocks the sampler drew before, and targets drawn through one pool
-take the keys that calls in turn would.  Threads draw the blocks (numpy
+k the blocks the sampler drew before.  Threads draw the blocks (numpy
 releases the GIL) a few per worker ahead of the caller, which receives them
 in block order, so draws never depend on the core count and their memory
 does not grow with n.  Primitives called directly draw from the sampler's
@@ -246,42 +245,38 @@ class DecompositionSampler:
         return q, o + self.sample_r0(n)
 
     # dispatch
-    def sample_into(self, target, n: int, write) -> None:
+    def sample_into(self, target: str, n: int, write) -> None:
         """Draw n values of a named factor and pass them to `write` one
-        block at a time, in block order; a pair target's block is a tuple.
+        block at a time, in block order, each block a tuple of columns:
+        (values,) or (queue, orbit).
 
         The draws come in blocks of _BLOCK, block i from stream
         (0, k + i) with k the blocks drawn so far, on a thread pool
         that runs a few blocks ahead of `write`.  When a block or `write`
-        raises, the blocks not yet started are never drawn.  With a tuple
-        of names and one of as many callables, one pool draws n of each, on
-        the streams that calls in turn would use, and hands each block to its
-        target's callable.
+        raises, the blocks not yet started are never drawn.
         """
-        names, writers = (target, write) if isinstance(target, tuple) else ((target,), (write,))
-        calls = [_CALLS.get(name.lower()) for name in names]
-        if None in calls:
-            raise ValueError(f"unknown target {names[calls.index(None)]!r}; choose from "
+        call = _CALLS.get(target.lower())
+        if call is None:
+            raise ValueError(f"unknown target {target!r}; choose from "
                              f"{', '.join(SCALAR_TARGETS + PAIR_TARGETS)}")
+        method, *args = call
         sizes = [min(_BLOCK, n - start) for start in range(0, max(n, 1), _BLOCK)]
-        jobs = [(call, put, size) for call, put in zip(calls, writers) for size in sizes]
-        first, self.blocks = self.blocks, self.blocks + len(jobs)
+        first, self.blocks = self.blocks, self.blocks + len(sizes)
 
         def block(i):
-            (method, *args), _, size = jobs[i]
             sub = copy.copy(self)
             sub.rng = parallel.make_rng(self.seed, 0, first + i)
-            return getattr(sub, method)(*args, size)
+            drawn = getattr(sub, method)(*args, sizes[i])
+            return drawn if isinstance(drawn, tuple) else (drawn,)
 
-        with contextlib.closing(parallel.imap(block, range(len(jobs)))) as blocks:
-            for (_, put, _), drawn in zip(jobs, blocks):
-                put(drawn)
+        with contextlib.closing(parallel.imap(block, range(len(sizes)))) as blocks:
+            for drawn in blocks:
+                write(drawn)
 
     def sample(self, target: str, n: int):
         """Draw n values of a named factor; pair targets return a tuple.
         The blocks of `sample_into`, joined."""
         parts = []
         self.sample_into(target, n, parts.append)
-        if isinstance(parts[0], tuple):
-            return tuple(np.concatenate(col) for col in zip(*parts))
-        return np.concatenate(parts)
+        columns = tuple(np.concatenate(col) for col in zip(*parts))
+        return columns if len(columns) > 1 else columns[0]

@@ -340,20 +340,14 @@ class ParetoShifted(ServiceDist):
         return self.scale * (u ** (-1.0 / self.index) - 1.0)
 
     def sample_length_biased(self, rng, size):
-        # t f(t) / mean = index * t / (t + scale) * (density of the
-        # equilibrium law), so accept equilibrium draws with probability
-        # t / (t + scale); the acceptance rate is exactly 1 / index
+        """Closed form, no rejection: t f(t) / mean is proportional to
+        x (1 + x)**-(index + 1) at x = t / scale, the beta-prime(2, index - 1)
+        law of a Gamma(2) over an independent Gamma(index - 1) (Devroye,
+        Non-Uniform Random Variate Generation, 1986, ch. IX)."""
         if self.index <= 1:
             raise BadParam("pareto index must exceed 1 for a length-biased law")
-        proposal = self.equilibrium()
-        out = np.empty(size)
-        got = 0
-        while got < size:
-            t = proposal.sample(rng, int((size - got) * self.index * 1.1) + 16)
-            t = t[rng.random(t.size) * (t + self.scale) < t][: size - got]
-            out[got : got + t.size] = t
-            got += t.size
-        return out
+        g2 = rng.standard_gamma(2.0, size)
+        return self.scale * g2 / rng.standard_gamma(self.index - 1.0, size)
 
     def poisson_mixture_pmf(self, lam: float, kmax: int) -> np.ndarray:
         """b_k = E[(lam T)^k exp(-lam T) / k!] for k = 0..kmax, by exp-sinh

@@ -9,7 +9,8 @@ streams and the printed digits keeps every digest; a change that moves them
 on purpose rewrites the file and lists the moved digests in CHANGES.md.  The
 artifacts are compared at the host's worker count and at one worker, where
 every job runs in-process, so the worker count changes no byte either.  To
-rewrite the file:
+rewrite the file, printing per seed the keys whose digests moved, were
+added or were dropped:
 
     PYTHONPATH=src python3 tests/test_artifact_digests.py
 
@@ -17,7 +18,9 @@ The float artifacts carry the bits of numpy's FFT and the host's libm, so
 the digests are those of one numpy and one libm.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -87,10 +90,24 @@ def test_one_worker_matches_the_committed_digests(tmp_path, monkeypatch):
     _assert_committed(tmp_path)
 
 
+def _changes(old: dict, new: dict) -> dict:
+    """The keys whose digests moved, were added or were dropped."""
+    return {"moved": sorted(k for k in old.keys() & new.keys() if old[k] != new[k]),
+            "added": sorted(new.keys() - old.keys()),
+            "dropped": sorted(old.keys() - new.keys())}
+
+
 if __name__ == "__main__":
+    committed = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     table = {}
     for seed in SEEDS:
-        with tempfile.TemporaryDirectory() as work:
+        # the commands print their artifacts' temporary paths
+        with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
             table[str(seed)] = digests(Path(work), seed)
+        changes = _changes(committed.get(str(seed), {}), table[str(seed)])
+        print(f"seed {seed}: " + ", ".join(f"{len(keys)} {c}" for c, keys in changes.items()))
+        for change, keys in changes.items():
+            for key in keys:
+                print(f"  {change} {key}")
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"{sum(map(len, table.values()))} digests written to {DIGESTS}", file=sys.stderr)

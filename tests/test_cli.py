@@ -743,8 +743,8 @@ class TestVerify:
         assert (out / "verify_report.json").exists()
 
     def test_sampler_pmfs_are_the_targets_drawn_in_turn(self, write_config, monkeypatch):
-        # one pool draws r0, r1 and r2 on the streams that calls in turn use;
-        # 70,001 draws end each target's blocks with a short one
+        # r0, r1 and r2 drawn in turn from one sampler; 70,001 draws end
+        # each target's blocks with a short one
         monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, 2))
         cfg = cli.load_config(write_config(_base_config(
             verify={"n_states": 40, "samples": 70_001})))
@@ -754,6 +754,19 @@ class TestVerify:
         assert list(pmfs) == ["R0", "R11", "R12", "R21", "R22"]
         for tag, d in zip(pmfs, drawn):
             np.testing.assert_array_equal(pmfs[tag], np.bincount(d, minlength=41)[:41] / 70_001)
+
+    def test_the_inversion_block_is_not_read(self, write_config, tmp_path):
+        # verify sizes its own contour; an inversion block that analyze
+        # accepts but verify's radius could not reach changes nothing
+        reports = []
+        for name, inversion in (("deep", {"n": 5000, "radius": 0.999}), ("base", {"n": 60})):
+            cfg = _base_config(inversion=inversion,
+                               verify={"window": [30, 120], "n_states": 40, "samples": 20_000})
+            out = tmp_path / name
+            assert cli.main(["verify", "--config", write_config(cfg, f"{name}.json"),
+                             "--out", str(out)]) == 0
+            reports.append((out / "verify_report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_small_end_to_end(self, write_config, tmp_path):
         out = tmp_path / "out"

@@ -223,11 +223,11 @@ class TestDispatchAndSeeding:
         with pytest.raises(ValueError, match="unknown target"):
             DecompositionSampler(ref_params, seed=0).sample("r3", 10)
 
-    def test_unknown_target_among_several_draws_nothing(self, ref_params):
-        ds = DecompositionSampler(ref_params, seed=0)
+    def test_unknown_target_draws_nothing(self, ref_params):
+        ds, blocks = DecompositionSampler(ref_params, seed=0), []
         with pytest.raises(ValueError, match="unknown target 'r3'"):
-            ds.sample_into(("r0", "r3"), 10, (print, print))
-        assert ds.blocks == 0
+            ds.sample_into("r3", 10, blocks.append)
+        assert ds.blocks == 0 and blocks == []
 
     def test_determinism(self, ref_params):
         a = DecompositionSampler(ref_params, seed=9).sample("r0", 500)
@@ -274,6 +274,14 @@ class TestBlocks:
         joined = DecompositionSampler(ref_params, seed=5).sample("s1", 2 * _BLOCK + 1)
         for col, whole in zip(zip(*blocks), joined):
             np.testing.assert_array_equal(np.concatenate(col), whole)
+
+    @pytest.mark.parametrize("target", SCALAR_TARGETS + PAIR_TARGETS)
+    def test_every_block_is_a_tuple_of_columns(self, ref_params, target):
+        blocks = []
+        DecompositionSampler(ref_params, seed=5).sample_into(target, 20, blocks.append)
+        [block] = blocks
+        assert type(block) is tuple and len(block) == (2 if target in PAIR_TARGETS else 1)
+        assert all(col.shape == (20,) for col in block)
 
     def test_a_failing_write_stops_the_draws(self, ref_params, monkeypatch):
         # the pool runs at most 2 blocks per worker ahead of the one written

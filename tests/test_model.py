@@ -401,6 +401,15 @@ class TestLengthBiased:
             expect = (t * dist.survival(t) + m * dist.equilibrium().survival(t)) / m
             assert np.mean(x > t) == pytest.approx(float(expect), abs=0.005)
 
+    @pytest.mark.parametrize("index", [1.5, 2.5])
+    def test_pareto_survival(self, index):
+        # x = t / scale; the biased mean is infinite below index 2
+        dist = ParetoShifted(index, 0.7)
+        t = dist.sample_length_biased(np.random.default_rng(22), 200_000)
+        for x in (0.25, 1.0, 4.0, 20.0):
+            expect = (1 + x) ** -(index - 1) * (1 + (index - 1) * x / (1 + x))
+            assert np.mean(t > x * dist.scale) == pytest.approx(expect, abs=0.005)
+
     def test_pareto_with_infinite_biased_mean(self):
         x = ParetoShifted(1.5, 0.5).sample_length_biased(np.random.default_rng(4), 50_000)
         assert x.shape == (50_000,)
