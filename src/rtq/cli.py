@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import json
 import math
@@ -301,12 +302,12 @@ def cmd_analyze(cfg: RunConfig) -> list:
     paths = []
     for name, pmf in sorted(pmfs.items()):
         j = [*range(len(pmf)), "deficit"]
-        p = [f"{v:.17g}" for v in (*pmf.probs, pmf.deficit)]
+        p = [f"{v:.17g}" for v in (*pmf.probs.tolist(), pmf.deficit)]
         path = os.path.join(cfg.out, f"pmf_{name}.csv")
         _atomic_write(path, _csv_text(("j", "probability"), j, p))
         paths.append(path)
 
-    factors = [[f"{v.real:.17g}" for v in col] for col in (kf.ka, kf.kb, kf.kc, kf.k)]
+    factors = [[f"{v:.17g}" for v in col.real.tolist()] for col in (kf.ka, kf.kb, kf.kc, kf.k)]
     path = os.path.join(cfg.out, "factors.csv")
     _atomic_write(path, _csv_text(("u", "ka", "kb", "kc", "k"),
                                   [f"{v:.4f}" for v in u], *factors))
@@ -396,10 +397,13 @@ def _sampler_pmfs(cfg: RunConfig) -> dict:
 def _other_pillars(cfg: RunConfig):
     """What `verify` computes beside the simulator: the inversion pmfs, the
     lemma checks and the sampler pmfs.  The inversion runs on verify's own
-    contour, sized from the verify block alone: radius 0.995 and a third more
-    coefficients than the top of the tail window."""
+    contour, sized from the verify block alone: n, a third more coefficients
+    than the top of the tail window, at the radius r with r^(4 n) the
+    aliasing tolerance of `conditional_pmfs`.  Its contour is then about 4 n
+    points, and the round-off of p_n grows by r^-n, 1e3, at every depth."""
     n_tail = max(cfg.verify_n_states, 4 * cfg.verify_window[1] // 3)
-    pmfs = transforms.conditional_pmfs(cfg.params, n_tail, radius=0.995)
+    radius = transforms._ALIAS_TOL ** (1.0 / (4 * n_tail))
+    pmfs = transforms.conditional_pmfs(cfg.params, n_tail, radius=radius)
     return pmfs, verify.check_appendix_lemmas(), _sampler_pmfs(cfg)
 
 
@@ -497,6 +501,10 @@ def main(argv=None) -> int:
 
 
 def entry():
+    """The console script, also run by `python -m rtq.cli`.  The objects of
+    the imports so far are frozen out of the garbage collector first, so
+    that the collections at interpreter exit skip them."""
+    gc.freeze()
     sys.exit(main())
 
 

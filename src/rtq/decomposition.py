@@ -167,6 +167,9 @@ class DecompositionSampler:
         p = self.params
         dist, eq = (p.dist1, p.dist1_eq) if which == 1 else (p.dist2, p.dist2_eq)
         t = dist.sample_length_biased(self.rng, n)
+        if not np.isfinite(t).all():
+            raise OverflowGuard(
+                f"a length-biased type-{which} service is beyond the largest float")
         v = t * self.rng.random(n)
         return v, t - v, eq.mean
 

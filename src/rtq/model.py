@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -211,22 +211,13 @@ _SERIES_TERMS = 30
 _FRACTION_DEPTH = 250
 
 
-def _exp_en_series(orders, x):
-    """e^x E_p(x) for each order p > 0 of `orders` at the points x,
-    0 < |x| <= _SERIES_RADIUS, from the power series of DLMF 8.19.
-
-    With n = max(round(p - 1), 0), eps = p - 1 - n and
-    G = Gamma(1 - eps) / prod_{j=1..n} (1 + eps/j),
-        E_p(x) = (-x)^n/n! (1 - G x^eps)/eps - sum_{k != n} (-x)^k / (k! (k + 1 - p)),
-    which joins the series' terms Gamma(1 - p) x^(p - 1) and k = n: both grow
-    like 1/eps and cancel.  The quotient is G ((1/G - 1)/eps - expm1(eps ln x)/eps),
-    with (1/G - 1)/eps from series in eps and ln x for the second part at
-    eps = 0, so near-integer orders keep full accuracy and integer ones need
-    no branch.  The sums over k run by Horner's rule, every order at once.
-    """
-    log_x = np.log(x)
-    lead = np.empty((len(orders), x.size), dtype=complex)
-    coefs = np.zeros((len(orders), _SERIES_TERMS, 1))  # of (-x)^k, k != n
+@cache
+def _series_constants(orders):
+    """What `_exp_en_series` needs of each order, for the orders tuple:
+    rows (n, eps, D P + Q, (1 + eps D) P, n!) and the Horner coefficients
+    of (-x)^k, k != n, of shape (len(orders), _SERIES_TERMS, 1), read-only."""
+    rows = []
+    coefs = np.zeros((len(orders), _SERIES_TERMS, 1))
     for row, p in enumerate(orders):
         n = max(round(p - 1.0), 0)
         eps = p - 1.0 - n
@@ -237,16 +228,41 @@ def _exp_en_series(orders, x):
             Q += P / j
             P *= 1.0 + eps / j
         D = -np.polyval(_RECIP_GAMMA[::-1], -eps)
-        power = np.expm1(eps * log_x) / eps if eps else log_x
         # n! is beyond the largest float from n = 171 on, where |(-x)^n / n!|
         # is below 1e-280: that float in its place keeps the term negligible
         n_fact = min(math.factorial(n), sys.float_info.max)
-        lead[row] = (-x) ** n / n_fact * (D * P + Q - power) / ((1.0 + eps * D) * P)
+        rows.append((n, eps, D * P + Q, (1.0 + eps * D) * P, n_fact))
         coefs[row, :, 0] = [0.0 if k == n else 1.0 / (math.factorial(k) * (p - 1.0 - k))
                             for k in range(_SERIES_TERMS)]
+    coefs.flags.writeable = False
+    return tuple(rows), coefs
+
+
+def _exp_en_series(orders, x):
+    """e^x E_p(x) for each order p > 0 of `orders` (a tuple) at the points
+    x, 0 < |x| <= _SERIES_RADIUS, from the power series of DLMF 8.19.
+
+    With n = max(round(p - 1), 0), eps = p - 1 - n and
+    G = Gamma(1 - eps) / prod_{j=1..n} (1 + eps/j),
+        E_p(x) = (-x)^n/n! (1 - G x^eps)/eps - sum_{k != n} (-x)^k / (k! (k + 1 - p)),
+    which joins the series' terms Gamma(1 - p) x^(p - 1) and k = n: both grow
+    like 1/eps and cancel.  The quotient is G ((1/G - 1)/eps - expm1(eps ln x)/eps),
+    with (1/G - 1)/eps from series in eps and ln x for the second part at
+    eps = 0, so near-integer orders keep full accuracy and integer ones need
+    no branch.  The sums over k run by Horner's rule, every order at once.
+    The constants of each order are computed once per orders tuple
+    (`_series_constants`); only the arithmetic in x runs per call.
+    """
+    rows, coefs = _series_constants(orders)
+    log_x = np.log(x)
+    lead = np.empty((len(orders), x.size), dtype=complex)
+    for row, (n, eps, dpq, den, n_fact) in enumerate(rows):
+        power = np.expm1(eps * log_x) / eps if eps else log_x
+        lead[row] = (-x) ** n / n_fact * (dpq - power) / den
     poly = np.zeros_like(lead)
     for k in reversed(range(_SERIES_TERMS)):
-        poly = coefs[:, k] - poly * x
+        poly *= x
+        np.subtract(coefs[:, k], poly, out=poly)
     return np.exp(x) * (lead + poly)
 
 
@@ -336,18 +352,24 @@ class ParetoShifted(ServiceDist):
         return ParetoShifted(self.index - 1, self.scale)
 
     def sample(self, rng, size):
+        # an index near 0, as of the equilibrium law of an index near 1, can
+        # draw beyond the largest float: that draw is inf, without a warning
         u = rng.random(size)
-        return self.scale * (u ** (-1.0 / self.index) - 1.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.scale * (u ** (-1.0 / self.index) - 1.0)
 
     def sample_length_biased(self, rng, size):
         """Closed form, no rejection: t f(t) / mean is proportional to
         x (1 + x)**-(index + 1) at x = t / scale, the beta-prime(2, index - 1)
         law of a Gamma(2) over an independent Gamma(index - 1) (Devroye,
-        Non-Uniform Random Variate Generation, 1986, ch. IX)."""
+        Non-Uniform Random Variate Generation, 1986, ch. IX).  Near index 1
+        the Gamma(index - 1) can underflow to 0, and a draw beyond the largest
+        float is inf, without a warning."""
         if self.index <= 1:
             raise BadParam("pareto index must exceed 1 for a length-biased law")
         g2 = rng.standard_gamma(2.0, size)
-        return self.scale * g2 / rng.standard_gamma(self.index - 1.0, size)
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.scale * g2 / rng.standard_gamma(self.index - 1.0, size)
 
     def poisson_mixture_pmf(self, lam: float, kmax: int) -> np.ndarray:
         """b_k = E[(lam T)^k exp(-lam T) / k!] for k = 0..kmax, by exp-sinh

@@ -126,10 +126,14 @@ def solve_alpha(params: ModelParams, s):
 
 
 def solve_h(params: ModelParams, z2):
-    """Minimal root of h = beta1(lam - lam1 h - lam2 z2)."""
+    """Minimal root of h = beta1(lam - lam1 h - lam2 z2); exactly 1 at
+    z2 = 1, where a type-1 busy period ends with probability 1 and Newton
+    can stop an ulp short, which the equilibrium LST of a type-1 index near
+    1 turns into an error of several percent at s = lam (1 - g(1))."""
     z2 = np.asarray(z2, dtype=complex)
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
-    return _busy_root(params, lambda x: lam - lam1 * x - lam2 * z2)
+    h = _busy_root(params, lambda x: lam - lam1 * x - lam2 * z2)
+    return np.where(z2 == 1.0, 1.0 + 0j, h)[()]
 
 
 def eval_g(params: ModelParams, z2, h=None):

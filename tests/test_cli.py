@@ -88,6 +88,22 @@ class TestConfigValidation:
         assert proc.returncode == 2, proc.stderr
         assert "config error" in proc.stderr
 
+    def test_console_entry_runs_analyze(self, write_config, tmp_path):
+        # the console script's path, entry(), end to end in a fresh
+        # interpreter: exit 0, every artifact path on stdout, one log record
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-c", "from rtq.cli import entry; entry()", "analyze",
+             "--config", write_config(_base_config()), "--out", str(out)],
+            env=_src_env(), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed = proc.stdout.split()
+        assert sorted(printed) == sorted(str(p) for p in out.iterdir() if p.name != "runs.jsonl")
+        assert len(printed) == 7  # five pmfs, factors.csv and catalog.json
+        (record,) = [json.loads(line) for line in (out / "runs.jsonl").read_text().splitlines()]
+        assert record["command"] == "analyze" and record["artifacts"] == sorted(printed)
+
     def test_import_does_not_load_scipy_stats(self):
         # a fresh interpreter: this one may already hold scipy; rtq loads no
         # part of it, scipy.stats included
@@ -558,6 +574,20 @@ class TestSample:
         assert capsys.readouterr().err.startswith("rtq: numeric error: ")
         assert not (tmp_path / "out" / "samples_ka.csv").exists()
 
+    @pytest.mark.parametrize("target", ["h1", "h2"])
+    def test_length_biased_draws_near_index_one_end_in_one_line(self, write_config, tmp_path,
+                                                               capsys, target):
+        # both indices at 1.01: a length-biased draw can exceed the largest
+        # float; the command refuses it in one line, without a numpy warning
+        # (the suite turns warnings into errors)
+        cfg = _base_config()
+        cfg["model"]["dist1"]["index"] = 1.01
+        cfg["model"]["dist2"] = {"kind": "pareto", "index": 1.01, "mean": 0.3}
+        assert cli.main(["sample", "--config", write_config(cfg), "--out",
+                         str(tmp_path / "out"), "--target", target, "-n", "20000"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("rtq: numeric error: ") and err.count("\n") == 1
+
     def test_deterministic_per_seed(self, write_config, tmp_path):
         path = write_config(_base_config())
 
@@ -767,6 +797,16 @@ class TestVerify:
                              "--out", str(out)]) == 0
             reports.append((out / "verify_report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_a_deep_window_is_inverted(self, write_config, tmp_path):
+        # a window top of 3,500 asks for 4,666 coefficients: at radius 0.995
+        # round-off would grow by 1.4e10 there, past `_check_roundoff`; the
+        # radius set from the depth keeps that growth at 1e3
+        cfg = _base_config(verify={"window": [50, 3500], "n_states": 40, "samples": 20_000})
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--config", write_config(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "verify_report.json").read_text())
+        assert report["targets"]["R0"]["fits"]["inversion"]["window"] == [50, 3500]
 
     def test_small_end_to_end(self, write_config, tmp_path):
         out = tmp_path / "out"

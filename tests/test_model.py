@@ -5,6 +5,7 @@ the heavy-tailed transform code.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -45,6 +46,31 @@ def _mp_lst(dist, s, deriv=False):
             return -t * base if deriv else base
 
         return complex(mp.quad(integrand, [0, mp.inf]))
+
+
+def _exp_en_series_uncached(orders, x):
+    # model._exp_en_series as it was before its per-order constants were
+    # cached: every constant rebuilt per call, in the same arithmetic order
+    log_x = np.log(x)
+    lead = np.empty((len(orders), x.size), dtype=complex)
+    coefs = np.zeros((len(orders), model._SERIES_TERMS, 1))
+    for row, p in enumerate(orders):
+        n = max(round(p - 1.0), 0)
+        eps = p - 1.0 - n
+        P, Q = 1.0, 0.0
+        for j in range(1, n + 1):
+            Q += P / j
+            P *= 1.0 + eps / j
+        D = -np.polyval(model._RECIP_GAMMA[::-1], -eps)
+        power = np.expm1(eps * log_x) / eps if eps else log_x
+        n_fact = min(math.factorial(n), sys.float_info.max)
+        lead[row] = (-x) ** n / n_fact * (D * P + Q - power) / ((1.0 + eps * D) * P)
+        coefs[row, :, 0] = [0.0 if k == n else 1.0 / (math.factorial(k) * (p - 1.0 - k))
+                            for k in range(model._SERIES_TERMS)]
+    poly = np.zeros_like(lead)
+    for k in reversed(range(model._SERIES_TERMS)):
+        poly = coefs[:, k] - poly * x
+    return np.exp(x) * (lead + poly)
 
 
 class TestExponential:
@@ -287,6 +313,23 @@ class TestParetoShifted:
         deriv = d.lst_deriv(s)
         assert type(deriv) is np.complex128 and 5e-14 < abs(deriv.imag) < 5e-13
         assert deriv == d.lst_deriv(np.array([s]))[0]
+
+    @pytest.mark.parametrize("index", [2.0, 3.0, 2.0000001, 0.02, 171.0, 200.0, 400.0])
+    def test_series_constants_are_cached_without_changing_a_bit(self, index):
+        # eps = 0 at indices 2 and 3, near 0 at 2.0000001, -0.98 at 0.02, and
+        # from 171 on n! is clamped; a cold cache, a warm one and the
+        # uncached reference give the same bits, and the cached coefficients
+        # are read-only, so no call can change them for the next
+        orders = (index + 1.0, index)
+        x = np.linspace(0.01, 1.4, 9) * np.exp(1j * np.linspace(-1.5, 1.5, 9))
+        model._series_constants.cache_clear()
+        cold = model._exp_en_series(orders, x)
+        warm = model._exp_en_series(orders, x)
+        assert model._series_constants.cache_info().hits == 1
+        with pytest.raises(ValueError, match="read-only"):
+            model._series_constants(orders)[1][0, 0, 0] = 1.0
+        assert np.all(np.isfinite(cold))
+        assert warm.tobytes() == cold.tobytes() == _exp_en_series_uncached(orders, x).tobytes()
 
     def test_bad_params(self):
         with pytest.raises(BadParam):

@@ -54,6 +54,20 @@ class TestFixedPoints:
             1.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("index, q", [(1.05, 0.5), (1.05, 0.3), (1.1, 0.3), (1.1, 0.5),
+                                          (1.1, 0.7)])
+    def test_h_is_exactly_one_at_one(self, index, q):
+        # Newton could stop an ulp short of h(1) = 1, and near type-1 index 1
+        # the equilibrium LST turned that ulp into a Ka whose PGF read 0.94
+        # to 0.996 at 1, which extract_pmf refused
+        p = ModelParams(1.0, q, 1.0, ParetoShifted.from_mean(index, 0.6),
+                        Exponential(10.0 / 3.0))
+        assert T.solve_h(p, 1.0) == 1.0
+        assert T.solve_h(p, np.array([0.5, 1.0, 1.0 + 0j]))[1:].tolist() == [1.0, 1.0]
+        assert T.factor_K(p, 1.0).ka == 1.0
+        pmf = T.extract_pmf(lambda z: T.factor_K(p, z).ka, 60, 0.8)
+        assert np.all(pmf.probs >= 0) and pmf.probs.sum() <= 1.0 + 1e-7
+
     def test_h_residual_on_the_half_ring(self, ref_params, alt_params):
         # every point of the half ring that conditional_pmfs(n=2000, r=0.995)
         # solves on, m = 8000, must leave Newton's active set converged
