@@ -33,7 +33,6 @@ from .errors import (
     BadParam,
     InsufficientData,
     NotApplicable,
-    OverflowGuard,
     RtqError,
     Unstable,
     WindowTooNoisy,
@@ -237,8 +236,9 @@ def _int_csv_rows(*columns) -> str:
     Each distinct row is formatted once and the text joins the looked-up
     strings, so the cost is a sort plus one string per distinct row, not one
     per row.  Two columns are encoded as one exact int64 code per row, after
-    shifting each column to start at 0; `OverflowGuard` is raised when the
-    codes would not fit in int64.
+    shifting each column to start at 0; where those codes would not fit in
+    int64, each column is coded by the ranks of its distinct values instead,
+    which costs one more sort per column.
     """
     if len(columns) == 1:
         uniq, inverse = np.unique(columns[0], return_inverse=True)
@@ -246,15 +246,18 @@ def _int_csv_rows(*columns) -> str:
     else:
         q, o = columns
         q0, o0 = int(q.min()), int(o.min())
-        q_span, width = int(q.max()) - q0, int(o.max()) - o0 + 1
-        if q_span * width + width - 1 > _INT64_MAX:
-            raise OverflowGuard(
-                f"cannot encode queue,orbit rows as int64 codes: "
-                f"column spans {q_span} and {width - 1}"
-            )
-        uniq, inverse = np.unique((q - q0) * width + (o - o0), return_inverse=True)
-        hi, lo = np.divmod(uniq, width)
-        cells = [f"{a},{b}" for a, b in zip((hi + q0).tolist(), (lo + o0).tolist())]
+        width = int(o.max()) - o0 + 1
+        if (int(q.max()) - q0) * width + width - 1 <= _INT64_MAX:
+            uniq, inverse = np.unique((q - q0) * width + (o - o0), return_inverse=True)
+            hi, lo = np.divmod(uniq, width)
+            pairs = zip((hi + q0).tolist(), (lo + o0).tolist())
+        else:
+            (q_vals, q_rank), (o_vals, o_rank) = (
+                np.unique(c, return_inverse=True) for c in columns)
+            uniq, inverse = np.unique(q_rank * o_vals.size + o_rank, return_inverse=True)
+            hi, lo = np.divmod(uniq, o_vals.size)
+            pairs = zip(q_vals[hi].tolist(), o_vals[lo].tolist())
+        cells = [f"{a},{b}" for a, b in pairs]
     rows = np.array(cells, dtype=object)[inverse].tolist()
     return "\n".join(rows) + "\n"
 

@@ -54,7 +54,6 @@ __all__ = [
     "conditional_pmfs",
 ]
 
-_NEAR_SINGULAR = 1e-7  # switch difference quotients to derivative limits
 _ALIAS_TOL = 1e-12  # bound on radius^m, the aliasing error of the R0 series
 _K_QUAD_TOL = 1e-10  # agreement of successive Gauss-Legendre orders for int K
 _K_MAX_ORDER = 256  # highest Gauss-Legendre order tried for int K
@@ -217,36 +216,28 @@ def _points(params, z1, z2):
 
 
 def _H_beta(params, which, z1, z2, h):
+    """The paper's quotient (beta_i(s) - beta_i(u)) / (m_i (u - s)), with
+    s = lam - lam1 z1 - lam2 z2, u = lam - lam1 h - lam2 z2 and m_i the
+    type-i mean, written in the equilibrium LST beta_ie, for which
+    beta_i(x) = 1 - m_i x beta_ie(x):
+
+        H_beta_i = beta_ie(u) + s (beta_ie(s) - beta_ie(u)) / (s - u).
+
+    On the orbit slice z1 = 1, |s| / |s - u| stays bounded as z2 -> 1, so
+    the divided difference's round-off, of order eps / |s - u|, is scaled
+    back to round-off by s.  u is written as s is, so z1 = h gives s = u
+    bitwise, and there the divided difference is its limit, the
+    derivative beta_ie'(s)."""
     lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
-    d = params.dist1 if which == 1 else params.dist2
     d_eq = params.dist1_eq if which == 1 else params.dist2_eq
-    pref = 1.0 / params.rho1 if which == 1 else params.p / (params.q * params.rho2)
-    z1, z2, h = np.broadcast_arrays(z1, z2, h)
-    out = np.empty(z1.shape, dtype=complex)
-    # on z2 = 1, h = 1 and the quotient is the equilibrium LST at
-    # lam1 (1 - z1), which is free of its cancelling difference
-    on_one = z2 == 1.0
-    out[on_one] = d_eq.lst(lam1 * (1.0 - z1[on_one]))
-    rest = ~on_one
-    z1, z2, h = z1[rest], z2[rest], h[rest]
-    # beta_i at the shifted argument lam - lam1 h - lam2 z2 = lam (1 - g):
-    # h itself for type 1; for type 2 the LST at lam (1 - g), written as
-    # factor_K writes its argument so that both round alike
-    if which == 1:
-        b_shift = h
-    else:
-        b_shift = d.lst(lam * (1.0 - eval_g(params, z2, h)))
-    s = lam - lam1 * z1 - lam2 * z2
-    bz = d.lst(s)
-    den = z1 - h
-    near = np.abs(den) < _NEAR_SINGULAR
-    val = np.empty(den.shape, dtype=complex)
-    fa = ~near
-    val[fa] = pref * (bz[fa] - b_shift[fa]) / den[fa]
-    if near.any():
-        val[near] = pref * lam1 * -d.lst_deriv(s[near])
-    out[rest] = val
-    return out[()]
+    s, u = np.broadcast_arrays(lam - lam1 * z1 - lam2 * z2, lam - lam1 * h - lam2 * z2)
+    b_s, db_s = d_eq.lst_and_deriv(s)
+    b_u = d_eq.lst(u)
+    diff = np.divide(b_s - b_u, s - u, out=np.array(db_s, dtype=complex), where=s != u)
+    # s = u = 0 only at z1 = z2 = 1, where s beta_ie'(s) -> 0 even if
+    # beta_ie has no mean and its derivative reads -inf
+    diff[s == 0] = 0.0
+    return (b_u + s * diff)[()]
 
 
 def _m1(params, z1, z2, h):

@@ -5,6 +5,7 @@ Each test covers one numbered criterion and prints a single PASS/FAIL line
 """
 
 import filecmp
+import math
 import json
 import os
 
@@ -214,4 +215,66 @@ def test_criterion_10_determinism(capfd, tmp_path):
         capfd, 10, ok,
         f"{len(match)} artifacts byte-identical across repeated runs "
         f"(mismatched: {mismatch or 'none'})",
+    )
+
+
+# One-argument PGF of each catalog entry whose tail is c j^-kappa L0 with a
+# non-integer kappa on both models: the queue part of a two-argument factor
+# is its value at (z, 1), the orbit part its value at (1, z).
+def _one(z):
+    return np.ones_like(z)
+
+
+_CATALOG_PGFS = {
+    "ka": lambda p, z: T.factor_K(p, z).ka,
+    "kb": lambda p, z: T.factor_K(p, z).kb,
+    "kc": lambda p, z: T.factor_K(p, z).kc,
+    "ka_plus_kc": lambda p, z: T.factor_K(p, z).ka * T.factor_K(p, z).kc,
+    "k": lambda p, z: T.factor_K(p, z).k,
+    "s11": lambda p, z: T.eval_S_beta(p, 1, z, _one(z)),
+    "s12": lambda p, z: T.eval_S_beta(p, 1, _one(z), z),
+    "h11": lambda p, z: T.eval_H_beta1(p, z, _one(z)),
+    "h12": lambda p, z: T.eval_H_beta1(p, _one(z), z),
+    "m11": lambda p, z: T.eval_M1(p, z, _one(z)),
+    "m12": lambda p, z: T.eval_M1(p, _one(z), z),
+    "m22": lambda p, z: T.eval_M2(p, _one(z), z),
+    "r11": lambda p, z: T.eval_R1(p, z, _one(z)),
+    "r12": lambda p, z: T.eval_R1(p, _one(z), z),
+    "r22": lambda p, z: T.eval_R2(p, _one(z), z),
+}
+
+
+def _constant_at_one(pgf, kappa):
+    """C of P{X > j} ~ C j^-kappa, read off the PGF at z -> 1.
+
+    The tail generating function T(z) = (1 - P(z)) / (1 - z) then has
+    T(1 - eps) = T(1) + C Gamma(1 - kappa) eps^(kappa - 1) + O(eps) for a
+    non-integer kappa in (1, 2) (Flajolet & Odlyzko, "Singularity analysis of
+    generating functions", SIAM J. Discrete Math. 3, 1990).  Six eps,
+    log-spaced in [1e-5, 1e-2], fix the basis eps^0, eps^(kappa - 1), eps,
+    eps^kappa, eps^2, eps^(kappa + 1), and C is the second coefficient over
+    Gamma(1 - kappa)."""
+    eps = np.logspace(-5, -2, 6)
+    tail = ((1.0 - pgf(1.0 - eps + 0j)) / eps).real
+    powers = np.array([0.0, kappa - 1, 1.0, kappa, 2.0, kappa + 1])
+    coef = np.linalg.solve(eps[:, None] ** powers, tail)
+    return coef[1] / math.gamma(1.0 - kappa)
+
+
+def test_criterion_11_catalog_constants_at_z_to_1(capfd, ref_params, alt_params,
+                                                   ref_catalog, alt_catalog):
+    worst, where = 0.0, ""
+    for model, p, cat in (("ref", ref_params, ref_catalog), ("alt", alt_params, alt_catalog)):
+        for name, pgf in _CATALOG_PGFS.items():
+            entry = cat[name]
+            assert entry.geom == 1.0 and 1.0 < entry.kappa < 2.0, (model, name)
+            got = _constant_at_one(lambda z: pgf(p, z), entry.kappa)
+            err = abs(got / (entry.c * entry.L0) - 1.0)
+            if not err <= worst:
+                worst, where = err, f"{model} {name}"
+    ok = worst <= 1e-5
+    _report(
+        capfd, 11, ok,
+        f"worst |C/catalog - 1| {worst:.2e} ({where}) over {len(_CATALOG_PGFS)} "
+        f"power entries on ref and alt, read off T(1 - eps) (tol 1e-5)",
     )

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rtq import cli, errors, parallel, transforms
 from rtq.decomposition import _BLOCK, PAIR_TARGETS, SCALAR_TARGETS, DecompositionSampler
-from rtq.errors import BadParam, OverflowGuard, RecursionDepthExceeded
+from rtq.errors import BadParam, RecursionDepthExceeded
 from rtq.simulator import TARGET_STATES, simulate
 
 
@@ -384,11 +384,20 @@ _LARGE_INDEX_OR_SHAPE = {
 @pytest.mark.parametrize("model", _LARGE_INDEX_OR_SHAPE.values(), ids=list(_LARGE_INDEX_OR_SHAPE))
 def test_large_index_or_shape_analyzes(write_config, tmp_path, model):
     path = write_config(_base_config(model=model))
+    assert cli.main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_erlang_shape_157_analyzes_at_the_default_inversion(write_config, tmp_path):
+    # with a type-1 mean of 0.003 the H factors' difference quotients once
+    # cancelled enough digits to push R12's sum to 1 + 8.9e-6 at the default
+    # inversion; R11 and R12 still clip dust near -2.5e-9 there, the Erlang
+    # LST's own round-off (R11 holds no H factor)
+    cfg = _base_config(model=_LARGE_INDEX_OR_SHAPE["erlang-lst-shape-157"])
+    del cfg["inversion"]
     with warnings.catch_warnings():
-        # the shape-157 model's R12 clips negative dust of 2.6e-7: at a type-1
-        # mean of 0.003 the difference quotient H_beta1 cancels most digits
-        warnings.filterwarnings("ignore", "R12: .* clipping negative dust", UserWarning)
-        assert cli.main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        warnings.filterwarnings("ignore", "R1[12]: .* clipping negative dust", UserWarning)
+        assert cli.main(["analyze", "--config", write_config(cfg),
+                         "--out", str(tmp_path / "out")]) == 0
 
 
 def test_a_huge_pmf_sum_is_printed_in_e_notation(write_config, tmp_path, capsys):
@@ -701,9 +710,10 @@ class TestSample:
 
 @st.composite
 def _int_columns(draw):
-    """One or two columns of non-negative int64 whose pair codes fit in int64."""
+    """One or two columns of non-negative int64; the last pair of highs makes
+    the shifted-span pair codes overflow int64."""
     n = draw(st.integers(1, 40))
-    highs = draw(st.sampled_from([[2**40], [2**40, 2**22], [2**22, 2**40]]))
+    highs = draw(st.sampled_from([[2**40], [2**40, 2**22], [2**22, 2**40], [2**62, 2**62]]))
     columns = []
     for hi in highs:
         if draw(st.booleans()):
@@ -734,11 +744,15 @@ def test_int_writer_is_the_csv_writer_text(columns):
     [[0, (2**63 - 1) // 3], [0, 2]],  # codes up to 2**63 + 1
     [[_I64.min, 0], [0, 0]],
     [[0, 0], [_I64.min, _I64.max]],
+    # both columns near 2**62, repeated rows and values shared across rows
+    [[2**62, 3, 2**62 + 7, 3, 2**62, 0], [2**62 - 1, 2**62 + 5, 0, 2**62 + 5, 2**62 - 1, 3]],
 ])
-def test_int_writer_raises_when_pair_codes_overflow(columns):
+def test_int_writer_writes_rows_whose_pair_codes_overflow(columns):
+    # the shifted-span codes would not fit in int64, so the rows are coded by
+    # their columns' ranks, with the same text
     arrays = [np.array(c, dtype=np.int64) for c in columns]
-    with pytest.raises(OverflowGuard):
-        cli._int_csv_rows(*arrays)
+    text = "queue,orbit\n" + cli._int_csv_rows(*arrays)
+    assert text == _csv_writer_text(("queue", "orbit"), zip(*columns))
 
 
 def _reject_constant(token):

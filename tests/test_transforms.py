@@ -139,15 +139,19 @@ class TestOrbitFactors:
 
 class TestStationaryTransforms:
     def test_everything_is_one_at_one(self, ref_params):
-        p = ref_params
+        # type-1 index 1.5 leaves beta1e with no mean: its derivative at
+        # s = u = 0, the point (1, 1) of H_beta1, reads -inf
+        no_eq_mean = ModelParams(1.0, 0.5, 1.0, ParetoShifted.from_mean(1.5, 0.6),
+                                 ParetoShifted.from_mean(1.8, 0.3))
         one = 1.0 + 0j
-        for fn in (T.eval_M1, T.eval_M2, T.eval_R1, T.eval_R2,
-                   T.eval_H_beta1, T.eval_H_beta2):
-            assert complex(fn(p, one, one)) == pytest.approx(1.0, abs=1e-9)
-        for i in (1, 2):
-            assert complex(T.eval_S_beta(p, i, one, one)) == pytest.approx(
-                1.0, abs=1e-10
-            )
+        for p in (ref_params, no_eq_mean):
+            for fn in (T.eval_M1, T.eval_M2, T.eval_R1, T.eval_R2,
+                       T.eval_H_beta1, T.eval_H_beta2):
+                assert complex(fn(p, one, one)) == pytest.approx(1.0, abs=1e-9)
+            for i in (1, 2):
+                assert complex(T.eval_S_beta(p, i, one, one)) == pytest.approx(
+                    1.0, abs=1e-10
+                )
 
     def test_m1_factored_vs_raw(self, ref_params):
         p = ref_params
@@ -181,14 +185,42 @@ class TestStationaryTransforms:
             np.testing.assert_allclose(got, expect, rtol=0, atol=1e-14)
 
     def test_h_beta_limit_branch(self, ref_params):
-        # approaching the removable singularity z1 -> h(z2) must agree with
-        # the derivative-limit branch
+        # at z1 = h(z2) the divided difference of beta1e is taken at
+        # coincident points, where it is the derivative; the quotient just
+        # off that point must agree with it
         p = ref_params
         z2 = 0.4 + 0j
         h = complex(T.solve_h(p, z2))
         at_limit = complex(T.eval_H_beta1(p, h, z2))
         nearby = complex(T.eval_H_beta1(p, h + 1e-6, z2))
         assert nearby == pytest.approx(at_limit, rel=1e-4)
+
+    @pytest.mark.parametrize("case", ["ref-erlang-3", "erlang-157"])
+    def test_h_beta_against_the_erlang_divided_difference(self, ref_params, case):
+        # For an Erlang(k, nu) law, beta(x) = A^k with A = nu / (nu + x), so
+        # H_beta_i = (beta(s) - beta(u)) / (m_i (u - s)) has the exact form
+        # nu / (m_i (nu + s) (nu + u)) sum_i A^i B^(k-1-i), B at u: no
+        # difference is taken.  Check it on the orbit slice as z2 -> 1.
+        if case == "ref-erlang-3":
+            p = ModelParams(ref_params.lam, ref_params.q, ref_params.mu,
+                            ref_params.dist1, Erlang(3, 10.0))
+            types = {2: T.eval_H_beta2}
+        else:
+            p = ModelParams(4.027, 0.5166, 421.56, Erlang(157, 53927.58),
+                            Exponential(1.0 / 0.0038))
+            types = {1: T.eval_H_beta1, 2: T.eval_H_beta2}
+        z2 = 1.0 - 10.0 ** -np.arange(2.0, 10.0) + 0j
+        h = T.solve_h(p, z2)
+        s = p.lam - p.lambda1 - p.lambda2 * z2
+        u = p.lam - p.lambda1 * h - p.lambda2 * z2
+        for i, fn in types.items():
+            d = p.dist1 if i == 1 else p.dist2
+            k, nu = d.shape, d.rate
+            a, b = nu / (nu + s), nu / (nu + u)
+            powers = np.arange(k)[:, None]
+            terms = np.sum(a ** powers * b ** (k - 1 - powers), axis=0)
+            exact = nu / (d.mean * (nu + s) * (nu + u)) * terms
+            np.testing.assert_allclose(fn(p, np.ones_like(z2), z2), exact, rtol=1e-11, atol=0)
 
     def test_raw_forms_interior_points(self, ref_params):
         # the raw balance-equation forms hold on the open square; the
