@@ -11,9 +11,11 @@ All evaluators follow numpy's convention: arguments are taken as complex
 arrays and the result has their broadcast shape, so scalar arguments, real
 or complex, give a complex numpy scalar (`np.complex128`), as one-element
 arrays give a one-element complex array.  The public `eval_*` functions
-take points only and solve for h themselves; the arithmetic they share
-lives in private array kernels, which `conditional_pmfs` calls with the h,
-orbit factors and R0 it has already computed on its contour.
+take points only and solve for h themselves; the factors they share come
+from one kernel, `_factors`, which `conditional_pmfs` calls on its
+contour's two slices.  Every LST is taken at `_arg`, which is exactly 0 at
+z1 = z2 = 1, so every evaluator is exactly 1 there when the laws' LSTs
+are exactly 1 at 0.
 
 Every transform inverted here is a PGF with real coefficients, so it takes
 conjugate values at z and conj(z).  `conditional_pmfs` and `extract_pmf`
@@ -87,9 +89,16 @@ class Pmf:
         return out + self.deficit
 
 
-def _busy_root(params, y_of):
-    """Solve x = beta1(y_of(x)) by a few Picard sweeps (which select the
-    probabilistically minimal root from 0) followed by Newton polishing.
+def _arg(params, z1, z2):
+    """lam - lam1 z1 - lam2 z2, the argument of every LST taken here, written
+    as lam1 (1 - z1) + lam2 (1 - z2) so that it is exactly 0 at z1 = z2 = 1
+    for every lam and q."""
+    return params.lambda1 * (1.0 - z1) + params.lambda2 * (1.0 - z2)
+
+
+def _busy_root(params, s):
+    """Solve x = beta1(s + lam1 (1 - x)) by a few Picard sweeps (which select
+    the probabilistically minimal root from 0) followed by Newton polishing.
 
     Newton runs on an active set: a pass evaluates the LST and its
     derivative only at the points whose last step exceeded `_ROOT_TOL`, and
@@ -97,14 +106,15 @@ def _busy_root(params, y_of):
     point's final step is at most `_ROOT_TOL`."""
     d = params.dist1
     lam1 = params.lambda1
+    s = np.asarray(s, dtype=complex)
     x = 0.0
     for _ in range(4):
-        x = d.lst(y_of(x))
+        x = d.lst(s + lam1 * (1.0 - x))
     x = np.asarray(x)  # 0-d for a scalar argument; updated by mask below
     active = np.ones(x.shape, dtype=bool)
     for _ in range(_ROOT_MAX_ITER):
         xa = x[active]
-        b, db = d.lst_and_deriv(y_of(x)[active])
+        b, db = d.lst_and_deriv(s[active] + lam1 * (1.0 - xa))
         step = (b - xa) / (-lam1 * db - 1.0)
         xa -= step
         # the root is a transform of a law, so |x| <= 1; past the circle the
@@ -119,19 +129,16 @@ def _busy_root(params, y_of):
 
 def solve_alpha(params: ModelParams, s):
     """Minimal root of the busy-period equation a = beta1(s + lam1 - lam1 a)."""
-    s = np.asarray(s, dtype=complex)
-    lam1 = params.lambda1
-    return _busy_root(params, lambda x: s + lam1 * (1.0 - x))
+    return _busy_root(params, s)
 
 
 def solve_h(params: ModelParams, z2):
-    """Minimal root of h = beta1(lam - lam1 h - lam2 z2); exactly 1 at
-    z2 = 1, where a type-1 busy period ends with probability 1 and Newton
-    can stop an ulp short, which the equilibrium LST of a type-1 index near
-    1 turns into an error of several percent at s = lam (1 - g(1))."""
+    """Minimal root of h = beta1(`_arg`(h, z2)); exactly 1 at z2 = 1, where a
+    type-1 busy period ends with probability 1 and Newton can stop an ulp
+    short, which the equilibrium LST of a type-1 index near 1 turns into an
+    error of several percent at u = `_arg`(h(1), 1)."""
     z2 = np.asarray(z2, dtype=complex)
-    lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
-    h = _busy_root(params, lambda x: lam - lam1 * x - lam2 * z2)
+    h = _busy_root(params, params.lambda2 * (1.0 - z2))
     return np.where(z2 == 1.0, 1.0 + 0j, h)[()]
 
 
@@ -146,18 +153,31 @@ def eval_g(params: ModelParams, z2, h=None):
 def factor_K(params: ModelParams, u, h=None) -> KFactors:
     """The three orbit factors Ka, Kb, Kc and their product K at u.
 
-    At s = lam (1 - g(u)) = lam - lam1 h - lam2 u the busy-period root is
-    h = beta1(s), so each factor is a compound-geometric form in the
-    equilibrium LSTs beta1e and beta2e, with no removable point at u = 1 and
-    denominators at least 1 - rho1 and 1 - vartheta in modulus.
+    At s = lam (1 - g(u)) = `_arg`(h, u) the busy-period root is h = beta1(s),
+    so each factor is a compound-geometric form in the equilibrium LSTs
+    beta1e and beta2e at s, with no removable point at u = 1 and
+    denominators at least 1 in modulus.
     """
-    rho1, rho2, vt = params.rho1, params.rho2, params.vartheta
-    s = params.lam * (1.0 - eval_g(params, u, h))
-    b1e = params.dist1_eq.lst(s)
-    b2e = params.dist2_eq.lst(s)
-    ka = (1.0 - rho1) / (1.0 - rho1 * b1e)
-    kb = (rho1 * b1e + rho2 * b2e) / params.rho
-    kc = (1.0 - vt) / (1.0 - vt * ka * b2e)
+    u = np.asarray(u, dtype=complex)
+    if h is None:
+        h = solve_h(params, u)
+    s = _arg(params, h, u)
+    return _orbit_factors(params, params.dist1_eq.lst(s), params.dist2_eq.lst(s))
+
+
+def _geom(r, x):
+    """(1 - r) / (1 - r x), written so that it is exactly 1 at x = 1: numpy
+    divides complex numbers through the divisor's reciprocal, so
+    (1 - r) / (1 - r) can miss 1 by an ulp."""
+    return 1.0 / (1.0 + r / (1.0 - r) * (1.0 - x))
+
+
+def _orbit_factors(params, b1e, b2e) -> KFactors:
+    """Ka, Kb, Kc and K from beta1e and beta2e, each exactly 1 where both are."""
+    rho1, rho2 = params.rho1, params.rho2
+    ka = _geom(rho1, b1e)
+    kb = 1.0 - (rho1 * (1.0 - b1e) + rho2 * (1.0 - b2e)) / params.rho
+    kc = _geom(params.vartheta, ka * b2e)
     return KFactors(ka, kb, kc, ka * kb * kc)
 
 
@@ -200,25 +220,21 @@ def eval_S_beta(params: ModelParams, i: int, z1, z2):
     """Equilibrium service LST of type i composed with lam - lam1 z1 - lam2 z2."""
     d = params.dist1_eq if i == 1 else params.dist2_eq
     z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
-    return d.lst(params.lam - params.lambda1 * z1 - params.lambda2 * z2)
+    return d.lst(_arg(params, z1, z2))
 
 
-def _points(params, z1, z2):
-    """(z1, z2, h(z2)) with z1 and z2 as complex arrays: what every
-    two-argument evaluator starts from."""
-    z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
-    return z1, z2, solve_h(params, z2)
+_Factors = namedtuple("_Factors", ["s1", "s2", "h1", "h2", "kf", "m1", "m2"])
 
 
-# The kernels below take arrays, h = h(z2) and, where needed, the orbit
-# factors and R0 at z2, so that `conditional_pmfs` can feed them the values
-# it already has on its contour.
+def _factors(params, z1, z2, h=None) -> _Factors:
+    """S_beta_i, H_beta_i, the orbit factors at z2, M1 and M2 at (z1, z2),
+    h = h(z2), from one pass of each equilibrium LST beta_ie at
+    s = `_arg`(z1, z2), with its derivative, and one at the busy-period
+    point u = `_arg`(h, z2).
 
-
-def _H_beta(params, which, z1, z2, h):
-    """The paper's quotient (beta_i(s) - beta_i(u)) / (m_i (u - s)), with
-    s = lam - lam1 z1 - lam2 z2, u = lam - lam1 h - lam2 z2 and m_i the
-    type-i mean, written in the equilibrium LST beta_ie, for which
+    S_beta_i is beta_ie(s), and the orbit factors at z2 are those of the
+    beta_ie(u).  The paper's quotient (beta_i(s) - beta_i(u)) / (m_i (u - s)),
+    m_i the type-i mean, is written in beta_ie, for which
     beta_i(x) = 1 - m_i x beta_ie(x):
 
         H_beta_i = beta_ie(u) + s (beta_ie(s) - beta_ie(u)) / (s - u).
@@ -228,66 +244,57 @@ def _H_beta(params, which, z1, z2, h):
     back to round-off by s.  u is written as s is, so z1 = h gives s = u
     bitwise, and there the divided difference is its limit, the
     derivative beta_ie'(s)."""
-    lam, lam1, lam2 = params.lam, params.lambda1, params.lambda2
-    d_eq = params.dist1_eq if which == 1 else params.dist2_eq
-    s, u = np.broadcast_arrays(lam - lam1 * z1 - lam2 * z2, lam - lam1 * h - lam2 * z2)
-    b_s, db_s = d_eq.lst_and_deriv(s)
-    b_u = d_eq.lst(u)
-    diff = np.divide(b_s - b_u, s - u, out=np.array(db_s, dtype=complex), where=s != u)
-    # s = u = 0 only at z1 = z2 = 1, where s beta_ie'(s) -> 0 even if
-    # beta_ie has no mean and its derivative reads -inf
-    diff[s == 0] = 0.0
-    return (b_u + s * diff)[()]
+    z1, z2 = np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex)
+    if h is None:
+        h = solve_h(params, z2)
+    s, u = np.broadcast_arrays(_arg(params, z1, z2), _arg(params, h, z2))
+    laws = []
+    for d in (params.dist1_eq, params.dist2_eq):
+        b_s, db_s = d.lst_and_deriv(s)
+        b_u = d.lst(u)
+        diff = np.divide(b_s - b_u, s - u, out=np.array(db_s, dtype=complex), where=s != u)
+        # s = u = 0 only at z1 = z2 = 1, where s beta_ie'(s) -> 0 even if
+        # beta_ie has no mean and its derivative reads -inf
+        diff[s == 0] = 0.0
+        laws.append((b_s, b_u, (b_u + s * diff)[()]))
+    (s1, u1, h1), (s2, u2, h2) = laws
+    kf = _orbit_factors(params, u1, u2)
+    m2 = params.vartheta * h2 * kf.ka * kf.kc + (1.0 - params.vartheta)
+    return _Factors(s1, s2, h1, h2, kf, _geom(params.rho1, h1), m2)
 
 
-def _m1(params, z1, z2, h):
-    return (1.0 - params.rho1) / (1.0 - params.rho1 * _H_beta(params, 1, z1, z2, h))
-
-
-def _m2(params, z1, z2, h, kf):
-    H2 = _H_beta(params, 2, z1, z2, h)
-    vt = params.vartheta
-    return vt * H2 * kf.ka * kf.kc + (1.0 - vt)
-
-
-def _r1(params, z1, z2, h, kf, r0):
-    out = _m2(params, z1, z2, h, kf) * _m1(params, z1, z2, h)
-    return out * eval_S_beta(params, 1, z1, z2) * r0
-
-
-def _r2(params, z1, z2, kf, r0):
-    return eval_S_beta(params, 2, z1, z2) * kf.ka * kf.kc * r0
+def _conditionals(f: _Factors, r0):
+    """R1 = M2 M1 S_beta1 R0 and R2 = S_beta2 Ka Kc R0 from the factors at
+    (z1, z2) and R0 at z2."""
+    return f.m2 * f.m1 * f.s1 * r0, f.s2 * f.kf.ka * f.kf.kc * r0
 
 
 def eval_H_beta1(params: ModelParams, z1, z2):
-    return _H_beta(params, 1, *_points(params, z1, z2))
+    return _factors(params, z1, z2).h1
 
 
 def eval_H_beta2(params: ModelParams, z1, z2):
-    return _H_beta(params, 2, *_points(params, z1, z2))
+    return _factors(params, z1, z2).h2
 
 
 def eval_M1(params: ModelParams, z1, z2):
     """Geometric factor (1 - rho1) / (1 - rho1 * H_beta1)."""
-    return _m1(params, *_points(params, z1, z2))
+    return _factors(params, z1, z2).m1
 
 
 def eval_M2(params: ModelParams, z1, z2):
     """Factor vartheta H_beta2 Ka Kc + 1 - vartheta."""
-    z1, z2, h = _points(params, z1, z2)
-    return _m2(params, z1, z2, h, factor_K(params, z2, h))
+    return _factors(params, z1, z2).m2
 
 
 def eval_R1(params: ModelParams, z1, z2):
     """Factored conditional transform given a Type-1 service in progress."""
-    z1, z2, h = _points(params, z1, z2)
-    return _r1(params, z1, z2, h, factor_K(params, z2, h), eval_R0(params, z2))
+    return _conditionals(_factors(params, z1, z2), eval_R0(params, z2))[0]
 
 
 def eval_R2(params: ModelParams, z1, z2):
     """Factored conditional transform given a Type-2 service in progress."""
-    z1, z2, h = _points(params, z1, z2)
-    return _r2(params, z1, z2, factor_K(params, z2, h), eval_R0(params, z2))
+    return _conditionals(_factors(params, z1, z2), eval_R0(params, z2))[1]
 
 
 def _ring(radius, m):
@@ -343,6 +350,8 @@ def _coeffs_from_ring(values, m, n, radius, label=""):
     The values at the other indices are the conjugates of these, so the
     real inverse FFT of the conjugated values is the coefficient vector
     itself, real for odd and even m."""
+    if not np.all(np.isfinite(values)):
+        raise InversionError(f"{label or 'pmf'}: PGF is not finite on the contour")
     probs = np.fft.irfft(np.conj(values), m)[: n + 1] * radius ** -np.arange(n + 1)
     lowest = probs.min()
     if lowest < -1e-6:
@@ -374,7 +383,7 @@ def extract_pmf(f, n: int, radius: float = 0.9, label: str = "") -> Pmf:
     m = 4 * n
     _check_roundoff(n, radius)
     at_one = complex(np.asarray(f(1.0 + 0j), dtype=complex).reshape(-1)[0])
-    if abs(at_one - 1.0) > 1e-8:
+    if not abs(at_one - 1.0) <= 1e-8:  # so that NaN fails too
         raise InversionError(f"{label or 'pmf'}: PGF at 1 is {at_one:.10f}, not 1")
     z = _ring(radius, m)
     values = np.asarray(f(z), dtype=complex).reshape(z.size)
@@ -402,25 +411,14 @@ def conditional_pmfs(params: ModelParams, n: int, radius: float = 0.9) -> dict:
     z = _ring(radius, m)
     one = np.ones_like(z)
 
-    h = solve_h(params, z)
-    kf = factor_K(params, z, h)
-    r0 = _r0_on_contour(params, z, kf.k, m)
-    # z2 = 1 slices: h(1) = 1 and the orbit factors and R0 are 1, so
-    # H_beta_i(z, 1) is the equilibrium LST S_beta_i(z, 1), with no
-    # difference quotient; M1 = (1 - rho1) / (1 - rho1 s1) and
-    # M2 = vartheta s2 + 1 - vartheta
-    s1 = eval_S_beta(params, 1, z, one)
-    s2 = eval_S_beta(params, 2, z, one)
-    m1 = (1.0 - params.rho1) / (1.0 - params.rho1 * s1)
-    vt = params.vartheta
-    vals = {
-        "R0": r0,
-        "R11": m1 * (vt * s2 + (1.0 - vt)) * s1,
-        "R21": s2,
-        # z1 = 1 slices share h, the factors and R0 on the same contour
-        "R12": _r1(params, one, z, h, kf, r0),
-        "R22": _r2(params, one, z, kf, r0),
-    }
+    # the queue slice (z, 1) has h(1) = 1, so u = 0 there and the orbit
+    # factors and R0 are 1; the orbit slice (1, z) feeds K to R0
+    queue = _factors(params, z, one, one)
+    orbit = _factors(params, one, z)
+    r0 = _r0_on_contour(params, z, orbit.kf.k, m)
+    r11, r21 = _conditionals(queue, 1.0)
+    r12, r22 = _conditionals(orbit, r0)
+    vals = {"R0": r0, "R11": r11, "R12": r12, "R21": r21, "R22": r22}
 
     labels = {
         "R0": "orbit | idle",

@@ -170,9 +170,10 @@ class TestStationaryTransforms:
                                    T.eval_S_beta(p, 1, z, one), rtol=0, atol=1e-14)
 
     def test_kernels_on_z2_one_use_the_equilibrium_lsts(self, alt_params):
-        # on z2 = 1, H_beta2 is S_beta2, M1 = (1 - rho1) / (1 - rho1 S_beta1)
-        # and M2 = vartheta S_beta2 + 1 - vartheta, with no cancelling
-        # difference quotient, even on the r = 0.998 ring
+        # on z2 = 1 the busy-period point is u = 0, so H_beta2 is S_beta2,
+        # M1 = (1 - rho1) / (1 - rho1 S_beta1) and
+        # M2 = vartheta S_beta2 + 1 - vartheta to round-off, even on the
+        # r = 0.998 ring
         p = alt_params
         z = 0.998 * np.exp(2j * np.pi * np.arange(2048) / 2048)
         one = np.ones_like(z)
@@ -233,6 +234,47 @@ class TestStationaryTransforms:
             assert complex(T.eval_R2(p, z1 + 0j, z2 + 0j)) == pytest.approx(
                 complex(paper_forms.eval_R2_raw(p, z1 + 0j, z2 + 0j)), abs=1e-9
             )
+
+
+class TestExactlyOneAtOne:
+    """lam - lam1 z1 - lam2 z2 need not be 0 at (1, 1) in floating point,
+    and near a type-1 index of 1 the equilibrium LST turns that ulp into an
+    error of several percent; the argument lam1 (1 - z1) + lam2 (1 - z2)
+    is exactly 0 there, so every evaluator is exactly 1 when the laws' LSTs
+    are exactly 1 at 0, as the Pareto and exponential laws here are.
+    Mixtures are not held to it: an Erlang(k) equilibrium's weights sum to
+    1 only to a few ulps."""
+
+    @pytest.mark.parametrize("lam, q", [(4.027, 0.3), (1.3, 0.1), (0.8, 0.45), (1.0, 0.5)])
+    @pytest.mark.parametrize("index1", [1.05, 1.5, 2.5])
+    @pytest.mark.parametrize("dist2", [Exponential(10.0), ParetoShifted.from_mean(1.8, 0.1)],
+                             ids=["exponential", "pareto-1.8"])
+    def test_every_evaluator(self, lam, q, index1, dist2):
+        p = ModelParams(lam, q, 1.0, ParetoShifted.from_mean(index1, 0.1), dist2)
+        for one in (1.0, np.ones(3, dtype=complex)):
+            values = {
+                "eval_S_beta1": T.eval_S_beta(p, 1, one, one),
+                "eval_S_beta2": T.eval_S_beta(p, 2, one, one),
+                **{name: getattr(T, name)(p, one, one) for name in (
+                    "eval_H_beta1", "eval_H_beta2", "eval_M1", "eval_M2", "eval_R1",
+                    "eval_R2")},
+                **{f"factor_K.{f}": v for f, v in T.factor_K(p, one)._asdict().items()},
+            }
+            for name, v in values.items():
+                assert np.all(v == 1.0), (name, v)
+
+    @pytest.mark.parametrize("index1", [1.05, 1.5])
+    def test_inexact_split_inverts(self, index1):
+        # lam - lam q - lam (1 - q) is 4.4e-16 here; as the argument at
+        # (1, 1) it read S_beta1 = 0.865 and R1 = 0.848 at index 1.05 and
+        # R1 = 1 - 1e-8 at index 1.5, which extract_pmf refused
+        p = ModelParams(4.027, 0.3, 1.0, ParetoShifted.from_mean(index1, 0.1),
+                        Exponential(10.0))
+        assert p.lam - p.lam * p.q - p.lam * p.p != 0.0
+        for pgf in (lambda z: T.eval_S_beta(p, 1, z, np.ones_like(z)),
+                    lambda z: T.eval_R1(p, z, np.ones_like(z))):
+            pmf = T.extract_pmf(pgf, 60, 0.8)
+            assert np.all(pmf.probs >= 0.0) and pmf.probs.sum() <= 1.0 + 1e-7
 
 
 def test_evaluators_follow_numpys_convention(alt_params):
@@ -324,6 +366,16 @@ class TestExtractPmf:
         assert np.max(np.abs(expect.imag)) < 1e-15
         np.testing.assert_allclose(pmf.probs, (j + 1) * (1 - g) ** 2 * g**j, rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("pgf, match", [
+        (lambda z: np.full(np.shape(z), np.nan + 0j), "PGF at 1"),
+        (lambda z: np.where(np.asarray(z) == 1.0, 1.0 + 0j, np.nan + 0j), "not finite"),
+    ], ids=["nan", "nan-off-one"])
+    def test_rejects_nan_pgf(self, pgf, match):
+        # NaN fails no comparison, so the checks at 1 and on the
+        # coefficients would pass it on as a NaN pmf with deficit 0
+        with pytest.raises(InversionError, match=match):
+            T.extract_pmf(pgf, 10, 0.9)
+
     def test_radius_above_one_for_light_tails(self):
         g = 0.2  # analytic up to 1/g = 5
         pmf = T.extract_pmf(lambda z: (1 - g) / (1 - g * z), 60, radius=2.0)
@@ -356,8 +408,8 @@ class TestConditionalPmfs:
         np.testing.assert_allclose(bulk_pmfs["R21"].probs, solo.probs, atol=1e-10)
 
     def test_r11_matches_single_inversion(self, ref_params, bulk_pmfs):
-        # the bulk path writes R11 on z2 = 1 through equilibrium LSTs; the
-        # public evaluator goes through h, the orbit factors and R0
+        # the bulk path takes h = 1 and R0 = 1 on z2 = 1; the public
+        # evaluator solves for h and integrates K for R0
         solo = T.extract_pmf(
             lambda z: T.eval_R1(ref_params, np.asarray(z, dtype=complex),
                                 np.ones_like(np.asarray(z, dtype=complex))),
@@ -398,7 +450,9 @@ class TestConditionalPmfs:
 
         monkeypatch.setattr(model.ParetoShifted, "lst_and_deriv", counted)
         T.conditional_pmfs(ref_params, 2000, radius=0.995)
-        assert 0 < sum(points) <= 55_000
+        # one pass of each equilibrium LST at s and one at u per slice:
+        # 45,012 points
+        assert 0 < sum(points) <= 47_000
 
     @pytest.mark.parametrize("index", [2.05, 2.1])
     def test_r0_integral_near_index_two(self, index):
