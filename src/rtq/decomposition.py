@@ -30,8 +30,8 @@ from its own stream, key (0, k + i) of the `parallel.make_rng` layout, with
 k the blocks the sampler drew before.  Threads draw the blocks (numpy
 releases the GIL) a few per worker ahead of the caller, which receives them
 in block order, so draws never depend on the core count and their memory
-does not grow with n.  Primitives called directly draw from the sampler's
-`rng`, on key (0,).
+does not grow with n.  `draw`, `theta` and `busy_durations` called directly
+draw from the sampler's `rng`, on key (0,).
 """
 
 from __future__ import annotations
@@ -42,21 +42,13 @@ import copy
 import numpy as np
 
 from . import parallel
-from .errors import OverflowGuard, RecursionDepthExceeded
+from .errors import BadParam, OverflowGuard, RecursionDepthExceeded
 from .model import ModelParams
 
 __all__ = ["DecompositionSampler", "PAIR_TARGETS", "SCALAR_TARGETS"]
 
 SCALAR_TARGETS = ("xg", "ka", "kb", "kc", "k", "r0")
 PAIR_TARGETS = ("h1", "h2", "m1", "m2", "s1", "s2", "r1", "r2")
-# each target as the sampler method and the leading arguments that draw it
-_CALLS = {
-    **{t: (f"sample_{t}",) for t in SCALAR_TARGETS},
-    "h1": ("sample_h_pair", 1), "h2": ("sample_h_pair", 2),
-    "s1": ("sample_s_pair", 1), "s2": ("sample_s_pair", 2),
-    "m1": ("sample_m1_pair",), "m2": ("sample_m2_pair",),
-    "r1": ("sample_r1_pair",), "r2": ("sample_r2_pair",),
-}
 _BLOCK = 1 << 16  # draws per block of `sample`, each on a stream of its own
 _INT64_MAX = np.iinfo(np.int64).max
 _POISSON_MAX = _INT64_MAX - 10 * np.sqrt(_INT64_MAX)  # numpy's largest Poisson mean
@@ -68,6 +60,12 @@ def _group_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
     generator's state unchanged, and an empty run sums to 0."""
     owner = np.repeat(np.arange(counts.size), counts)
     return np.bincount(owner, weights=values, minlength=counts.size)
+
+
+def _joined(*roots):
+    """Root pieces (durations, mean) as one: Theta(a) + Theta(b) is Theta(a + b)."""
+    durations, means = zip(*roots)
+    return sum(durations), sum(means)
 
 
 def _poisson(rng: np.random.Generator, lam):
@@ -126,7 +124,7 @@ class DecompositionSampler:
         root = self.params.dist1
         return self.theta(root.sample(self.rng, n), root.mean)
 
-    def sample_xg(self, n: int) -> np.ndarray:
+    def _xg(self, n: int) -> np.ndarray:
         """Orbit input of one effective arrival: itself (low priority) or
         the low-priority arrivals over one busy period (high priority)."""
         p = self.params
@@ -135,13 +133,13 @@ class DecompositionSampler:
         out[hi] = _poisson(self.rng, p.lambda2 * self.busy_durations(int(hi.sum())))
         return out
 
-    def _orbit(self, roots, mean, direct=0.0) -> np.ndarray:
-        """The low-priority arrivals during `direct` and the orbit input over `roots`."""
-        return _poisson(self.rng, self.params.lambda2 * (direct + self.theta(roots, mean)))
-
-    def _pair(self, direct, roots, mean):
-        """(queue, orbit) of a direct time and a root duration."""
-        return _poisson(self.rng, self.params.lambda1 * direct), self._orbit(roots, mean, direct)
+    def _r0(self, n: int) -> np.ndarray:
+        """Orbit size given an idle server, exp(-psi int_z^1 K); the
+        Poisson(n psi) candidates go to uniform draws, Poisson(psi) each."""
+        owner = self.rng.integers(0, n, _poisson(self.rng, self.params.psi * n))
+        cand, = self.draw("k", owner.size)
+        keep = self.rng.random(cand.size) * (cand + 1.0) < 1.0
+        return np.bincount(owner, np.where(keep, cand + 1.0, 0.0), n).astype(np.int64)
 
     # the pieces: root durations with their law mean, and direct times
     def _ka_root(self, n: int):
@@ -150,6 +148,10 @@ class DecompositionSampler:
         svc = p.dist1_eq.sample(self.rng, int(stages.sum()))
         return _group_sums(stages, svc), p.rho1 / (1.0 - p.rho1) * p.dist1_eq.mean
 
+    def _kb_root(self, n: int):
+        eq = self.params.mixed_service_eq
+        return eq.sample(self.rng, n), eq.mean
+
     def _kc_root(self, n: int):
         p, vt = self.params, self.params.vartheta
         stages = self.rng.geometric(1.0 - vt, n) - 1
@@ -157,10 +159,6 @@ class DecompositionSampler:
         ka, ka_mean = self._ka_root(m)
         step = ka + p.dist2_eq.sample(self.rng, m)
         return _group_sums(stages, step), vt / (1.0 - vt) * (ka_mean + p.dist2_eq.mean)
-
-    def _ka_kc_root(self, n: int):
-        (a, a_mean), (c, c_mean) = self._ka_root(n), self._kc_root(n)
-        return a + c, a_mean + c_mean
 
     def _h(self, which: int, n: int):
         """(direct, root, mean) of H; E[T* - V] = E[T*] / 2, the equilibrium mean."""
@@ -183,7 +181,7 @@ class DecompositionSampler:
         vt = self.params.vartheta
         on = np.flatnonzero(self.rng.random(n) < vt)
         v, h_root, h_mean = self._h(2, on.size)
-        k_root, k_mean = self._ka_kc_root(on.size)
+        k_root, k_mean = _joined(self._ka_root(on.size), self._kc_root(on.size))
         direct, root = np.zeros(n), np.zeros(n)
         direct[on], root[on] = v, h_root + k_root
         return direct, root, vt * (h_mean + k_mean)
@@ -191,61 +189,31 @@ class DecompositionSampler:
     def _s(self, which: int, n: int) -> np.ndarray:
         return (self.params.dist1_eq if which == 1 else self.params.dist2_eq).sample(self.rng, n)
 
-    # the orbit factors
-    def sample_ka(self, n: int) -> np.ndarray:
-        """The low-priority arrivals over an equilibrium busy period, or 0."""
-        return self._orbit(*self._ka_root(n))
-
-    def sample_kb(self, n: int) -> np.ndarray:
-        """The orbit input over an equilibrium service of the merged stream."""
-        eq = self.params.mixed_service_eq
-        return self._orbit(eq.sample(self.rng, n), eq.mean)
-
-    def sample_kc(self, n: int) -> np.ndarray:
-        return self._orbit(*self._kc_root(n))
-
-    def sample_k(self, n: int) -> np.ndarray:
-        root, mean = self._ka_kc_root(n)
-        eq = self.params.mixed_service_eq
-        return self._orbit(root + eq.sample(self.rng, n), mean + eq.mean)
-
-    def sample_r0(self, n: int) -> np.ndarray:
-        """Orbit size given an idle server, exp(-psi int_z^1 K); the
-        Poisson(n psi) candidates go to uniform draws, Poisson(psi) each."""
-        owner = self.rng.integers(0, n, _poisson(self.rng, self.params.psi * n))
-        cand = self.sample_k(owner.size)
-        keep = self.rng.random(cand.size) * (cand + 1.0) < 1.0
-        return np.bincount(owner, np.where(keep, cand + 1.0, 0.0), n).astype(np.int64)
-
-    # bivariate (queue, orbit) factors
-    def sample_h_pair(self, which: int, n: int):
-        """One step of the difference-quotient factor H for type `which`."""
-        return self._pair(*self._h(which, n))
-
-    def sample_s_pair(self, which: int, n: int):
-        """Arrivals during an equilibrium type-`which` service, by type."""
-        t = self._s(which, n)
-        p = self.params
-        return _poisson(self.rng, p.lambda1 * t), _poisson(self.rng, p.lambda2 * t)
-
-    def sample_m1_pair(self, n: int):
-        """Geometric compound of H factors for the high-priority class."""
-        return self._pair(*self._m1(n))
-
-    def sample_m2_pair(self, n: int):
-        """With probability vartheta a low-priority H with a Ka and a Kc."""
-        return self._pair(*self._m2(n))
-
-    def sample_r1_pair(self, n: int):
-        """(queue, orbit) given a high-priority service in progress."""
+    def _r1(self, n: int):
         (d2, r2, m2), (d1, r1, m1) = self._m2(n), self._m1(n)
-        q, o = self._pair(d2 + d1 + self._s(1, n), r2 + r1, m2 + m1)
-        return q, o + self.sample_r0(n)
+        return d2 + d1 + self._s(1, n), r2 + r1, m2 + m1
 
-    def sample_r2_pair(self, n: int):
-        """(queue, orbit) given a low-priority service in progress."""
-        q, o = self._pair(self._s(2, n), *self._ka_kc_root(n))
-        return q, o + self.sample_r0(n)
+    def draw(self, target: str, n: int):
+        """n draws of a target, a lower-case name from SCALAR_TARGETS or
+        PAIR_TARGETS, on the sampler's stream: (values,) for a scalar
+        target, (queue, orbit) for a pair.
+
+        Over the target's pieces (direct, root, mean), the queue is
+        Poisson(lam1 direct) and the orbit Poisson(lam2 (direct +
+        Theta(root))), drawn in that order after the pieces; r1 and r2 add
+        an R0 to the orbit.  xg and r0 have draws of their own.
+        """
+        if target == "xg":
+            return (self._xg(n),)
+        if target == "r0":
+            return (self._r0(n),)
+        direct, root, mean = _PIECES[target](self, n)
+        p = self.params
+        queue = _poisson(self.rng, p.lambda1 * direct) if target in PAIR_TARGETS else None
+        orbit = _poisson(self.rng, p.lambda2 * (direct + self.theta(root, mean)))
+        if target in ("r1", "r2"):
+            orbit += self._r0(n)
+        return (orbit,) if queue is None else (queue, orbit)
 
     # dispatch
     def sample_into(self, target: str, n: int, write) -> None:
@@ -258,19 +226,19 @@ class DecompositionSampler:
         that runs a few blocks ahead of `write`.  When a block or `write`
         raises, the blocks not yet started are never drawn.
         """
-        call = _CALLS.get(target.lower())
-        if call is None:
-            raise ValueError(f"unknown target {target!r}; choose from "
-                             f"{', '.join(SCALAR_TARGETS + PAIR_TARGETS)}")
-        method, *args = call
+        name = target.lower()
+        if name not in SCALAR_TARGETS + PAIR_TARGETS:
+            raise BadParam(f"unknown target {target!r}; choose from "
+                           f"{', '.join(SCALAR_TARGETS + PAIR_TARGETS)}")
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise BadParam(f"the number of draws must be an integer >= 0, not {n!r}")
         sizes = [min(_BLOCK, n - start) for start in range(0, max(n, 1), _BLOCK)]
         first, self.blocks = self.blocks, self.blocks + len(sizes)
 
         def block(i):
             sub = copy.copy(self)
             sub.rng = parallel.make_rng(self.seed, 0, first + i)
-            drawn = getattr(sub, method)(*args, sizes[i])
-            return drawn if isinstance(drawn, tuple) else (drawn,)
+            return sub.draw(name, sizes[i])
 
         with contextlib.closing(parallel.imap(block, range(len(sizes)))) as blocks:
             for drawn in blocks:
@@ -283,3 +251,22 @@ class DecompositionSampler:
         self.sample_into(target, n, parts.append)
         columns = tuple(np.concatenate(col) for col in zip(*parts))
         return columns if len(columns) > 1 else columns[0]
+
+
+# each target but xg and r0 as its pieces (direct, root, mean): a direct time,
+# 0 for an orbit-only count, the root durations and their law mean
+_PIECES = {
+    "ka": lambda s, n: (0.0, *s._ka_root(n)),
+    "kb": lambda s, n: (0.0, *s._kb_root(n)),
+    "kc": lambda s, n: (0.0, *s._kc_root(n)),
+    "k": lambda s, n: (0.0, *_joined(s._ka_root(n), s._kc_root(n), s._kb_root(n))),
+    "h1": lambda s, n: s._h(1, n),
+    "h2": lambda s, n: s._h(2, n),
+    # Theta of zero roots draws nothing
+    "s1": lambda s, n: (s._s(1, n), np.zeros(n), 0.0),
+    "s2": lambda s, n: (s._s(2, n), np.zeros(n), 0.0),
+    "m1": lambda s, n: s._m1(n),
+    "m2": lambda s, n: s._m2(n),
+    "r1": lambda s, n: s._r1(n),
+    "r2": lambda s, n: (s._s(2, n), *_joined(s._ka_root(n), s._kc_root(n))),
+}

@@ -675,7 +675,7 @@ class TestSample:
             return np.zeros(n, dtype=np.int64)
 
         monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, cores))
-        monkeypatch.setattr(DecompositionSampler, "sample_r0", r0_block)
+        monkeypatch.setattr(DecompositionSampler, "_r0", r0_block)
         out = tmp_path / "out"
         assert cli.main(["sample", "--config", write_config(_base_config()),
                          "--out", str(out), "--target", "r0",
@@ -684,12 +684,14 @@ class TestSample:
         assert not list(out.glob("samples_*")) and not list(out.glob(".tmp-*"))
         assert 1 in started and max(started) <= 2 * cores
 
-    def test_memory_does_not_grow_with_n(self, write_config, tmp_path):
+    def test_memory_does_not_grow_with_n(self, write_config, tmp_path, monkeypatch):
         # numpy reports its buffers to tracemalloc, so a path that holds
-        # every draw, or every row's text, at once shows here
+        # every draw, or every row's text, at once shows here; both sizes
+        # fill the pool's window of 2 blocks per worker ahead of the writer
+        monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, 2))
         cfg = cli.load_config(write_config(_base_config()), out_override=str(tmp_path))
         peaks = []
-        for blocks in (2, 8):
+        for blocks in (6, 24):
             tracemalloc.start()
             try:
                 cli.cmd_sample(cfg, "r1", blocks * _BLOCK)
@@ -772,14 +774,14 @@ class TestVerify:
     def test_a_huge_draw_allocates_nothing(self, write_config, tmp_path, monkeypatch):
         # an orbit law of infinite mean can draw ~5e13; counting 0..n_states
         # must not allocate a cell for every value up to the largest draw
-        draw = DecompositionSampler.sample_r0
+        draw = DecompositionSampler._r0
 
         def planted(self, n):
             out = draw(self, n)
             out[0] = 2**62
             return out
 
-        monkeypatch.setattr(DecompositionSampler, "sample_r0", planted)
+        monkeypatch.setattr(DecompositionSampler, "_r0", planted)
         cfg = _base_config(inversion={"n": 160, "radius": 0.99},
                            verify={"window": [30, 120], "n_states": 40, "samples": 20_000})
         out = tmp_path / "o"

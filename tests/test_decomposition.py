@@ -12,7 +12,7 @@ from rtq.decomposition import (
     SCALAR_TARGETS,
     DecompositionSampler,
 )
-from rtq.errors import OverflowGuard, RecursionDepthExceeded
+from rtq.errors import BadParam, OverflowGuard, RecursionDepthExceeded
 from rtq.model import Erlang, Exponential, ModelParams, ParetoShifted
 
 
@@ -119,7 +119,7 @@ class TestBusyPeriods:
 
     def test_orbit_input_mean(self, ref_params, sampler):
         # each effective arrival feeds p/(1-rho1) customers to the orbit
-        x = sampler.sample_xg(300_000)
+        x, = sampler.draw("xg", 300_000)
         expect = ref_params.p / (1.0 - ref_params.rho1)
         assert x.mean() == pytest.approx(expect, abs=0.01)
 
@@ -152,14 +152,14 @@ class TestScalarFactors:
         assert _draws_tv(draws, pmf, 40) < 0.01
 
     def test_orbit_given_idle(self, ref_params, sampler, bulk_pmfs):
-        draws = sampler.sample_r0(200_000)
+        draws, = sampler.draw("r0", 200_000)
         assert _draws_tv(draws, bulk_pmfs["R0"], 50) < 0.01
         assert draws.mean() == pytest.approx(ref_params.psi, abs=0.01)
 
 
 class TestPairFactors:
     def test_equilibrium_service_marginals(self, ref_params, sampler):
-        q, o = sampler.sample_s_pair(2, 200_000)
+        q, o = sampler.draw("s2", 200_000)
         p = ref_params
         # each coordinate is a thinned Poisson mixture over the equilibrium
         # type-2 service time
@@ -169,12 +169,12 @@ class TestPairFactors:
 
     @pytest.mark.parametrize("which,coord", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_difference_quotient_marginals(self, ref_params, sampler, which, coord):
-        pair = sampler.sample_h_pair(which, 200_000)
+        pair = sampler.draw(f"h{which}", 200_000)
         pmf = _h_marginal_pmf(ref_params, which, coord)
         assert _draws_tv(pair[coord], pmf, 30) < 0.015
 
     def test_geometric_stage_marginals(self, ref_params, sampler):
-        q, o = sampler.sample_m1_pair(200_000)
+        q, o = sampler.draw("m1", 200_000)
 
         def marg(z, coord):
             z = np.asarray(z, dtype=complex)
@@ -204,7 +204,7 @@ class TestOtherServiceLaws:
     @pytest.mark.parametrize("which,coord", [(1, 0), (1, 1), (2, 0), (2, 1)])
     def test_difference_quotient_marginals(self, other_model, which, coord):
         params, sampler = other_model
-        pair = sampler.sample_h_pair(which, 200_000)
+        pair = sampler.draw(f"h{which}", 200_000)
         pmf = _h_marginal_pmf(params, which, coord)
         assert _draws_tv(pair[coord], pmf, 30) < 0.015
 
@@ -220,14 +220,24 @@ class TestDispatchAndSeeding:
             assert a.shape == b.shape == (50,)
 
     def test_unknown_target(self, ref_params):
-        with pytest.raises(ValueError, match="unknown target"):
+        with pytest.raises(BadParam, match="unknown target"):
             DecompositionSampler(ref_params, seed=0).sample("r3", 10)
 
     def test_unknown_target_draws_nothing(self, ref_params):
         ds, blocks = DecompositionSampler(ref_params, seed=0), []
-        with pytest.raises(ValueError, match="unknown target 'r3'"):
+        with pytest.raises(BadParam, match="unknown target 'r3'"):
             ds.sample_into("r3", 10, blocks.append)
         assert ds.blocks == 0 and blocks == []
+
+    @pytest.mark.parametrize("n", [-1, 2.5, 1e5, "10"])
+    def test_bad_count_draws_nothing(self, ref_params, n):
+        ds, blocks = DecompositionSampler(ref_params, seed=0), []
+        with pytest.raises(BadParam, match="integer >= 0"):
+            ds.sample_into("r1", n, blocks.append)
+        assert ds.blocks == 0 and blocks == []
+
+    def test_numpy_integer_count(self, ref_params):
+        assert DecompositionSampler(ref_params, seed=0).sample("r1", np.int64(3))[0].shape == (3,)
 
     def test_determinism(self, ref_params):
         a = DecompositionSampler(ref_params, seed=9).sample("r0", 500)
@@ -259,12 +269,15 @@ class TestBlocks:
         assert ds.blocks == 2 and not np.array_equal(a, b)
         np.testing.assert_array_equal(a, DecompositionSampler(ref_params, seed=5).sample("xg", 1000))
 
-    def test_block_i_draws_from_its_own_stream(self, ref_params):
-        # block 1 of a fresh sampler is the primitive on spawn key (0, 1)
-        drawn = DecompositionSampler(ref_params, seed=6).sample("r0", _BLOCK + 7)
+    @pytest.mark.parametrize("target", SCALAR_TARGETS + PAIR_TARGETS)
+    def test_block_i_draws_from_its_own_stream(self, ref_params, target):
+        # block 1 of a fresh sampler is `draw` on spawn key (0, 1)
+        drawn = DecompositionSampler(ref_params, seed=6).sample(target, _BLOCK + 7)
         block = DecompositionSampler(ref_params, seed=6)
         block.rng = parallel.make_rng(6, 0, 1)
-        np.testing.assert_array_equal(drawn[_BLOCK:], block.sample_r0(7))
+        whole = drawn if isinstance(drawn, tuple) else (drawn,)
+        for col, want in zip(whole, block.draw(target, 7), strict=True):
+            np.testing.assert_array_equal(col[_BLOCK:], want)
 
     def test_sample_into_hands_over_blocks_in_order(self, ref_params):
         blocks = []
@@ -286,7 +299,7 @@ class TestBlocks:
     def test_a_failing_write_stops_the_draws(self, ref_params, monkeypatch):
         # the pool runs at most 2 blocks per worker ahead of the one written
         started = []
-        draw = DecompositionSampler.sample_xg
+        draw = DecompositionSampler._xg
 
         def recorded(self, n):
             started.append(self.rng.bit_generator.seed_seq.spawn_key[-1])
@@ -296,7 +309,7 @@ class TestBlocks:
             raise OSError("disk full")
 
         monkeypatch.setattr(parallel, "workers", lambda jobs: min(jobs, 2))
-        monkeypatch.setattr(DecompositionSampler, "sample_xg", recorded)
+        monkeypatch.setattr(DecompositionSampler, "_xg", recorded)
         with pytest.raises(OSError, match="disk full"):
             DecompositionSampler(ref_params, seed=5).sample_into("xg", 10 * _BLOCK, write)
         assert 0 in started and max(started) <= 4

@@ -246,7 +246,7 @@ def test_a_failing_verify_leaves_no_process(two_workers, forks_recorded, monkeyp
         raised.append(time.monotonic())
         raise errors.RecursionDepthExceeded("sampler fails")
 
-    monkeypatch.setattr(DecompositionSampler, "sample_r0", failing_sampler)
+    monkeypatch.setattr(DecompositionSampler, "_r0", failing_sampler)
     assert _verify(tmp_path, sim={"max_events": 20_000_000}) == 3
     assert time.monotonic() - raised[0] < 2  # far less than the 2e7 events take
     assert "sampler fails" in capsys.readouterr().err
