@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import hashlib
 import json
 import math
 import os
@@ -267,9 +266,16 @@ def _json_text(obj) -> str:
 
 
 def _config_hash(cfg: RunConfig) -> str:
+    """16 hex digits of the 64-bit FNV-1a hash of the canonical config text
+    and seed: a run identifier, not a cryptographic digest.  Computed here
+    because importing hashlib loads OpenSSL, 3.6 MB that `analyze` would
+    otherwise need for nothing else."""
     canon = json.dumps(cfg.raw, sort_keys=True, separators=(",", ":"))
     canon += f"|seed={cfg.seed}"
-    return hashlib.sha256(canon.encode()).hexdigest()[:16]
+    h = 0xCBF29CE484222325
+    for byte in canon.encode():
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return f"{h:016x}"
 
 
 def _record_run(cfg: RunConfig, command: str, artifacts: list):

@@ -61,6 +61,12 @@ _K_QUAD_TOL = 1e-10  # agreement of successive Gauss-Legendre orders for int K
 _K_MAX_ORDER = 256  # highest Gauss-Legendre order tried for int K
 _ROOT_TOL = 1e-12  # Newton step size at which a busy-period root is accepted
 _ROOT_MAX_ITER = 10_000
+# most points an inversion contour may have: 500 times the 8,000 of an
+# n = 2000 inversion at radius 0.995.  `conditional_pmfs` holds about 1.7 MB
+# per 8,000 points at its peak, so this caps it near 0.9 GB and minutes of
+# LST work; past it a radius within 1e-7 of 1, or a verify window in the
+# millions, would allocate gigabytes before anything checked them
+_MAX_POINTS = 2**22
 
 
 # the paper's three orbit factors and their product K = Ka Kb Kc
@@ -304,17 +310,24 @@ def _ring(radius, m):
     return radius * np.exp(2j * np.pi * k / m)
 
 
-def _check_roundoff(n, radius):
-    """Reject (n, radius) pairs whose round-off amplification is hopeless.
+def _check_contour(n, radius, m):
+    """Reject (n, radius) pairs whose round-off amplification is hopeless,
+    and contours of more than `_MAX_POINTS` points.
 
     Recovering p_j multiplies the FFT's absolute round-off (~1e-15) by
     radius^(-j), so a small radius with a deep cutoff yields pure noise; a
-    radius closer to 1 must be used instead.
+    radius closer to 1 must be used instead.  The size is checked before
+    any point is allocated.
     """
     if radius < 1.0 and 1e-16 * radius ** (-float(n)) > 1e-6:
         raise InversionError(
             f"radius {radius} amplifies round-off by {radius ** (-float(n)):.1e} "
             f"at coefficient {n}; use a radius closer to 1 for this depth"
+        )
+    if m > _MAX_POINTS:
+        raise InversionError(
+            f"contour of {m} points exceeds the {_MAX_POINTS} allowed; "
+            f"ask for fewer coefficients or a radius farther from 1"
         )
 
 
@@ -381,7 +394,7 @@ def extract_pmf(f, n: int, radius: float = 0.9, label: str = "") -> Pmf:
     if radius <= 0.0:
         raise InversionError("inversion radius must be positive")
     m = 4 * n
-    _check_roundoff(n, radius)
+    _check_contour(n, radius, m)
     at_one = complex(np.asarray(f(1.0 + 0j), dtype=complex).reshape(-1)[0])
     if not abs(at_one - 1.0) <= 1e-8:  # so that NaN fails too
         raise InversionError(f"{label or 'pmf'}: PGF at 1 is {at_one:.10f}, not 1")
@@ -400,24 +413,29 @@ def conditional_pmfs(params: ModelParams, n: int, radius: float = 0.9) -> dict:
     most `_ALIAS_TOL`, so the R0 series is exact at working precision.
     h, the orbit factors, R0 and the five transforms are evaluated on its
     upper half only, indices 0..m//2 (m//2 + 1 points, for odd m as for
-    even), and each is inverted from there by one real FFT.
+    even), and each is inverted from there by one real FFT.  The factors
+    of each slice are released once its two transforms are formed, so one
+    slice's are alive at a time.  A contour of more than `_MAX_POINTS`
+    points raises InversionError before it is allocated.
     """
     if n < 1:
         raise InversionError("need n >= 1 coefficients")
     if not 0.0 < radius < 1.0:
         raise InversionError(f"inversion radius must lie in (0, 1), got {radius}")
     m = max(4 * n, math.ceil(math.log(_ALIAS_TOL) / math.log(radius)) + 1)
-    _check_roundoff(n, radius)
+    _check_contour(n, radius, m)
     z = _ring(radius, m)
     one = np.ones_like(z)
 
     # the queue slice (z, 1) has h(1) = 1, so u = 0 there and the orbit
     # factors and R0 are 1; the orbit slice (1, z) feeds K to R0
     queue = _factors(params, z, one, one)
+    r11, r21 = _conditionals(queue, 1.0)
+    del queue
     orbit = _factors(params, one, z)
     r0 = _r0_on_contour(params, z, orbit.kf.k, m)
-    r11, r21 = _conditionals(queue, 1.0)
     r12, r22 = _conditionals(orbit, r0)
+    del orbit
     vals = {"R0": r0, "R11": r11, "R12": r12, "R21": r21, "R22": r22}
 
     labels = {

@@ -816,13 +816,27 @@ class TestVerify:
 
     def test_a_deep_window_is_inverted(self, write_config, tmp_path):
         # a window top of 3,500 asks for 4,666 coefficients: at radius 0.995
-        # round-off would grow by 1.4e10 there, past `_check_roundoff`; the
+        # round-off would grow by 1.4e10 there, past `_check_contour`; the
         # radius set from the depth keeps that growth at 1e3
         cfg = _base_config(verify={"window": [50, 3500], "n_states": 40, "samples": 20_000})
         out = tmp_path / "o"
         assert cli.main(["verify", "--config", write_config(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "verify_report.json").read_text())
         assert report["targets"]["R0"]["fits"]["inversion"]["window"] == [50, 3500]
+
+    def test_a_window_in_the_billions_is_refused(self, write_config, tmp_path, capsys,
+                                                 monkeypatch):
+        # a window top of 10^9 asks for a contour of 5.3e9 points, refused
+        # before the ring is built
+        def unbuilt_ring(radius, m):
+            raise AssertionError(f"a ring of {m} points was built")
+
+        monkeypatch.setattr(transforms, "_ring", unbuilt_ring)
+        cfg = _base_config(verify={"window": [10, 10**9]})
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--config", write_config(cfg), "--out", str(out)]) == 3
+        assert "points exceeds the 4194304 allowed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_small_end_to_end(self, write_config, tmp_path):
         out = tmp_path / "out"

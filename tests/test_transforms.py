@@ -1,5 +1,7 @@
 """Fixed points, factorizations and contour inversion."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -382,6 +384,27 @@ class TestExtractPmf:
         expect = (1 - g) * g ** np.arange(61)
         np.testing.assert_allclose(pmf.probs, expect, atol=1e-14)
 
+    def test_rejects_an_oversized_contour(self, monkeypatch):
+        # 4n = 2^22 + 4 points, one past the cap; the ring is never built
+        monkeypatch.setattr(T, "_ring", _unbuilt_ring)
+        with pytest.raises(InversionError, match="contour of 4194308 points"):
+            T.extract_pmf(lambda z: z, 2**20 + 1, radius=2.0)
+
+
+def _unbuilt_ring(radius, m):
+    raise AssertionError(f"a ring of {m} points was built")
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """The tracemalloc peak, in bytes, of fn(*args, **kwargs); numpy reports
+    its buffers to tracemalloc, so every array counts."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
 
 class TestConditionalPmfs:
     def test_shapes_and_mass(self, bulk_pmfs):
@@ -478,6 +501,25 @@ class TestConditionalPmfs:
         assert pmfs["R0"].deficit < 1e-4
         for pmf in pmfs.values():
             assert pmf.probs.sum() + pmf.deficit == pytest.approx(1.0, abs=1e-7)
+
+    def test_one_slice_of_factors_alive_at_a_time(self, ref_params):
+        # the deep inversion peaks at 1.73 MiB with each slice's factors
+        # released once its two transforms are formed, and at 2.21 MiB with
+        # both slices' held together
+        T.conditional_pmfs(ref_params, 50, radius=0.9)  # warm the caches
+        peak = _traced_peak(T.conditional_pmfs, ref_params, 2000, radius=0.995)
+        assert peak < 2.0 * 2**20, peak
+
+    def test_refuses_an_oversized_contour_before_allocating_it(self, ref_params, monkeypatch):
+        # radius**m <= 1e-12 needs m = 276,310,199 points here, 2.1 GB per
+        # complex half-ring array, though the round-off check passes at n = 150
+        monkeypatch.setattr(T, "_ring", _unbuilt_ring)
+
+        def deep():
+            with pytest.raises(InversionError, match="contour of 276310199 points"):
+                T.conditional_pmfs(ref_params, 150, radius=0.9999999)
+
+        assert _traced_peak(deep) < 2**20
 
     @pytest.mark.parametrize("radius", [1.0, 1.2])
     def test_rejects_radius_outside_unit_interval(self, ref_params, radius):
